@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .chromatic import chromatic_number
+from .chromatic import DEFAULT_NODE_BUDGET, chromatic_number
 from .coloring import ExtensionKind, PartialColoring
 from .errors import (
     BudgetExceededError,
@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     SudokugraphError,
 )
-from .extension import count_extensions, propagate
+from .extension import count_extensions
 from .generators import Family, FamilySpec, generate, sudoku_grid
 from .graph import Graph
 from .io import (
@@ -112,7 +112,7 @@ def cmd_gen(args) -> int:
 
 def cmd_chroma(args) -> int:
     g = _read_graph(args)
-    budget = args.budget_nodes if args.budget_nodes else 50_000_000
+    budget = args.budget_nodes if args.budget_nodes else DEFAULT_NODE_BUDGET
     chi, witness = chromatic_number(g, budget=budget)
     _emit_json(args, {"chi": chi, "coloring": coloring_to_object(witness)["colors"]})
     return EXIT_OK

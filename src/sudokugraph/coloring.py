@@ -13,7 +13,6 @@ from .graph import Graph
 RULE_COLOR_DOMINATING = "color-dominating"
 RULE_NEAR_COLOR_DOMINATING = "near-color-dominating"
 RULE_ATTRACTIVE = "attractive"
-RULE_LIST_SINGLETON = "list-singleton"
 RULE_BRANCH = "branch"
 
 TRACE_RULES = frozenset(
@@ -21,7 +20,6 @@ TRACE_RULES = frozenset(
         RULE_COLOR_DOMINATING,
         RULE_NEAR_COLOR_DOMINATING,
         RULE_ATTRACTIVE,
-        RULE_LIST_SINGLETON,
         RULE_BRANCH,
     }
 )

@@ -11,7 +11,6 @@ from .coloring import (
     RULE_ATTRACTIVE,
     RULE_BRANCH,
     RULE_COLOR_DOMINATING,
-    RULE_LIST_SINGLETON,
     RULE_NEAR_COLOR_DOMINATING,
     ColorListState,
     ExtensionKind,

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import time
 from dataclasses import dataclass, field
+from math import comb
 
 from .chromatic import chromatic_number
 from .coloring import ExtensionKind, PartialColoring, is_proper
@@ -118,37 +120,128 @@ def canonical_colorings(g: Graph, subset, k: int):
     yield from rec(0, 0)
 
 
-def _evaluate_subset(g: Graph, k: int, subset, prune: bool):
+def _suffix_tables(g: Graph, k: int, lemmas: bool):
+    """Per-vertex tables of the two prune lemmas, for deciding vertices in order.
+
+    Returns (pendant, below, pendants_from, bound): pendant[v] marks degree-1
+    vertices; below[v] lists the neighbors u < v joined to v by a low-degree
+    edge (both ends of degree <= k-1); pendants_from[x] counts the pendants in
+    [x, n); bound[x] is a lower bound on the picks any surviving support makes
+    in [x, n): those pendants plus a greedy matching of the low-degree edges
+    between non-pendants inside [x, n), whose covers avoid the pendants.
+    With lemmas off the tables rule nothing out.
+    """
+    n = g.n
+    if not lemmas:
+        return [False] * n, [()] * n, [0] * (n + 1), [0] * (n + 1)
+    limit = k - 1
+    deg = [g.degree(v) for v in range(n)]
+    low = [d <= limit for d in deg]
+    pendant = [d == 1 for d in deg]
+    below = [
+        tuple(u for u in g.adj[v] if u < v and low[u]) if low[v] else () for v in range(n)
+    ]
+    pendants_from = [0] * (n + 1)
+    bound = [0] * (n + 1)
+    matched = bytearray(n)
+    matching = 0
+    for x in range(n - 1, -1, -1):
+        pendants_from[x] = pendants_from[x + 1] + pendant[x]
+        if low[x] and not pendant[x]:
+            for y in g.adj[x]:
+                if y > x and low[y] and not pendant[y] and not matched[y]:
+                    matched[x] = matched[y] = 1
+                    matching += 1
+                    break
+        bound[x] = pendants_from[x] + matching
+    return pendant, below, pendants_from, bound
+
+
+def _supports(n: int, size: int, tables):
+    """Supports of one size in itertools.combinations order, lemma failures cut in blocks.
+
+    Yields (support, 0, 0) for each support that survives the pendant and
+    uncolored-edge lemmas, and (None, p, e) for each cut block of p + e > 0
+    consecutive supports of which p fail the pendant lemma and e fail only the
+    uncolored-edge lemma (prune_subset's attribution). Vertices 0..n-1 are
+    decided in order, include before exclude, on an explicit stack: the stack
+    is the list of included vertices, each with its exclude branch pending.
+    `tables` come from _suffix_tables for a graph on n vertices.
+    """
+    pendant, below, pendants_from, bound = tables
+
+    def block(rest: int, r: int, p: int):
+        # All choices of r of the rest undecided vertices, p of them pendants;
+        # the decided prefix already includes every earlier pendant.
+        total = comb(rest, r)
+        kept = comb(rest - p, r - p) if r >= p else 0
+        return None, total - kept, kept
+
+    chosen: list[int] = []
+    inc = bytearray(n)
+    x, r = 0, size
+    while True:
+        # Descend from a prefix deciding 0..x-1 that no lemma rules out yet.
+        while True:
+            if r < bound[x]:
+                yield block(n - x, r, pendants_from[x])
+                break
+            if r == 0:
+                # The only completion excludes the rest. bound[x] == 0 leaves no
+                # pendant and no low-degree edge inside [x, n), so it fails only
+                # on a low-degree edge back to an excluded vertex.
+                if any(not inc[u] for v in range(x, n) for u in below[v]):
+                    yield None, 0, 1
+                else:
+                    yield tuple(chosen), 0, 0
+                break
+            chosen.append(x)
+            inc[x] = 1
+            x += 1
+            r -= 1
+        # Backtrack to the deepest include whose exclude branch can hold r picks.
+        while chosen:
+            v = chosen.pop()
+            inc[v] = 0
+            r = size - len(chosen)
+            rest = n - v - 1
+            if r > rest:
+                continue
+            if pendant[v]:
+                yield None, comb(rest, r), 0
+            elif any(not inc[u] for u in below[v]):
+                yield block(rest, r, pendants_from[v + 1])
+            else:
+                x = v + 1
+                break
+        else:
+            return
+
+
+def _evaluate_subset(g: Graph, k: int, subset):
     """Try every canonical coloring on one support.
 
-    Returns (prune_reason, colorings_tried, winning_assignments or None).
+    Returns (colorings_tried, winning_assignments or None).
     """
-    if prune and k >= 3:
-        reason = prune_subset(g, subset, k)
-        if reason is not None:
-            return reason, 0, None
     tried = 0
     for c in canonical_colorings(g, subset, k):
         tried += 1
         outcome = count_extensions(g, c, 2)
         if outcome.kind is ExtensionKind.UNIQUE:
-            return None, tried, dict(c.assignments)
-    return None, tried, None
+            return tried, dict(c.assignments)
+    return tried, None
 
 
 _POOL_STATE: dict = {}
 
 
-def _pool_init(n: int, edges, k: int, prune: bool) -> None:
+def _pool_init(n: int, edges, k: int) -> None:
     _POOL_STATE["g"] = build(n, list(edges))
     _POOL_STATE["k"] = k
-    _POOL_STATE["prune"] = prune
 
 
 def _pool_eval(subset):
-    return _evaluate_subset(
-        _POOL_STATE["g"], _POOL_STATE["k"], subset, _POOL_STATE["prune"]
-    )
+    return _evaluate_subset(_POOL_STATE["g"], _POOL_STATE["k"], subset)
 
 
 class _Budget:
@@ -157,8 +250,9 @@ class _Budget:
         self.max_seconds = max_seconds
         self.start = time.perf_counter()
 
-    def check(self, subsets_used: int, proven: int) -> None:
-        if self.max_subsets is not None and subsets_used >= self.max_subsets:
+    def check(self, subsets_used: int, proven: int, count: int = 1) -> None:
+        """Raise unless `count` more subsets fit after `subsets_used`."""
+        if self.max_subsets is not None and subsets_used + count > self.max_subsets:
             raise BudgetExceededError(
                 f"subset budget {self.max_subsets} exhausted; sn >= {proven}",
                 lower_bound=proven,
@@ -186,12 +280,18 @@ def sn_exact(
     Supports are tried in ascending size from the lower bound, each size in
     lexicographic subset order and each support in canonical coloring order,
     so the first success is a deterministic, worker-count-independent winner.
+    With prune (and chi >= 3) the supports are generated with a look-ahead on
+    the pendant and uncolored-edge lemmas, so the ones those lemmas rule out
+    are never visited: they are cut in whole blocks, and each block is counted
+    in subsets_examined and pruned_by as prune_subset would count its supports
+    one by one. The subset budget applies to those counts.
     """
     if g.n < 2:
         raise ValueError("Sudoku numbers need at least 2 vertices (chi >= 2)")
     if not is_connected(g):
         raise DisconnectedGraphError("Sudoku numbers are defined for connected graphs")
     k, _ = chromatic_number(g)
+    tables = _suffix_tables(g, k, prune and k >= 3)
     budget = _Budget(max_subsets, max_seconds)
     subsets_examined = 0
     colorings_examined = 0
@@ -209,35 +309,38 @@ def sn_exact(
             elapsed_seconds=budget.elapsed(),
         )
 
-    for size in range(search_lower_bound(k), g.n):
-        subsets = itertools.combinations(range(g.n), size)
-        if workers <= 1:
-            for subset in subsets:
+    if workers > 1:
+        pool_context = multiprocessing.get_context().Pool(
+            workers, initializer=_pool_init, initargs=(g.n, g.edges, k)
+        )
+    else:
+        pool_context = contextlib.nullcontext()
+    with pool_context as pool:
+        for size in range(search_lower_bound(k), g.n):
+            items = _supports(g.n, size, tables)
+            results = None
+            if pool is not None:
+                items = list(items)
+                survivors = [s for s, _, _ in items if s is not None]
+                chunk = max(1, len(survivors) // (workers * 8))
+                results = pool.imap(_pool_eval, survivors, chunksize=chunk)
+            for subset, pendant_cut, edge_cut in items:
+                if subset is None:
+                    cut = pendant_cut + edge_cut
+                    budget.check(subsets_examined, size, cut)
+                    subsets_examined += cut
+                    pruned_by[PRUNE_PENDANT] += pendant_cut
+                    pruned_by[PRUNE_UNCOLORED_EDGE] += edge_cut
+                    continue
                 budget.check(subsets_examined, size)
                 subsets_examined += 1
-                reason, tried, win = _evaluate_subset(g, k, subset, prune)
+                if results is None:
+                    tried, win = _evaluate_subset(g, k, subset)
+                else:
+                    tried, win = next(results)
                 colorings_examined += tried
-                if reason is not None:
-                    pruned_by[reason] += 1
-                elif win is not None:
+                if win is not None:
                     return finish(subset, win)
-        else:
-            subset_list = list(subsets)
-            chunk = max(1, len(subset_list) // (workers * 8) or 1)
-            ctx = multiprocessing.get_context()
-            with ctx.Pool(
-                workers, initializer=_pool_init, initargs=(g.n, g.edges, k, prune)
-            ) as pool:
-                results = pool.imap(_pool_eval, subset_list, chunksize=chunk)
-                for subset, (reason, tried, win) in zip(subset_list, results):
-                    budget.check(subsets_examined, size)
-                    subsets_examined += 1
-                    colorings_examined += tried
-                    if reason is not None:
-                        pruned_by[reason] += 1
-                    elif win is not None:
-                        pool.terminate()
-                        return finish(subset, win)
     raise AssertionError("unreachable: sn(G) <= n - 1 for every connected graph")
 
 

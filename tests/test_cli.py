@@ -191,6 +191,25 @@ def test_sn_output_is_identical_across_workers(capsys, tmp_path):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "gen_argv, golden",
+    [
+        (["--family", "cycle", "--n", "13"], "tests/data/sn_cycle13.json"),
+        (["--family", "tadpole", "--n", "9", "--m", "6"], "tests/data/sn_tadpole_9_6.json"),
+    ],
+)
+def test_sn_output_matches_golden_file(capsys, tmp_path, gen_argv, golden):
+    # subsets_examined and pruned_by are part of the pinned stdout, so this
+    # also pins the counting of pruned supports.
+    gpath = write_graph(capsys, tmp_path, "g.txt", gen_argv)
+    with open(golden, encoding="ascii") as fh:
+        want = fh.read()
+    for workers in ("1", "3"):
+        code, out, err = run(capsys, ["sn", "--in", gpath, "--workers", workers])
+        assert code == 0, err
+        assert out == want
+
+
 def test_sn_no_prune_agrees(capsys, tmp_path):
     gpath = write_graph(capsys, tmp_path, "tp.txt", ["--family", "tadpole", "--n", "5", "--m", "2"])
     a = run_json(capsys, ["sn", "--in", gpath])

@@ -13,7 +13,6 @@ from sudokugraph.coloring import (
     RULE_ATTRACTIVE,
     RULE_BRANCH,
     RULE_COLOR_DOMINATING,
-    RULE_LIST_SINGLETON,
     RULE_NEAR_COLOR_DOMINATING,
     TRACE_RULES,
 )
@@ -93,7 +92,6 @@ def test_trace_rules_registry():
         RULE_COLOR_DOMINATING,
         RULE_NEAR_COLOR_DOMINATING,
         RULE_ATTRACTIVE,
-        RULE_LIST_SINGLETON,
         RULE_BRANCH,
     }
     step = TraceStep(4, 2, RULE_COLOR_DOMINATING)

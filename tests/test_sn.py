@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -24,7 +25,13 @@ from sudokugraph import (
     sn_exact,
     verify_certificate,
 )
-from sudokugraph.sn import PRUNE_PENDANT, PRUNE_UNCOLORED_EDGE, search_lower_bound
+from sudokugraph.sn import (
+    PRUNE_PENDANT,
+    PRUNE_UNCOLORED_EDGE,
+    _suffix_tables,
+    _supports,
+    search_lower_bound,
+)
 
 
 def make(family, **params):
@@ -99,6 +106,74 @@ def test_prune_never_discards_a_sudoku_subset():
                 # pruned: no coloring of this support may be a Sudoku coloring
                 for rep in canonical_colorings(g, subset, k):
                     assert not brute_is_sudoku(g, rep)
+
+
+def test_support_generator_matches_prune_filter():
+    # The generator must yield exactly the supports prune_subset keeps, in
+    # combinations order, and its cut blocks must cover the rest in place:
+    # each block is the next run of pruned supports, split by lemma as
+    # prune_subset attributes them.
+    rng = random.Random(91)
+    checked = 0
+    while checked < 60:
+        g = random_connected_graph(rng, rng.randint(4, 9), extra=rng.choice([0.1, 0.25, 0.45]))
+        k, _ = chromatic_number(g)
+        if k < 3:
+            continue
+        checked += 1
+        for size in range(search_lower_bound(k), g.n):
+            combos = list(itertools.combinations(range(g.n), size))
+            reasons = [prune_subset(g, s, k) for s in combos]
+            items = list(_supports(g.n, size, _suffix_tables(g, k, True)))
+            survivors = [s for s, _, _ in items if s is not None]
+            assert survivors == [s for s, why in zip(combos, reasons) if why is None]
+            tallies = {PRUNE_PENDANT: 0, PRUNE_UNCOLORED_EDGE: 0}
+            pos = 0
+            for support, pendant_cut, edge_cut in items:
+                if support is not None:
+                    assert combos[pos] == support
+                    pos += 1
+                    continue
+                cut = reasons[pos : pos + pendant_cut + edge_cut]
+                assert pendant_cut + edge_cut > 0
+                assert cut.count(PRUNE_PENDANT) == pendant_cut
+                assert cut.count(PRUNE_UNCOLORED_EDGE) == edge_cut
+                tallies[PRUNE_PENDANT] += pendant_cut
+                tallies[PRUNE_UNCOLORED_EDGE] += edge_cut
+                pos += pendant_cut + edge_cut
+            assert pos == len(combos)
+            assert tallies == {
+                PRUNE_PENDANT: reasons.count(PRUNE_PENDANT),
+                PRUNE_UNCOLORED_EDGE: reasons.count(PRUNE_UNCOLORED_EDGE),
+            }
+            unpruned = [s for s, _, _ in _supports(g.n, size, _suffix_tables(g, k, False))]
+            assert unpruned == combos
+
+
+def test_sn_exact_subset_budget_boundaries_on_cut_blocks():
+    # C_11: chi = 3, sn = 6; every support of sizes 2-5 is pruned
+    # (55 + 165 + 330 + 462 = 1012), so the budget is charged in blocks.
+    g = make(Family.CYCLE, n=11)
+    tables = _suffix_tables(g, 3, True)
+    for size, total in zip(range(2, 6), (55, 165, 330, 462)):
+        items = list(_supports(g.n, size, tables))
+        assert all(s is None for s, _, _ in items)
+        assert sum(p + e for _, p, e in items) == total
+    report = sn_exact(g)
+    assert report.sn == 6
+    with pytest.raises(BudgetExceededError) as err:
+        sn_exact(g, max_subsets=100)
+    assert err.value.lower_bound == 3
+    assert "subset budget 100 exhausted; sn >= 3" in str(err.value)
+    with pytest.raises(BudgetExceededError) as err:
+        sn_exact(g, max_subsets=report.subsets_examined - 1)
+    assert err.value.lower_bound == 6
+    again = sn_exact(g, max_subsets=report.subsets_examined)
+    assert again.sn == report.sn
+    assert again.certificate.partial == report.certificate.partial
+    assert again.subsets_examined == report.subsets_examined
+    assert again.colorings_examined == report.colorings_examined
+    assert again.pruned_by == report.pruned_by
 
 
 def test_search_lower_bound():
