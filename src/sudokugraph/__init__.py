@@ -11,6 +11,7 @@ from .chromatic import (
     chromatic_number,
     count_color_partitions,
     count_labeled_colorings,
+    count_list_colorings,
     find_k_coloring,
     greedy_clique,
     greedy_coloring,
@@ -38,7 +39,6 @@ from .errors import (
 )
 from .extension import (
     count_extensions,
-    count_list_colorings,
     is_extendable,
     is_sudoku_coloring,
     propagate,

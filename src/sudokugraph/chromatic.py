@@ -1,17 +1,107 @@
-"""Exact chromatic number via branch and bound.
+"""Exact chromatic number and coloring counts from one search.
 
-Vertices are chosen by saturation degree (ties: higher degree, then lower
-index); a greedily grown clique provides the lower bound and is pre-colored
-to break color symmetry. Deterministic by construction.
+Every public function here configures `_search`, a depth-first search over
+per-vertex color bitmasks (bit i-1 is color i) that keeps its state on an
+explicit stack, so its depth is bounded by memory, not by the recursion
+limit. It branches on the uncolored vertex with the fewest free colors
+(ties: higher degree, then lower index), which is Brélaz's DSATUR order
+(D. Brélaz, "New methods to color the vertices of a graph", CACM 22(4),
+1979). With `fresh` set, a vertex may take at most one color above the
+highest in use, so colorings that differ only by renaming colors are
+visited once: with nothing preset, exactly one per vertex partition.
+Deterministic by construction.
 """
 
 from __future__ import annotations
 
-from .coloring import PartialColoring
+from .coloring import ColorListState, PartialColoring
 from .errors import BudgetExceededError
 from .graph import Graph
 
 DEFAULT_NODE_BUDGET = 50_000_000
+
+
+def _search(
+    g: Graph,
+    lists: list[int],
+    *,
+    preset: dict[int, int] | None = None,
+    cap: int | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
+    fresh: bool = False,
+    what: str,
+) -> tuple[int, list[int] | None]:
+    """Count proper colorings with color[v] in lists[v], saturating at cap.
+
+    Returns the count (cap None counts all) and the first coloring found,
+    as a list indexed by vertex. Preset vertices keep their colors, which
+    must be proper. Each branching vertex is one node; more than budget
+    nodes raise BudgetExceededError naming `what`.
+    """
+    adj = g.adj
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    color = [0] * g.n
+    free = list(lists)
+    preset = preset or {}
+    top = 0
+    for v, c in preset.items():
+        color[v] = c
+        top = max(top, c)
+        for u in adj[v]:
+            free[u] &= ~(1 << (c - 1))
+    left = g.n - len(preset)
+    journal: list[int] = []  # vertices whose free mask lost the color just assigned
+    stack: list[list[int]] = []  # [vertex, untried colors, journal mark, top before]
+    count = nodes = 0
+    first = None
+    while True:
+        if left:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(f"{what} exceeded {budget} nodes", nodes=nodes)
+            best, fewest = -1, 1 << 62
+            for u in order:
+                if not color[u]:
+                    f = free[u].bit_count()
+                    if f < fewest:
+                        best, fewest = u, f
+                        if not f:
+                            break
+            bits = free[best] & ((2 << top) - 1) if fresh else free[best]
+            stack.append([best, bits, len(journal), top])
+        else:
+            count += 1
+            if first is None:
+                first = color[:]
+            if count == cap:
+                break
+        # Undo the top frame's color and try its next one, popping spent frames.
+        while stack:
+            frame = stack[-1]
+            v, bits, mark, top = frame
+            if color[v]:
+                bit = 1 << (color[v] - 1)
+                for u in journal[mark:]:
+                    free[u] |= bit
+                del journal[mark:]
+                color[v] = 0
+                left += 1
+            if not bits:
+                stack.pop()
+                continue
+            bit = bits & -bits
+            frame[1] = bits ^ bit
+            color[v] = c = bit.bit_length()
+            top = max(top, c)
+            left -= 1
+            for u in adj[v]:
+                if free[u] & bit and not color[u]:
+                    free[u] ^= bit
+                    journal.append(u)
+            break
+        else:
+            break
+    return count, first
 
 
 def greedy_clique(g: Graph) -> list[int]:
@@ -20,86 +110,31 @@ def greedy_clique(g: Graph) -> list[int]:
         return []
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     clique = [order[0]]
-    members = {order[0]}
     for v in order[1:]:
         if all(v in g.adj[u] for u in clique):
             clique.append(v)
-            members.add(v)
     return clique
 
 
 def greedy_coloring(g: Graph) -> dict[int, int]:
-    """DSATUR greedy: always color the most saturated uncolored vertex next."""
+    """DSATUR greedy: always color the most saturated uncolored vertex next.
+
+    Ties go to higher degree, then lower index; each vertex takes its lowest
+    free color. The dict lists vertices in the order they were colored.
+    """
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    seen = [0] * g.n  # bit c-1 is set once a neighbor has color c
     color: dict[int, int] = {}
-    saturation = [set() for _ in range(g.n)]
-    uncolored = set(range(g.n))
-    while uncolored:
-        v = min(uncolored, key=lambda u: (-len(saturation[u]), -g.degree(u), u))
-        c = 1
-        while c in saturation[v]:
-            c += 1
-        color[v] = c
-        uncolored.discard(v)
+    for _ in range(g.n):
+        v, most = -1, -1
+        for u in order:
+            if u not in color and seen[u].bit_count() > most:
+                v, most = u, seen[u].bit_count()
+        bit = ~seen[v] & (seen[v] + 1)
+        color[v] = bit.bit_length()
         for u in g.adj[v]:
-            if u in uncolored:
-                saturation[u].add(c)
+            seen[u] |= bit
     return color
-
-
-class _KColorSearch:
-    """Backtracking k-colorability test with DSATUR ordering and new-color capping."""
-
-    def __init__(self, g: Graph, k: int, budget: int, preset: dict[int, int] | None = None):
-        self.g = g
-        self.k = k
-        self.budget = budget
-        self.nodes = 0
-        self.color = [0] * g.n
-        self.uncolored = set(range(g.n))
-        self.max_used = 0
-        if preset:
-            for v, c in preset.items():
-                self.color[v] = c
-                self.uncolored.discard(v)
-                self.max_used = max(self.max_used, c)
-
-    def _saturation(self, v: int) -> int:
-        seen = set()
-        for u in self.g.adj[v]:
-            if self.color[u]:
-                seen.add(self.color[u])
-        return len(seen)
-
-    def run(self) -> dict[int, int] | None:
-        if self._solve():
-            return {v: self.color[v] for v in range(self.g.n)}
-        return None
-
-    def _solve(self) -> bool:
-        if not self.uncolored:
-            return True
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError(
-                f"k-coloring search exceeded {self.budget} nodes", nodes=self.nodes
-            )
-        v = min(self.uncolored, key=lambda u: (-self._saturation(u), -self.g.degree(u), u))
-        taken = {self.color[u] for u in self.g.adj[v] if self.color[u]}
-        # Trying at most one color that is new so far prunes color permutations.
-        limit = min(self.k, self.max_used + 1)
-        self.uncolored.discard(v)
-        prev_max = self.max_used
-        for c in range(1, limit + 1):
-            if c in taken:
-                continue
-            self.color[v] = c
-            self.max_used = max(prev_max, c)
-            if self._solve():
-                return True
-        self.color[v] = 0
-        self.max_used = prev_max
-        self.uncolored.add(v)
-        return False
 
 
 def find_k_coloring(
@@ -113,8 +148,13 @@ def find_k_coloring(
     clique = greedy_clique(g)
     if len(clique) > k:
         return None
+    # The clique is preset to 1..len(clique), which also breaks color symmetry.
     preset = {v: i + 1 for i, v in enumerate(clique)}
-    return _KColorSearch(g, k, budget, preset).run()
+    _, first = _search(
+        g, [(1 << k) - 1] * g.n, preset=preset, cap=1, budget=budget, fresh=True,
+        what="k-coloring search",
+    )
+    return None if first is None else dict(enumerate(first))
 
 
 def chromatic_number(
@@ -125,15 +165,10 @@ def chromatic_number(
         raise ValueError("chromatic number needs a nonempty graph")
     if g.m == 0:
         return 1, PartialColoring(1, {v: 1 for v in range(g.n)})
-    clique = greedy_clique(g)
     greedy = greedy_coloring(g)
     ub = max(greedy.values())
-    lb = max(len(clique), 2)
-    if lb == ub:
-        return ub, PartialColoring(ub, greedy)
-    preset = {v: i + 1 for i, v in enumerate(clique)}
-    for k in range(lb, ub):
-        witness = _KColorSearch(g, k, budget, preset).run()
+    for k in range(max(len(greedy_clique(g)), 2), ub):
+        witness = find_k_coloring(g, k, budget=budget)
         if witness is not None:
             return k, PartialColoring(k, witness)
     return ub, PartialColoring(ub, greedy)
@@ -149,34 +184,8 @@ def count_labeled_colorings(
     """
     if k < 0 or (cap is not None and cap < 1):
         raise ValueError("need k >= 0 and cap >= 1")
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    color = [0] * g.n
-    count = 0
-    nodes = 0
-
-    def rec(i: int) -> None:
-        nonlocal count, nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"coloring count exceeded {budget} nodes", nodes=nodes)
-        if cap is not None and count >= cap:
-            return
-        if i == g.n:
-            count += 1
-            return
-        v = order[i]
-        taken = {color[u] for u in g.adj[v] if color[u]}
-        for c in range(1, k + 1):
-            if c in taken:
-                continue
-            color[v] = c
-            rec(i + 1)
-            color[v] = 0
-            if cap is not None and count >= cap:
-                return
-
-    rec(0)
-    return count
+    lists = [(1 << k) - 1] * g.n
+    return _search(g, lists, cap=cap, budget=budget, what="coloring count")[0]
 
 
 def count_color_partitions(
@@ -184,39 +193,38 @@ def count_color_partitions(
 ) -> int:
     """Number of proper colorings with <= k colors counted up to color permutation.
 
-    cap None means count exactly. Enumerates canonical representatives: scanning
-    vertices 0..n-1, a vertex may reuse any color seen so far or open the next
-    fresh one.
+    cap None means count exactly. Counts the colorings whose colors appear
+    in the search in the order 1, 2, 3, ...: one per vertex partition.
     """
     if k < 0 or (cap is not None and cap < 1):
         raise ValueError("need k >= 0 and cap >= 1")
-    color = [0] * g.n
-    count = 0
-    nodes = 0
+    lists = [(1 << k) - 1] * g.n
+    return _search(g, lists, cap=cap, budget=budget, fresh=True, what="partition count")[0]
 
-    def rec(v: int, used: int) -> None:
-        nonlocal count, nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"partition count exceeded {budget} nodes", nodes=nodes)
-        if cap is not None and count >= cap:
-            return
-        if v == g.n:
-            count += 1
-            return
-        taken = {color[u] for u in g.adj[v] if u < v}
-        top = min(k, used + 1)
-        for c in range(1, top + 1):
-            if c in taken:
-                continue
-            color[v] = c
-            rec(v + 1, max(used, c))
-            color[v] = 0
-            if cap is not None and count >= cap:
-                return
 
-    rec(0, 0)
-    return count
+def count_list_colorings(g: Graph, state: ColorListState, cap: int = 2) -> int:
+    """Count proper colorings where every vertex takes a color from its list.
+
+    Every vertex of g must carry a nonempty list. Saturates at cap. The
+    search runs under DEFAULT_NODE_BUDGET.
+    """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    lists = state.lists
+    missing = [v for v in range(g.n) if v not in lists]
+    if missing:
+        raise ValueError(f"vertices without lists: {missing}")
+    masks = []
+    for v in range(g.n):
+        mask = 0
+        for col in lists[v]:
+            if col < 1:
+                raise ValueError(f"vertex {v} lists invalid color {col}")
+            mask |= 1 << (col - 1)
+        if mask == 0:
+            raise ValueError(f"vertex {v} has an empty list")
+        masks.append(mask)
+    return _search(g, masks, cap=cap, what="list coloring count")[0]
 
 
 def is_uniquely_colorable(g: Graph, k: int, *, budget: int = DEFAULT_NODE_BUDGET) -> bool:

@@ -12,7 +12,6 @@ from .coloring import (
     RULE_BRANCH,
     RULE_COLOR_DOMINATING,
     RULE_NEAR_COLOR_DOMINATING,
-    ColorListState,
     ExtensionKind,
     ExtensionOutcome,
     PartialColoring,
@@ -258,64 +257,3 @@ def is_extendable(g: Graph, c: PartialColoring) -> bool:
 
 def is_sudoku_coloring(g: Graph, c: PartialColoring) -> bool:
     return count_extensions(g, c).kind is ExtensionKind.UNIQUE
-
-
-def count_list_colorings(g: Graph, state: ColorListState, cap: int = 2) -> int:
-    """Count proper colorings where every vertex takes a color from its list.
-
-    Every vertex of g must carry a nonempty list. Saturates at cap.
-    """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    lists = state.lists
-    missing = [v for v in range(g.n) if v not in lists]
-    if missing:
-        raise ValueError(f"vertices without lists: {missing}")
-    masks = []
-    for v in range(g.n):
-        mask = 0
-        for col in lists[v]:
-            if col < 1:
-                raise ValueError(f"vertex {v} lists invalid color {col}")
-            mask |= 1 << (col - 1)
-        if mask == 0:
-            raise ValueError(f"vertex {v} has an empty list")
-        masks.append(mask)
-    color = [0] * g.n
-    adj = g.adj
-    count = 0
-
-    def rec(assigned: int) -> None:
-        nonlocal count
-        if count >= cap:
-            return
-        if assigned == g.n:
-            count += 1
-            return
-        # Most constrained first, ties to the lower index.
-        best, best_size = -1, 1 << 62
-        for v in range(g.n):
-            if color[v] == 0:
-                size = masks[v].bit_count()
-                if size < best_size:
-                    best, best_size = v, size
-        v = best
-        bits = masks[v]
-        while bits:
-            bit = bits & (-bits)
-            bits ^= bit
-            col = bit.bit_length()
-            ok = True
-            for u in adj[v]:
-                if color[u] == col:
-                    ok = False
-                    break
-            if ok:
-                color[v] = col
-                rec(assigned + 1)
-                color[v] = 0
-                if count >= cap:
-                    return
-
-    rec(0)
-    return count

@@ -47,14 +47,12 @@ class FamilySpec:
         return f"{self.family.value}({inner})"
 
 
-def _need(params: dict, key: str, minimum: int | None = None) -> int:
+def _need(params: dict, key: str) -> int:
     if key not in params:
         raise InvalidFamilyParamsError(f"missing parameter '{key}'")
     value = params[key]
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidFamilyParamsError(f"parameter '{key}' must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise InvalidFamilyParamsError(f"parameter '{key}' must be >= {minimum}, got {value}")
     return value
 
 
@@ -303,41 +301,41 @@ def generate(spec: FamilySpec) -> Graph:
     """Build the graph a FamilySpec describes, validating its parameters."""
     fam, p = spec.family, spec.params
     if fam is Family.PATH:
-        return path(_need(p, "n", 1))
+        return path(_need(p, "n"))
     if fam is Family.CYCLE:
-        return cycle(_need(p, "n", 3))
+        return cycle(_need(p, "n"))
     if fam is Family.COMPLETE:
-        return complete(_need(p, "n", 1))
+        return complete(_need(p, "n"))
     if fam is Family.COMPLETE_MULTIPARTITE:
         parts = p.get("parts")
         if not isinstance(parts, (list, tuple)):
             raise InvalidFamilyParamsError("complete-multipartite needs a 'parts' list")
         return complete_multipartite(list(parts))
     if fam is Family.STAR:
-        return star(_need(p, "n", 1))
+        return star(_need(p, "n"))
     if fam is Family.TREE:
-        return tree(_need(p, "n", 1), p.get("seed", 0))
+        return tree(_need(p, "n"), p.get("seed", 0))
     if fam is Family.FRIENDSHIP:
-        return friendship(_need(p, "m", 2))
+        return friendship(_need(p, "m"))
     if fam is Family.AMALGAM:
-        return amalgam(_need(p, "m", 2), _need(p, "n", 2), _need(p, "r", 1))
+        return amalgam(_need(p, "m"), _need(p, "n"), _need(p, "r"))
     if fam is Family.TADPOLE:
-        return tadpole(_need(p, "n", 3), _need(p, "m", 2))
+        return tadpole(_need(p, "n"), _need(p, "m"))
     if fam is Family.LOLLIPOP:
-        return lollipop(_need(p, "n", 3), _need(p, "m", 2))
+        return lollipop(_need(p, "n"), _need(p, "m"))
     if fam is Family.CYCLE_OF_CLIQUES:
-        return cycle_of_cliques(_need(p, "n", 2), _need(p, "m", 3))
+        return cycle_of_cliques(_need(p, "n"), _need(p, "m"))
     if fam is Family.CYCLE_OF_CLIQUES_MINUS:
-        return cycle_of_cliques_minus(_need(p, "n", 2), _need(p, "m", 4))
+        return cycle_of_cliques_minus(_need(p, "n"), _need(p, "m"))
     if fam is Family.STACKED_TRIANGULATION:
         att = p.get("attachments")
         if not isinstance(att, (list, tuple)):
             raise InvalidFamilyParamsError("stacked-triangulation needs an 'attachments' list of edges")
         return stacked_triangulation([tuple(a) for a in att])
     if fam is Family.FAN:
-        return fan(_need(p, "n", 2))
+        return fan(_need(p, "n"))
     if fam is Family.WHEEL:
-        return wheel(_need(p, "n", 3))
+        return wheel(_need(p, "n"))
     if fam is Family.SUDOKU_GRID:
-        return sudoku_grid(_need(p, "b", 1))
+        return sudoku_grid(_need(p, "b"))
     raise InvalidFamilyParamsError(f"unknown family {fam!r}")

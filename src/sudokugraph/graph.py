@@ -43,7 +43,7 @@ class Graph:
         return hash((self.n, self.edges))
 
 
-def build(n: int, edges, *, max_vertices: int = MAX_VERTICES) -> Graph:
+def build(n: int, edges) -> Graph:
     """Validate and construct a Graph.
 
     Self-loops raise SelfLoopError, endpoints outside range(n) raise
@@ -51,8 +51,8 @@ def build(n: int, edges, *, max_vertices: int = MAX_VERTICES) -> Graph:
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if n > max_vertices:
-        raise ValueError(f"graph order {n} exceeds the configured budget of {max_vertices}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph order {n} exceeds the configured budget of {MAX_VERTICES}")
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if u == v:

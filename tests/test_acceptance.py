@@ -370,7 +370,8 @@ def test_criterion_7_seventeen_clue_puzzle(capsys):
         failures.append(f"reported {obj['solutions']} solutions, expected exactly 1")
     if elapsed >= 5.0:
         failures.append(f"took {elapsed:.2f}s, budget 5s")
-    puzzle = open("tests/data/puzzle_17clue.txt").read().strip()
+    with open("tests/data/puzzle_17clue.txt") as fh:
+        puzzle = fh.read().strip()
     count, first = brute_sudoku_solutions(
         {i: int(ch) for i, ch in enumerate(puzzle) if ch != "0"}
     )

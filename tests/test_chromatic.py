@@ -4,7 +4,7 @@ import sys
 import pytest
 
 sys.path.insert(0, "tests")
-from oracles import brute_chromatic, random_connected_graph
+from oracles import brute_chromatic, brute_count_extensions, random_connected_graph
 
 from sudokugraph import (
     BudgetExceededError,
@@ -148,3 +148,21 @@ def test_budget_raises():
         find_k_coloring(make(Family.CYCLE, n=9), 2, budget=2)
     with pytest.raises(BudgetExceededError):
         chromatic_number(make(Family.CYCLE_OF_CLIQUES_MINUS, n=3, m=5), budget=5)
+
+
+def test_count_labeled_colorings_matches_oracle():
+    rng = random.Random(15)
+    for _ in range(30):
+        g = random_connected_graph(rng, rng.randint(1, 7), extra=rng.choice([0.2, 0.5, 0.8]))
+        for k in range(1, 5):
+            want = brute_count_extensions(g, PartialColoring(k, {}))
+            assert count_labeled_colorings(g, k) == want
+
+
+def test_chromatic_number_of_long_odd_cycle():
+    # deeper than the default recursion limit: the search keeps its own stack
+    g = make(Family.CYCLE, n=1201)
+    chi, witness = chromatic_number(g)
+    assert chi == 3
+    assert witness.domain == frozenset(range(g.n))
+    assert is_proper(g, witness)

@@ -137,6 +137,14 @@ def test_chroma_budget_exhaustion_exits_1(capsys, tmp_path):
     assert json.loads(out)["error"] == "budget-exceeded"
 
 
+def test_chroma_on_long_odd_cycle(capsys, tmp_path):
+    gpath = write_graph(capsys, tmp_path, "c1201.txt", ["--family", "cycle", "--n", "1201"])
+    obj = run_json(capsys, ["chroma", "--in", gpath])
+    assert obj["chi"] == 3
+    colors = [obj["coloring"][str(v)] for v in range(1201)]
+    assert all(colors[v] != colors[v - 1] for v in range(1201))
+
+
 def test_chroma_missing_file_exits_2(capsys):
     code, out, err = run(capsys, ["chroma", "--in", "/nonexistent/graph.txt"])
     assert code == 2
@@ -360,7 +368,8 @@ def test_sudoku_easy_puzzle_inline(capsys):
 def test_sudoku_17_clue_file_matches_independent_solver(capsys):
     obj = run_json(capsys, ["sudoku", "--in", "tests/data/puzzle_17clue.txt"])
     assert obj["solutions"] == "1"
-    puzzle = open("tests/data/puzzle_17clue.txt").read().strip()
+    with open("tests/data/puzzle_17clue.txt") as fh:
+        puzzle = fh.read().strip()
     count, first = brute_sudoku_solutions(
         {i: int(ch) for i, ch in enumerate(puzzle) if ch != "0"}
     )

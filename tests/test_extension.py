@@ -303,6 +303,12 @@ def test_count_list_colorings_reference_values():
     assert count_list_colorings(c5, state, cap=10) == 0
 
 
+def test_count_list_colorings_on_long_path():
+    p = generate(FamilySpec(Family.PATH, {"n": 3000}))
+    state = ColorListState({v: frozenset({1, 2}) for v in range(p.n)})
+    assert count_list_colorings(p, state, cap=10) == 2
+
+
 def test_count_list_colorings_validation():
     p3 = generate(FamilySpec(Family.PATH, {"n": 3}))
     with pytest.raises(ValueError):
