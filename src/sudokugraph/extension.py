@@ -27,41 +27,70 @@ DEFAULT_ATTRACTIVE_LIMIT = 20
 
 _ASSIGN = 0
 _REMOVE = 1
+# An assignment made from outside the engine (a root color or a support vertex
+# placed by a caller): undone like _ASSIGN but never on the deduction path.
+_PLACE = 2
 
 
-class _Engine:
-    def __init__(self, g: Graph, c: PartialColoring, attractive_limit: int):
+class _EngineGraph:
+    """The per-graph part of the engine, shared by every search on (g, k)."""
+
+    def __init__(self, g: Graph, k: int, attractive_limit: int):
         self.g = g
-        self.k = c.k
-        self.full = (1 << c.k) - 1
+        self.n = g.n
+        self.k = k
+        self.full = (1 << k) - 1
         self.adj = g.adj
-        self.color = [0] * g.n
-        self.lists = [self.full] * g.n
-        self.uncolored = g.n
-        self.class_size = [0] * (c.k + 1)
-        self.used_mask = 0
-        self.dead = False
-        self.journal: list[tuple[int, int, int]] = []
-        self.path: list[TraceStep] = []
-        self.squeue: list[int] = []
-        self.attractive_limit = attractive_limit
         self._chi_memo: dict[int, bool] = {}
-        if self.k <= attractive_limit:
+        if k <= attractive_limit:
             self.attr_eligible = tuple(
                 w for w in range(g.n) if g.degree(w) + 1 <= attractive_limit
             )
         else:
             # chi(N[w]) <= |N[w]| <= limit < k, so the rule can never fire.
             self.attr_eligible = ()
-        for v, col in c.assignments.items():
-            self._assign(v, col, rule=None)
-        self.journal.clear()
+
+    def chi_closed_neighborhood_is_k(self, w: int) -> bool:
+        cached = self._chi_memo.get(w)
+        if cached is None:
+            sub, _ = induced_subgraph(self.g, (w,) + self.adj[w])
+            cached = chromatic_number(sub)[0] == self.k
+            self._chi_memo[w] = cached
+        return cached
+
+
+class _Engine:
+    """The per-search part: colors, lists and the undo journal over one _EngineGraph.
+
+    Root assignments are journaled as _PLACE and then forgotten, so undo never
+    goes above the root. A caller that reuses one engine for many searches
+    starts from an empty root and moves with place() and rewind().
+    """
+
+    def __init__(self, eg: _EngineGraph, assignments=None):
+        self.eg = eg
+        self.full = eg.full
+        self.adj = eg.adj
+        self.attr_eligible = eg.attr_eligible
+        n = eg.n
+        self.color = [0] * n
+        self.lists = [eg.full] * n
+        self.uncolored = n
+        self.class_size = [0] * (eg.k + 1)
+        self.used_mask = 0
+        self.dead = False
+        self.journal: list[tuple[int, int, int]] = []
+        self.path: list[TraceStep] = []
+        self.squeue: list[int] = []
+        if assignments:
+            for v, col in assignments.items():
+                self._assign(v, col, rule=None)
+            self.journal.clear()
         # Seed the singleton queue with vertices forced by the root coloring.
-        for v in range(g.n):
+        for v in range(n):
             if self.color[v] == 0 and self.lists[v].bit_count() == 1:
                 self.squeue.append(v)
         # Search bookkeeping.
-        self.cap = 0
         self.count = 0
         self.witness1: dict[int, int] | None = None
         self.witness2: dict[int, int] | None = None
@@ -69,44 +98,58 @@ class _Engine:
 
     def _assign(self, v: int, col: int, rule: str | None) -> None:
         bit = 1 << (col - 1)
-        self.journal.append((_ASSIGN, v, col))
-        self.color[v] = col
+        color, lists, journal = self.color, self.lists, self.journal
+        color[v] = col
         self.uncolored -= 1
         self.class_size[col] += 1
         self.used_mask |= bit
-        if rule is not None:
+        if rule is None:
+            journal.append((_PLACE, v, col))
+        else:
+            journal.append((_ASSIGN, v, col))
             self.path.append(TraceStep(v, col, rule))
         for u in self.adj[v]:
-            if self.color[u] == 0 and self.lists[u] & bit:
-                self.lists[u] ^= bit
-                self.journal.append((_REMOVE, u, bit))
-                rest = self.lists[u]
+            if color[u] == 0 and lists[u] & bit:
+                rest = lists[u] ^ bit
+                lists[u] = rest
+                journal.append((_REMOVE, u, bit))
                 if rest == 0:
                     self.dead = True
                 elif rest & (rest - 1) == 0:
                     self.squeue.append(u)
 
     def _undo(self, mark: int) -> None:
-        while len(self.journal) > mark:
-            op, v, payload = self.journal.pop()
+        journal, lists = self.journal, self.lists
+        for _ in range(len(journal) - mark):
+            op, v, payload = journal.pop()
             if op == _REMOVE:
-                self.lists[v] |= payload
+                lists[v] |= payload
             else:
                 self.color[v] = 0
                 self.uncolored += 1
                 self.class_size[payload] -= 1
                 if self.class_size[payload] == 0:
                     self.used_mask &= ~(1 << (payload - 1))
-                self.path.pop()
+                if op == _ASSIGN:
+                    self.path.pop()
         self.dead = False
 
-    def _chi_closed_neighborhood_is_k(self, w: int) -> bool:
-        cached = self._chi_memo.get(w)
-        if cached is None:
-            sub, _ = induced_subgraph(self.g, (w,) + self.adj[w])
-            cached = chromatic_number(sub)[0] == self.k
-            self._chi_memo[w] = cached
-        return cached
+    def place(self, v: int, col: int) -> bool:
+        """Give uncolored v the color col and propagate. False means dead end.
+
+        col must still be on v's list; the caller rewinds either way.
+        """
+        self._assign(v, col, rule=None)
+        return self._propagate()
+
+    def rewind(self, mark: int) -> None:
+        """Undo back to journal length mark, taken at a propagated fixpoint.
+
+        At a fixpoint no uncolored vertex has a singleton list, so whatever a
+        dead end left in the singleton queue is dropped with it.
+        """
+        self._undo(mark)
+        self.squeue.clear()
 
     def _attractive_step(self) -> bool:
         """Apply one attractive deduction; may set self.dead on contradiction."""
@@ -118,7 +161,7 @@ class _Engine:
                 cu = self.color[u]
                 union |= (1 << (cu - 1)) if cu else self.lists[u]
             cand = self.full & ~union
-            if cand == 0 or not self._chi_closed_neighborhood_is_k(w):
+            if cand == 0 or not self.eg.chi_closed_neighborhood_is_k(w):
                 continue
             if cand & (cand - 1):
                 # Two colors can only appear at w: no completion exists.
@@ -151,7 +194,7 @@ class _Engine:
 
     def _mrv(self) -> int:
         best, best_size = -1, 1 << 62
-        for v in range(self.g.n):
+        for v in range(self.eg.n):
             if self.color[v] == 0:
                 size = self.lists[v].bit_count()
                 if size < best_size:
@@ -162,7 +205,7 @@ class _Engine:
 
     def _record_witness(self) -> None:
         self.count += 1
-        snapshot = {v: self.color[v] for v in range(self.g.n)}
+        snapshot = {v: self.color[v] for v in range(self.eg.n)}
         if self.count == 1:
             self.witness1 = snapshot
             self.trace = tuple(self.path)
@@ -170,28 +213,43 @@ class _Engine:
             self.witness2 = snapshot
 
     def search(self, cap: int) -> int:
-        self.cap = cap
+        """Count completions of the current state, saturating at cap.
+
+        Depth-first on an explicit stack of [vertex, untried colors, journal
+        mark] frames, one per branching vertex: propagate, then branch on the
+        uncolored vertex with the fewest colors, lowest color first, until
+        cap completions are found. The state is restored on return.
+        """
+        self.count = 0
+        self.witness1 = self.witness2 = None
+        self.trace = ()
         if self.dead:
             return 0
-        self._dfs()
-        return self.count
-
-    def _dfs(self) -> None:
-        mark = len(self.journal)
-        if self._propagate():
-            if self.uncolored == 0:
-                self._record_witness()
-            else:
-                w = self._mrv()
-                bits = self.lists[w]
-                while bits and self.count < self.cap:
+        root = len(self.journal)
+        stack: list[list[int]] = []
+        alive = self._propagate()
+        while True:
+            if alive:
+                if self.uncolored == 0:
+                    self._record_witness()
+                else:
+                    w = self._mrv()
+                    stack.append([w, self.lists[w], len(self.journal)])
+            while stack:
+                frame = stack[-1]
+                w, bits, mark = frame
+                self._undo(mark)
+                if bits and self.count < cap:
                     bit = bits & (-bits)
-                    bits ^= bit
-                    sub = len(self.journal)
+                    frame[1] = bits ^ bit
                     self._assign(w, bit.bit_length(), RULE_BRANCH)
-                    self._dfs()
-                    self._undo(sub)
-        self._undo(mark)
+                    alive = self._propagate()
+                    break
+                stack.pop()
+            else:
+                break
+        self._undo(root)
+        return self.count
 
 
 def _check_inputs(g: Graph, c: PartialColoring) -> None:
@@ -209,7 +267,7 @@ def propagate(
     deductions need chi(N[w]) = k, tested exactly on the closed neighborhood.
     """
     _check_inputs(g, c)
-    eng = _Engine(g, c, attractive_limit)
+    eng = _Engine(_EngineGraph(g, c.k, attractive_limit), c.assignments)
     alive = eng._propagate()
     extended = dict(c.assignments)
     for step in eng.path:
@@ -238,7 +296,7 @@ def count_extensions(
     if cap < 2:
         raise ValueError(f"cap must be >= 2, got {cap}")
     _check_inputs(g, c)
-    eng = _Engine(g, c, attractive_limit)
+    eng = _Engine(_EngineGraph(g, c.k, attractive_limit), c.assignments)
     found = eng.search(cap)
     if found == 0:
         return ExtensionOutcome(ExtensionKind.NOT_EXTENDABLE, count=0)

@@ -12,7 +12,7 @@ from math import comb
 from .chromatic import chromatic_number
 from .coloring import ExtensionKind, PartialColoring, is_proper
 from .errors import BudgetExceededError, DisconnectedGraphError
-from .extension import count_extensions
+from .extension import DEFAULT_ATTRACTIVE_LIMIT, _Engine, _EngineGraph, count_extensions
 from .graph import Graph, build, is_connected
 
 PROVENANCE_EXACT = "exact-search"
@@ -218,17 +218,77 @@ def _supports(n: int, size: int, tables):
             return
 
 
-def _evaluate_subset(g: Graph, k: int, subset):
-    """Try every canonical coloring on one support.
+def _support_engine(g: Graph, k: int) -> _Engine:
+    """An empty extension engine for g at k colors, reused by every support walk."""
+    return _Engine(_EngineGraph(g, k, DEFAULT_ATTRACTIVE_LIMIT))
+
+
+def _evaluate_subset(eng: _Engine, subset):
+    """Try the canonical colorings of one support, in canonical_colorings' order.
+
+    The walk keeps its own stack: position i of the sorted support takes its
+    next canonical color, is placed on the shared engine and propagated, and
+    the walk goes one position deeper. A prefix that propagation rules out
+    (it dies, or it has already given the vertex another color or taken the
+    color off its list) has no proper completion, so every coloring below it
+    is counted as tried without engine work. A live leaf runs the completion
+    search capped at 2. The engine is back at its empty root on return.
 
     Returns (colorings_tried, winning_assignments or None).
     """
+    k = eng.eg.k
+    verts = sorted(subset)
+    t = len(verts)
+    need = k - 1 if k >= 3 else 1
+    position = {v: i for i, v in enumerate(verts)}
+    earlier = [
+        tuple(position[u] for u in eng.adj[v] if position.get(u, t) < i)
+        for i, v in enumerate(verts)
+    ]
+    color, lists = eng.color, eng.lists
+    colors = [0] * t
+    used = [0] * (t + 1)  # used[i]: highest color on positions < i
+    marks = [0] * (t + 1)  # marks[i]: journal length with positions < i placed; -1 if dead
+    root = marks[0] = len(eng.journal)
     tried = 0
-    for c in canonical_colorings(g, subset, k):
-        tried += 1
-        outcome = count_extensions(g, c, 2)
-        if outcome.kind is ExtensionKind.UNIQUE:
-            return tried, dict(c.assignments)
+    i = 0
+    while i >= 0:
+        if i == t:
+            tried += 1
+            if marks[t] >= 0 and eng.search(2) == 1:
+                eng.rewind(root)
+                return tried, {verts[j]: colors[j] for j in range(t)}
+            i -= 1
+            continue
+        taken = 0
+        for j in earlier[i]:
+            taken |= 1 << colors[j]
+        c = colors[i] + 1
+        top = min(k, used[i] + 1)
+        while c <= top and taken >> c & 1:
+            c += 1
+        if c > top:
+            colors[i] = 0
+            i -= 1
+            continue
+        colors[i] = c
+        u = max(used[i], c)
+        if u + (t - i - 1) < need:
+            # canonical_colorings yields nothing below: too few colors left.
+            continue
+        used[i + 1] = u
+        mark = marks[i]
+        if mark >= 0:
+            eng.rewind(mark)
+            v = verts[i]
+            if color[v]:
+                alive = color[v] == c
+            else:
+                alive = bool(lists[v] >> (c - 1) & 1) and eng.place(v, c)
+            mark = len(eng.journal) if alive else -1
+        marks[i + 1] = mark
+        i += 1
+    eng.rewind(root)
     return tried, None
 
 
@@ -236,12 +296,11 @@ _POOL_STATE: dict = {}
 
 
 def _pool_init(n: int, edges, k: int) -> None:
-    _POOL_STATE["g"] = build(n, list(edges))
-    _POOL_STATE["k"] = k
+    _POOL_STATE["engine"] = _support_engine(build(n, list(edges)), k)
 
 
 def _pool_eval(subset):
-    return _evaluate_subset(_POOL_STATE["g"], _POOL_STATE["k"], subset)
+    return _evaluate_subset(_POOL_STATE["engine"], subset)
 
 
 class _Budget:
@@ -285,6 +344,14 @@ def sn_exact(
     are never visited: they are cut in whole blocks, and each block is counted
     in subsets_examined and pruned_by as prune_subset would count its supports
     one by one. The subset budget applies to those counts.
+
+    One extension engine serves the whole search (one per worker with
+    workers > 1). Each support's canonical colorings are walked vertex by
+    vertex on it, propagating after every placement; a prefix whose
+    propagation dies has no proper completion, so the colorings below it are
+    skipped but still counted in colorings_examined, exactly as if each had
+    been tried and found not extendable. Only live complete colorings run the
+    completion search, capped at 2.
     """
     if g.n < 2:
         raise ValueError("Sudoku numbers need at least 2 vertices (chi >= 2)")
@@ -309,6 +376,7 @@ def sn_exact(
             elapsed_seconds=budget.elapsed(),
         )
 
+    eng = _support_engine(g, k) if workers <= 1 else None
     if workers > 1:
         pool_context = multiprocessing.get_context().Pool(
             workers, initializer=_pool_init, initargs=(g.n, g.edges, k)
@@ -335,7 +403,7 @@ def sn_exact(
                 budget.check(subsets_examined, size)
                 subsets_examined += 1
                 if results is None:
-                    tried, win = _evaluate_subset(g, k, subset)
+                    tried, win = _evaluate_subset(eng, subset)
                 else:
                     tried, win = next(results)
                 colorings_examined += tried

@@ -167,6 +167,15 @@ def test_extend_count_multiple_and_exact_cap(capsys, tmp_path):
     assert obj["count"] == 30
 
 
+def test_extend_count_on_long_path(capsys, tmp_path):
+    # Three thousand branch levels: the completion search keeps its own stack.
+    gpath = write_graph(capsys, tmp_path, "p3000.txt", ["--family", "path", "--n", "3000"])
+    cpath = write_coloring(tmp_path, "one.json", 3, {0: 1})
+    obj = run_json(capsys, ["extend-count", "--in", gpath, "--coloring", cpath])
+    assert obj["kind"] == "multiple"
+    assert obj["count"] == 2
+
+
 def test_extend_count_unique_reports_witness(capsys, tmp_path):
     gpath = write_graph(capsys, tmp_path, "c5.txt", ["--family", "cycle", "--n", "5"])
     cpath = write_coloring(tmp_path, "support.json", 3, {0: 1, 2: 2, 3: 3})

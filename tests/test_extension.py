@@ -309,6 +309,17 @@ def test_count_list_colorings_on_long_path():
     assert count_list_colorings(p, state, cap=10) == 2
 
 
+def test_count_extensions_on_long_path():
+    p = generate(FamilySpec(Family.PATH, {"n": 3000}))
+    out = count_extensions(p, PartialColoring(3, {0: 1}))
+    assert out.kind is ExtensionKind.MULTIPLE
+    assert out.count == 2
+    assert out.witness1 != out.witness2
+    for w in (out.witness1, out.witness2):
+        assert len(w) == p.n and w[0] == 1
+        assert is_proper(p, PartialColoring(3, w))
+
+
 def test_count_list_colorings_validation():
     p3 = generate(FamilySpec(Family.PATH, {"n": 3}))
     with pytest.raises(ValueError):

@@ -13,11 +13,13 @@ from sudokugraph import (
     DisconnectedGraphError,
     Family,
     FamilySpec,
+    ExtensionKind,
     PartialColoring,
     build,
     canonical_colorings,
     chromatic_number,
     conjecture_scan,
+    count_extensions,
     generate,
     is_proper,
     prune_subset,
@@ -28,7 +30,9 @@ from sudokugraph import (
 from sudokugraph.sn import (
     PRUNE_PENDANT,
     PRUNE_UNCOLORED_EDGE,
+    _evaluate_subset,
     _suffix_tables,
+    _support_engine,
     _supports,
     search_lower_bound,
 )
@@ -228,6 +232,54 @@ def test_sn_exact_workers_deterministic():
     assert seq.subsets_examined == par.subsets_examined
     assert seq.colorings_examined == par.colorings_examined
     assert seq.pruned_by == par.pruned_by
+
+
+def _canonical_loop(g, k, subset):
+    # The search as defined: every canonical coloring, one full count each.
+    tried = 0
+    for c in canonical_colorings(g, subset, k):
+        tried += 1
+        if count_extensions(g, c, 2).kind is ExtensionKind.UNIQUE:
+            return tried, dict(c.assignments)
+    return tried, None
+
+
+def test_support_walk_matches_canonical_coloring_loop():
+    # One engine per graph walks every support the generator yields, in its
+    # order, and must agree with the loop on each; bipartite graphs included.
+    rng = random.Random(94)
+    bipartite = 0
+    for _ in range(36):
+        g = random_connected_graph(rng, rng.randint(3, 9), extra=rng.choice([0.0, 0.15, 0.35, 0.6]))
+        k, _ = chromatic_number(g)
+        bipartite += k == 2
+        eng = _support_engine(g, k)
+        tables = _suffix_tables(g, k, k >= 3)
+        for size in range(search_lower_bound(k), g.n):
+            for subset, _, _ in _supports(g.n, size, tables):
+                if subset is not None:
+                    assert _evaluate_subset(eng, subset) == _canonical_loop(g, k, subset)
+        assert not eng.journal and not any(eng.color)
+        assert eng.lists == [(1 << k) - 1] * g.n
+    assert bipartite >= 5
+
+
+def _report_key(r):
+    return (r.sn, r.certificate, r.subsets_examined, r.colorings_examined, r.pruned_by)
+
+
+def test_sn_exact_keeps_no_state_between_searches():
+    a = make(Family.CYCLE_OF_CLIQUES_MINUS, n=2, m=5)
+    b = make(Family.WHEEL, n=7)
+    alone = {g: _report_key(sn_exact(g)) for g in (a, b)}
+    for g in (a, b, a, b, b, a):
+        assert _report_key(sn_exact(g)) == alone[g]
+    # Two engines walked in turn answer as each does alone.
+    engines = {g: _support_engine(g, chromatic_number(g)[0]) for g in (a, b)}
+    for subset in itertools.combinations(range(7), 4):
+        for g in (a, b):
+            k = engines[g].eg.k
+            assert _evaluate_subset(engines[g], subset) == _canonical_loop(g, k, subset)
 
 
 def test_sn_exact_rejects_bad_inputs():
