@@ -26,6 +26,7 @@ from .generators import Family, FamilySpec, generate, sudoku_grid
 from .graph import Graph
 from .io import (
     GraphFormat,
+    certificate_from_object,
     coloring_to_object,
     emit_dot,
     graph_to_object,
@@ -146,25 +147,6 @@ def _certificate_obj(cert: Certificate) -> dict:
         "claimed_sn": cert.claimed_sn,
         "provenance": cert.provenance,
     }
-
-
-def certificate_from_object(obj) -> Certificate:
-    from .io import coloring_from_object, graph_from_object
-
-    if not isinstance(obj, dict):
-        raise ParseError("certificate must be a JSON object")
-    for key in ("graph", "k", "colors", "claimed_sn", "provenance"):
-        if key not in obj:
-            raise ParseError(f"certificate is missing key {key!r}")
-    g = graph_from_object(obj["graph"])
-    partial = coloring_from_object({"k": obj["k"], "colors": obj["colors"]})
-    claimed = obj["claimed_sn"]
-    if not isinstance(claimed, int) or isinstance(claimed, bool) or claimed < 0:
-        raise ParseError(f"claimed_sn must be a nonnegative integer, got {claimed!r}")
-    provenance = obj["provenance"]
-    if not isinstance(provenance, str):
-        raise ParseError("provenance must be a string")
-    return Certificate(g, partial, claimed, provenance)
 
 
 def cmd_sn(args) -> int:

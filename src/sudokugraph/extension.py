@@ -2,6 +2,14 @@
 
 Internally colors 1..k live in bitmasks (bit i-1 is color i). The search
 keeps an undo journal so branching never copies state.
+
+The search also drops nodes with no completion by a k-clique cut: a proper
+k-coloring uses all k colors on every k-clique, so a node where some k-clique
+through the branch vertex has a color on none of its colored members and on
+none of its uncolored members' lists is dead. The cliques come from a
+bitmask enumerator run once per graph under a work bound linear in n + m;
+any subset of them keeps the cut sound. The cut is not a propagation rule:
+propagate() never applies it, and it adds no trace step.
 """
 
 from __future__ import annotations
@@ -25,11 +33,64 @@ from .graph import Graph, induced_subgraph
 # list propagation stays sound without it.
 DEFAULT_ATTRACTIVE_LIMIT = 20
 
+# Work bound of the k-clique enumerator: steps per vertex and per edge end, so
+# one graph costs it at most CLIQUE_STEPS * (n + 2m) steps.
+CLIQUE_STEPS = 8
+
 _ASSIGN = 0
 _REMOVE = 1
 # An assignment made from outside the engine (a root color or a support vertex
 # placed by a caller): undone like _ASSIGN but never on the deduction path.
 _PLACE = 2
+
+
+def _k_cliques(g: Graph, k: int) -> tuple[list[tuple[int, ...]], int]:
+    """k-cliques of g, each once as an ascending tuple, and the steps spent.
+
+    Depth first from each start vertex over its higher neighbors, on bitmasks
+    and an explicit stack, cutting a branch once its candidates cannot fill
+    the clique. A step is one candidate tried, or k + 1 for a candidate that
+    completes a clique, and enumeration stops before the steps would exceed
+    CLIQUE_STEPS * (n + 2m). A clique the bound leaves out only weakens the
+    cut that uses the cliques, never its soundness.
+    """
+    nbr = [0] * g.n
+    eligible = 0
+    for v in range(g.n):
+        for u in g.adj[v]:
+            nbr[v] |= 1 << u
+        if g.degree(v) >= k - 1:
+            eligible |= 1 << v
+    limit = CLIQUE_STEPS * (g.n + 2 * g.m)
+    cliques: list[tuple[int, ...]] = []
+    steps = 0
+    for v in range(g.n):
+        if not eligible >> v & 1:
+            continue
+        members = [v]
+        stack = [nbr[v] & eligible & ~((2 << v) - 1)]
+        while stack:
+            cand = stack[-1]
+            need = k - len(members)
+            if cand.bit_count() < need:
+                stack.pop()
+                members.pop()
+                continue
+            cost = k + 1 if need == 1 else 1
+            if steps + cost > limit:
+                return cliques, steps
+            steps += cost
+            low = cand & -cand
+            stack[-1] = cand ^ low
+            u = low.bit_length() - 1
+            if need == 1:
+                cliques.append((*members, u))
+                continue
+            rest = (cand ^ low) & nbr[u]
+            if rest.bit_count() >= need - 1:
+                members.append(u)
+                stack.append(rest)
+    return cliques, steps
 
 
 class _EngineGraph:
@@ -42,6 +103,7 @@ class _EngineGraph:
         self.full = (1 << k) - 1
         self.adj = g.adj
         self._chi_memo: dict[int, bool] = {}
+        self._cliques_at: tuple[tuple[tuple[int, ...], ...], ...] | None = None
         if k <= attractive_limit:
             self.attr_eligible = tuple(
                 w for w in range(g.n) if g.degree(w) + 1 <= attractive_limit
@@ -49,6 +111,21 @@ class _EngineGraph:
         else:
             # chi(N[w]) <= |N[w]| <= limit < k, so the rule can never fire.
             self.attr_eligible = ()
+
+    def cliques_at(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per vertex, the k-cliques through it found within the work bound.
+
+        Built on first use, as many searches never branch. None are kept for
+        k <= 2, where the cut never fires (see _Engine.search).
+        """
+        if self._cliques_at is None:
+            at: list[list[tuple[int, ...]]] = [[] for _ in range(self.n)]
+            if self.k >= 3:
+                for clique in _k_cliques(self.g, self.k)[0]:
+                    for u in clique:
+                        at[u].append(clique)
+            self._cliques_at = tuple(map(tuple, at))
+        return self._cliques_at
 
     def chi_closed_neighborhood_is_k(self, w: int) -> bool:
         cached = self._chi_memo.get(w)
@@ -203,6 +280,23 @@ class _Engine:
                         break
         return best
 
+    def _short_clique(self, w: int) -> bool:
+        """True when a k-clique through w misses a color: no completion exists.
+
+        A proper k-coloring puts all k colors on every k-clique, and a color
+        absent from the clique's colored members and from its uncolored
+        members' lists can no longer reach it.
+        """
+        color, lists, full = self.color, self.lists, self.full
+        for clique in self.eg.cliques_at()[w]:
+            seen = 0
+            for u in clique:
+                cu = color[u]
+                seen |= (1 << (cu - 1)) if cu else lists[u]
+            if seen != full:
+                return True
+        return False
+
     def _record_witness(self) -> None:
         self.count += 1
         snapshot = {v: self.color[v] for v in range(self.eg.n)}
@@ -217,8 +311,16 @@ class _Engine:
 
         Depth-first on an explicit stack of [vertex, untried colors, journal
         mark] frames, one per branching vertex: propagate, then branch on the
-        uncolored vertex with the fewest colors, lowest color first, until
+        uncolored vertex w with the fewest colors, lowest color first, until
         cap completions are found. The state is restored on return.
+
+        Before branching on w, a node where a k-clique through w misses a
+        color is dropped (_short_clique). Its subtree holds no completion and
+        the other branches keep their depth-first order, so counts, witnesses
+        and traces are those of the search without the cut. With k <= 2 no
+        cliques are kept, as the cut could never fire: at a live fixpoint
+        every uncolored list has at least two of the k colors, so it is full,
+        and a colored neighbor would have left it a singleton.
         """
         self.count = 0
         self.witness1 = self.witness2 = None
@@ -234,7 +336,8 @@ class _Engine:
                     self._record_witness()
                 else:
                     w = self._mrv()
-                    stack.append([w, self.lists[w], len(self.journal)])
+                    if not self._short_clique(w):
+                        stack.append([w, self.lists[w], len(self.journal)])
             while stack:
                 frame = stack[-1]
                 w, bits, mark = frame

@@ -8,6 +8,7 @@ from enum import Enum
 from .coloring import PartialColoring
 from .errors import ParseError
 from .graph import Graph, build
+from .sn import Certificate
 
 
 class GraphFormat(Enum):
@@ -137,6 +138,23 @@ def coloring_from_object(obj) -> PartialColoring:
             raise ParseError(f"vertex {v} has color {col!r} outside 1..{k}")
         assignments[v] = col
     return PartialColoring(k, assignments)
+
+
+def certificate_from_object(obj) -> Certificate:
+    if not isinstance(obj, dict):
+        raise ParseError("certificate must be a JSON object")
+    for key in ("graph", "k", "colors", "claimed_sn", "provenance"):
+        if key not in obj:
+            raise ParseError(f"certificate is missing key {key!r}")
+    g = graph_from_object(obj["graph"])
+    partial = coloring_from_object({"k": obj["k"], "colors": obj["colors"]})
+    claimed = obj["claimed_sn"]
+    if not isinstance(claimed, int) or isinstance(claimed, bool) or claimed < 0:
+        raise ParseError(f"claimed_sn must be a nonnegative integer, got {claimed!r}")
+    provenance = obj["provenance"]
+    if not isinstance(provenance, str):
+        raise ParseError("provenance must be a string")
+    return Certificate(g, partial, claimed, provenance)
 
 
 def parse_coloring(text) -> PartialColoring:

@@ -293,6 +293,30 @@ def _evaluate_subset(eng: _Engine, subset):
 
 
 _POOL_STATE: dict = {}
+# Most surviving supports per worker in one pool batch.
+_POOL_BATCH = 32
+
+
+def _batches(items, workers: int):
+    """Consecutive runs of _supports items for a pool of `workers`, in order.
+
+    The i-th run holds at most workers * 2**i surviving supports, capped at
+    workers * _POOL_BATCH: small first runs limit the supports evaluated past
+    an early winner, larger later runs keep the workers busy.
+    """
+    limit = workers
+    batch: list = []
+    held = 0
+    for item in items:
+        batch.append(item)
+        if item[0] is not None:
+            held += 1
+            if held == limit:
+                yield batch
+                batch, held = [], 0
+                limit = min(2 * limit, workers * _POOL_BATCH)
+    if batch:
+        yield batch
 
 
 def _pool_init(n: int, edges, k: int) -> None:
@@ -386,29 +410,33 @@ def sn_exact(
     with pool_context as pool:
         for size in range(search_lower_bound(k), g.n):
             items = _supports(g.n, size, tables)
-            results = None
-            if pool is not None:
-                items = list(items)
-                survivors = [s for s, _, _ in items if s is not None]
-                chunk = max(1, len(survivors) // (workers * 8))
-                results = pool.imap(_pool_eval, survivors, chunksize=chunk)
-            for subset, pendant_cut, edge_cut in items:
-                if subset is None:
-                    cut = pendant_cut + edge_cut
-                    budget.check(subsets_examined, size, cut)
-                    subsets_examined += cut
-                    pruned_by[PRUNE_PENDANT] += pendant_cut
-                    pruned_by[PRUNE_UNCOLORED_EDGE] += edge_cut
-                    continue
-                budget.check(subsets_examined, size)
-                subsets_examined += 1
-                if results is None:
-                    tried, win = _evaluate_subset(eng, subset)
-                else:
-                    tried, win = next(results)
-                colorings_examined += tried
-                if win is not None:
-                    return finish(subset, win)
+            batches = (items,) if pool is None else _batches(items, workers)
+            for batch in batches:
+                results = None
+                if pool is not None:
+                    # map returns once the whole batch is done, so no task is in
+                    # flight when a winner or a budget stop leaves the with
+                    # block: Pool.terminate() can hang on queued tasks.
+                    survivors = [s for s, _, _ in batch if s is not None]
+                    chunk = max(1, len(survivors) // (4 * workers))
+                    results = iter(pool.map(_pool_eval, survivors, chunk))
+                for subset, pendant_cut, edge_cut in batch:
+                    if subset is None:
+                        cut = pendant_cut + edge_cut
+                        budget.check(subsets_examined, size, cut)
+                        subsets_examined += cut
+                        pruned_by[PRUNE_PENDANT] += pendant_cut
+                        pruned_by[PRUNE_UNCOLORED_EDGE] += edge_cut
+                        continue
+                    budget.check(subsets_examined, size)
+                    subsets_examined += 1
+                    if results is None:
+                        tried, win = _evaluate_subset(eng, subset)
+                    else:
+                        tried, win = next(results)
+                    colorings_examined += tried
+                    if win is not None:
+                        return finish(subset, win)
     raise AssertionError("unreachable: sn(G) <= n - 1 for every connected graph")
 
 

@@ -1,5 +1,7 @@
+import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -23,7 +25,9 @@ from sudokugraph import (
     is_sudoku_coloring,
     propagate,
 )
+from sudokugraph import extension
 from sudokugraph.coloring import RULE_ATTRACTIVE, RULE_NEAR_COLOR_DOMINATING
+from sudokugraph.generators import sudoku_grid
 
 C13 = generate(FamilySpec(Family.CYCLE, {"n": 13}))
 # alternate colors 1/2 on the first eleven odd positions, then color 3 once
@@ -327,3 +331,125 @@ def test_count_list_colorings_validation():
     with pytest.raises(ValueError):
         bad = ColorListState({0: frozenset({1}), 1: frozenset(), 2: frozenset({1})})
         count_list_colorings(p3, bad, cap=2)
+
+
+def _outcome(g, c, cap):
+    out = count_extensions(g, c, cap)
+    return out.kind, out.count, out.witness1, out.witness2, out.trace
+
+
+def _count_calls(monkeypatch, name, counter):
+    # Wrap _Engine.<name>, counting the calls and the True answers.
+    inner = getattr(extension._Engine, name)
+
+    def spy(self, *args):
+        got = inner(self, *args)
+        counter["calls"] += 1
+        counter["true"] += got is True
+        return got
+
+    monkeypatch.setattr(extension._Engine, name, spy)
+
+
+def _no_cliques(monkeypatch):
+    monkeypatch.setattr(extension, "_k_cliques", lambda g, k: ([], 0))
+
+
+def _clique_cut_cases():
+    rng = random.Random(2024)
+    for b in (2, 3):
+        g = sudoku_grid(b)
+        for _ in range(25):
+            yield g, random_proper_partial(rng, g, b * b, coverage=rng.uniform(0.05, 0.4)), 2
+    for n, m in ((2, 4), (3, 4), (3, 5), (4, 3)):
+        g = generate(FamilySpec(Family.CYCLE_OF_CLIQUES, {"n": n, "m": m}))
+        for _ in range(10):
+            yield g, random_proper_partial(rng, g, m, coverage=rng.uniform(0.0, 0.5)), 3
+    for _ in range(80):
+        g = random_connected_graph(rng, rng.randint(5, 12), extra=rng.choice([0.6, 0.8]))
+        chi, _ = chromatic_number(g)
+        k = chi + rng.choice([0, 1])
+        yield g, random_proper_partial(rng, g, k, coverage=rng.uniform(0.0, 0.5)), rng.choice([2, 3])
+
+
+def test_clique_cut_keeps_counts_witnesses_and_traces(monkeypatch):
+    cases = list(_clique_cut_cases())
+    cut = {"calls": 0, "true": 0}
+    with monkeypatch.context() as m:
+        _count_calls(m, "_short_clique", cut)
+        with_table = [_outcome(g, c, cap) for g, c, cap in cases]
+    with monkeypatch.context() as m:
+        _no_cliques(m)
+        without = [_outcome(g, c, cap) for g, c, cap in cases]
+    assert with_table == without
+    assert cut["true"] > 0
+    kinds = {got[0] for got in with_table}
+    assert kinds == set(ExtensionKind)
+
+
+def _seventeen_clue():
+    with open("tests/data/puzzle_17clue.txt", encoding="ascii") as fh:
+        text = fh.read().strip()
+    givens = {v: int(ch) for v, ch in enumerate(text) if ch != "0"}
+    assert len(givens) == 17
+    return sudoku_grid(3), PartialColoring(9, givens)
+
+
+def test_clique_cut_branches_less_on_seventeen_clue_puzzle(monkeypatch):
+    g, c = _seventeen_clue()
+    runs = []
+    for empty in (False, True):
+        calls = {"calls": 0, "true": 0}
+        with monkeypatch.context() as m:
+            if empty:
+                _no_cliques(m)
+            _count_calls(m, "_mrv", calls)
+            runs.append((_outcome(g, c, 2), calls["calls"]))
+    (with_table, mrv_with), (without, mrv_without) = runs
+    assert with_table == without
+    assert with_table[0] is ExtensionKind.UNIQUE
+    assert mrv_with < mrv_without
+
+
+def _all_k_cliques(g, k):
+    return [
+        q
+        for q in itertools.combinations(range(g.n), k)
+        if all(b in g.adj[a] for a, b in itertools.combinations(q, 2))
+    ]
+
+
+def test_k_clique_enumerator_is_complete_within_its_bound():
+    rng = random.Random(7)
+    complete = 0
+    for _ in range(60):
+        g = random_connected_graph(rng, rng.randint(3, 9), extra=rng.choice([0.5, 0.8]))
+        k = rng.randint(3, 5)
+        cliques, steps = extension._k_cliques(g, k)
+        limit = extension.CLIQUE_STEPS * (g.n + 2 * g.m)
+        assert steps <= limit
+        every = _all_k_cliques(g, k)
+        assert len(set(cliques)) == len(cliques) and set(cliques) <= set(every)
+        # A stop leaves fewer than k + 1 steps unspent.
+        if steps < limit - k:
+            assert sorted(cliques) == every
+            complete += 1
+    assert complete >= 50
+    grid = sudoku_grid(3)
+    cliques, _ = extension._k_cliques(grid, 9)
+    # rows, columns and boxes
+    assert len(cliques) == 27
+
+
+def test_k_clique_enumerator_stops_at_its_bound():
+    k3x20 = generate(FamilySpec(Family.COMPLETE_MULTIPARTITE, {"parts": [3] * 20}))
+    for g, k in ((k3x20, 20), (generate(FamilySpec(Family.COMPLETE, {"n": 300})), 300)):
+        cliques, steps = extension._k_cliques(g, k)
+        assert 0 < steps <= extension.CLIQUE_STEPS * (g.n + 2 * g.m)
+        for q in cliques:
+            assert len(q) == k
+            assert all(b in g.adj[a] for a, b in itertools.combinations(q, 2))
+    start = time.process_time()
+    out = count_extensions(k3x20, PartialColoring(20, {0: 1}))
+    assert time.process_time() - start < 1.0
+    assert out.kind is ExtensionKind.MULTIPLE

@@ -21,6 +21,7 @@ from sudokugraph import (
     serialize_coloring,
     serialize_graph,
 )
+from sudokugraph.io import certificate_from_object
 
 
 def test_edgelist_round_trip():
@@ -124,6 +125,30 @@ def test_coloring_object_validation():
         coloring_from_object({"k": 2, "colors": [1, 2]})
     roundtrip = coloring_to_object(PartialColoring(2, {1: 2}))
     assert roundtrip == {"k": 2, "colors": {"1": 2}}
+
+
+def test_certificate_object_validation():
+    obj = {
+        "graph": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+        "k": 3,
+        "colors": {"0": 1, "1": 2},
+        "claimed_sn": 2,
+        "provenance": "exact-search",
+    }
+    cert = certificate_from_object(obj)
+    assert cert.graph.m == 3
+    assert cert.partial == PartialColoring(3, {0: 1, 1: 2})
+    assert (cert.claimed_sn, cert.provenance) == (2, "exact-search")
+    for bad in (
+        [],
+        {key: val for key, val in obj.items() if key != "provenance"},
+        {**obj, "claimed_sn": -1},
+        {**obj, "claimed_sn": True},
+        {**obj, "provenance": 7},
+        {**obj, "colors": {"0": 4}},
+    ):
+        with pytest.raises(ParseError):
+            certificate_from_object(bad)
 
 
 def test_dot_output_plain():

@@ -30,6 +30,8 @@ from sudokugraph import (
 from sudokugraph.sn import (
     PRUNE_PENDANT,
     PRUNE_UNCOLORED_EDGE,
+    _POOL_BATCH,
+    _batches,
     _evaluate_subset,
     _suffix_tables,
     _support_engine,
@@ -232,6 +234,39 @@ def test_sn_exact_workers_deterministic():
     assert seq.subsets_examined == par.subsets_examined
     assert seq.colorings_examined == par.colorings_examined
     assert seq.pruned_by == par.pruned_by
+
+
+def test_pool_batches_keep_order_and_bound_survivors():
+    g = make(Family.SUDOKU_GRID, b=2)
+    tables = _suffix_tables(g, 4, True)
+    for size in range(3, 6):
+        items = list(_supports(g.n, size, tables))
+        batches = list(_batches(iter(items), 3))
+        assert [item for batch in batches for item in batch] == items
+        held = [sum(s is not None for s, _, _ in batch) for batch in batches]
+        limits = [min(3 * 2**i, 3 * _POOL_BATCH) for i in range(len(held))]
+        assert held[:-1] == limits[:-1] and held[-1] <= limits[-1]
+        assert max(held) == 3 * _POOL_BATCH
+
+
+def test_sn_exact_workers_match_across_batches_and_budget_stops():
+    # The 4x4 grid has 560 survivors at size 3 and wins at the 65th of size 4,
+    # so with two workers both the winner and the budget stops leave the pool
+    # after several batches.
+    g = make(Family.SUDOKU_GRID, b=2)
+    for budget in (None, 300, 600):
+        outcomes = []
+        for workers in (1, 2):
+            try:
+                r = sn_exact(g, workers=workers, max_subsets=budget)
+                outcomes.append(
+                    (r.sn, r.certificate.partial, r.subsets_examined,
+                     r.colorings_examined, r.pruned_by)
+                )
+            except BudgetExceededError as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str) == (budget is not None)
 
 
 def _canonical_loop(g, k, subset):
