@@ -62,9 +62,7 @@ from .sn import (
     ScanReport,
     SearchReport,
     VerificationResult,
-    canonical_colorings,
     conjecture_scan,
-    prune_subset,
     sn_exact,
     verify_certificate,
 )
@@ -110,7 +108,6 @@ __all__ = [
     "VerificationResult",
     "VertexOutOfRangeError",
     "build",
-    "canonical_colorings",
     "chromatic_number",
     "coloring_from_object",
     "coloring_to_object",
@@ -136,7 +133,6 @@ __all__ = [
     "is_uniquely_colorable",
     "parse_coloring",
     "parse_graph",
-    "prune_subset",
     "relabel",
     "serialize_coloring",
     "serialize_graph",

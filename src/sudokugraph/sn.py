@@ -7,7 +7,7 @@ import itertools
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isnan
 
 from .chromatic import chromatic_number
 from .coloring import ExtensionKind, PartialColoring, is_proper
@@ -57,69 +57,6 @@ def search_lower_bound(chi: int) -> int:
     return 1 if chi <= 2 else chi - 1
 
 
-def prune_subset(g: Graph, subset, k: int) -> str | None:
-    """Name of the lemma ruling out this support, or None (defined for k >= 3).
-
-    "pendant" fires on an uncolored degree-1 vertex; "uncolored-edge" fires on
-    an edge both of whose ends are uncolored with degree at most k-1. Either
-    way no coloring of the support can have a unique completion.
-    """
-    if k < 3:
-        raise ValueError(f"pruning assumes k = chi(g) >= 3, got k = {k}")
-    in_s = bytearray(g.n)
-    for v in subset:
-        in_s[v] = 1
-    for v in range(g.n):
-        if not in_s[v] and g.degree(v) == 1:
-            return PRUNE_PENDANT
-    limit = k - 1
-    for u, v in g.edges:
-        if (
-            not in_s[u]
-            and not in_s[v]
-            and g.degree(u) <= limit
-            and g.degree(v) <= limit
-        ):
-            return PRUNE_UNCOLORED_EDGE
-    return None
-
-
-def canonical_colorings(g: Graph, subset, k: int):
-    """Proper colorings of g[subset], one per color-permutation orbit.
-
-    Canonical form: scanning the support in ascending vertex order, each vertex
-    reuses a previously seen color or opens the next fresh one. For k >= 3 only
-    representatives with at least k-1 distinct colors are yielded (a uniquely
-    extendable coloring can never use fewer). Yields PartialColorings in
-    canonical-form order.
-    """
-    verts = sorted(subset)
-    need = k - 1 if k >= 3 else 1
-    inner_adj: list[list[int]] = []
-    position = {v: i for i, v in enumerate(verts)}
-    for v in verts:
-        inner_adj.append([position[u] for u in g.adj[v] if u in position])
-    t = len(verts)
-    colors = [0] * t
-
-    def rec(i: int, used: int):
-        if used + (t - i) < need:
-            return
-        if i == t:
-            yield PartialColoring(k, {verts[j]: colors[j] for j in range(t)})
-            return
-        taken = {colors[j] for j in inner_adj[i] if j < i}
-        top = min(k, used + 1)
-        for c in range(1, top + 1):
-            if c in taken:
-                continue
-            colors[i] = c
-            yield from rec(i + 1, max(used, c))
-            colors[i] = 0
-
-    yield from rec(0, 0)
-
-
 def _suffix_tables(g: Graph, k: int, lemmas: bool):
     """Per-vertex tables of the two prune lemmas, for deciding vertices in order.
 
@@ -163,9 +100,10 @@ def _supports(n: int, size: int, tables):
     Yields (support, 0, 0) for each support that survives the pendant and
     uncolored-edge lemmas, and (None, p, e) for each cut block of p + e > 0
     consecutive supports of which p fail the pendant lemma and e fail only the
-    uncolored-edge lemma (prune_subset's attribution). Vertices 0..n-1 are
-    decided in order, include before exclude, on an explicit stack: the stack
-    is the list of included vertices, each with its exclude branch pending.
+    uncolored-edge lemma; prune_subset in tests/oracles.py is the reference
+    that checks one support at a time. Vertices 0..n-1 are decided in order,
+    include before exclude, on an explicit stack: the stack is the list of
+    included vertices, each with its exclude branch pending.
     `tables` come from _suffix_tables for a graph on n vertices.
     """
     pendant, below, pendants_from, bound = tables
@@ -224,8 +162,12 @@ def _support_engine(g: Graph, k: int) -> _Engine:
 
 
 def _evaluate_subset(eng: _Engine, subset):
-    """Try the canonical colorings of one support, in canonical_colorings' order.
+    """Try the canonical colorings of one support, in canonical order.
 
+    Canonical form: in ascending vertex order, each support vertex reuses a
+    color already seen or opens the next fresh one, and for k >= 3 at least
+    k-1 colors are used (a uniquely extendable coloring never uses fewer);
+    canonical_colorings in tests/oracles.py is the reference enumeration.
     The walk keeps its own stack: position i of the sorted support takes its
     next canonical color, is placed on the shared engine and propagated, and
     the walk goes one position deeper. A prefix that propagation rules out
@@ -274,7 +216,7 @@ def _evaluate_subset(eng: _Engine, subset):
         colors[i] = c
         u = max(used[i], c)
         if u + (t - i - 1) < need:
-            # canonical_colorings yields nothing below: too few colors left.
+            # No canonical coloring below: too few colors left.
             continue
         used[i + 1] = u
         mark = marks[i]
@@ -327,6 +269,12 @@ def _pool_eval(subset):
     return _evaluate_subset(_POOL_STATE["engine"], subset)
 
 
+def _check_seconds(max_seconds: float | None) -> None:
+    # Every comparison with NaN is false, so a NaN budget would never run out.
+    if max_seconds is not None and isnan(max_seconds):
+        raise ValueError("max_seconds must be a number, got nan")
+
+
 class _Budget:
     def __init__(self, max_subsets: int | None, max_seconds: float | None):
         self.max_subsets = max_subsets
@@ -366,8 +314,8 @@ def sn_exact(
     With prune (and chi >= 3) the supports are generated with a look-ahead on
     the pendant and uncolored-edge lemmas, so the ones those lemmas rule out
     are never visited: they are cut in whole blocks, and each block is counted
-    in subsets_examined and pruned_by as prune_subset would count its supports
-    one by one. The subset budget applies to those counts.
+    in subsets_examined and pruned_by as checking its supports one by one
+    would count them. The subset budget applies to those counts.
 
     One extension engine serves the whole search (one per worker with
     workers > 1). Each support's canonical colorings are walked vertex by
@@ -377,6 +325,7 @@ def sn_exact(
     been tried and found not extendable. Only live complete colorings run the
     completion search, capped at 2.
     """
+    _check_seconds(max_seconds)
     if g.n < 2:
         raise ValueError("Sudoku numbers need at least 2 vertices (chi >= 2)")
     if not is_connected(g):
@@ -493,8 +442,32 @@ class ScanReport:
 def connected_graphs_up_to_iso(n: int):
     """All connected graphs on exactly n vertices, one per isomorphism class.
 
-    Enumerates edge subsets and keeps a graph only when its edge bitmask is
-    minimal over all vertex permutations. Deterministic ascending order.
+    Bit i of an edge mask stands for the i-th pair (u, v), u < v, in
+    lexicographic order. Each class is yielded once, labeled by its canonical
+    mask: the least over all vertex permutations. Masks come in ascending
+    order, lazily.
+
+    Orderly generation (R. C. Read, "Every one a winner", Ann. Discrete
+    Math. 2, 1978) visits only canonical masks, by this parent rule: if M is
+    canonical and M != K_n, then M | z is canonical, z the lowest unset bit
+    of M. So the canonical masks form a tree under K_n, and the children of
+    P are the canonical masks P - 2**b for b in P's run of trailing ones.
+    Proof: in complements the canonical masks are the maximal ones, and the
+    rule reads "clearing the lowest set bit e of a maximal mask C keeps it
+    maximal". Suppose sigma(C') > C' for C' = C - 2**e, first differing
+    (from the top) at bit d. If d > e, then sigma(C) > C: above d they
+    differ at most at bit sigma(e), which only sigma(C) has, and otherwise
+    only sigma(C) has bit d. If d <= e, then sigma(C') holds all of C'
+    (which has no bit at or below e) plus bit d, one bit more than C'.
+    Both are contradictions.
+
+    The tree is walked in post-order on an explicit stack, children by
+    descending b: a node is the largest mask of its subtree and a larger b
+    gives smaller masks, so masks come out ascending. A child that fails
+    the permutation test has no canonical descendant, and one that is
+    disconnected has no connected descendant (each is a spanning subgraph
+    of it), so either is dropped with its subtree; connectivity is tested
+    first because it is cheaper.
     """
     if n < 1:
         return
@@ -512,9 +485,10 @@ def connected_graphs_up_to_iso(n: int):
         emaps.append(emap)
     emaps = emaps[1:]
     full_vertex_mask = (1 << n) - 1
-    for mask in range(1, 1 << len(pairs)):
+
+    def connected(mask: int) -> bool:
         if mask.bit_count() < n - 1:
-            continue
+            return False
         nbr = [0] * n
         rest = mask
         while rest:
@@ -534,9 +508,9 @@ def connected_graphs_up_to_iso(n: int):
                 nxt |= nbr[lb.bit_length() - 1]
             frontier = nxt & ~seen
             seen |= frontier
-        if seen != full_vertex_mask:
-            continue
-        minimal = True
+        return seen == full_vertex_mask
+
+    def minimal(mask: int) -> bool:
         for emap in emaps:
             mm = 0
             b = mask
@@ -548,17 +522,24 @@ def connected_graphs_up_to_iso(n: int):
                     break
             else:
                 if mm < mask:
-                    minimal = False
-                    break
-        if not minimal:
+                    return False
+        return True
+
+    # Frames are [mask, untried]: bits 0..untried-1 of mask's trailing ones
+    # are still to be cleared, the highest first.
+    stack = [[(1 << len(pairs)) - 1, len(pairs)]]
+    while stack:
+        frame = stack[-1]
+        mask, b = frame
+        if b == 0:
+            stack.pop()
+            yield build(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
             continue
-        edges = []
-        rest = mask
-        while rest:
-            low = rest & (-rest)
-            rest ^= low
-            edges.append(pairs[low.bit_length() - 1])
-        yield build(n, edges)
+        b -= 1
+        frame[1] = b
+        child = mask ^ (1 << b)
+        if connected(child) and minimal(child):
+            stack.append([child, b])
 
 
 def conjecture_scan(max_n: int, *, max_seconds: float | None = None) -> ScanReport:
@@ -570,6 +551,7 @@ def conjecture_scan(max_n: int, *, max_seconds: float | None = None) -> ScanRepo
     """
     if not (2 <= max_n <= 7):
         raise ValueError(f"scan supports 2 <= max_n <= 7, got {max_n}")
+    _check_seconds(max_seconds)
     start = time.perf_counter()
     classes_scanned: dict[int, int] = {}
     extremal: list[dict] = []

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to cross-check the fast engines.
 
 Everything here enumerates exhaustively with no propagation, no pruning and
-no shared code with the package internals, so agreement is meaningful.
+no shared code with the package internals, so agreement is meaningful. The
+one-support references prune_subset and canonical_colorings check the
+package's support generator and coloring walk one item at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import itertools
 import numpy as np
 
 from sudokugraph import Graph, PartialColoring, build
+from sudokugraph.sn import PRUNE_PENDANT, PRUNE_UNCOLORED_EDGE
 
 CHUNK = 1 << 16
 
@@ -87,6 +90,141 @@ def brute_sn(g: Graph) -> int:
                 if brute_is_sudoku(g, PartialColoring(k, partial)):
                     return size
     raise AssertionError("coloring everything is always a Sudoku coloring")
+
+
+def prune_subset(g: Graph, subset, k: int) -> str | None:
+    """Name of the lemma ruling out this support, or None (defined for k >= 3).
+
+    "pendant" fires on an uncolored degree-1 vertex; "uncolored-edge" fires on
+    an edge both of whose ends are uncolored with degree at most k-1. Either
+    way no coloring of the support can have a unique completion.
+    """
+    if k < 3:
+        raise ValueError(f"pruning assumes k = chi(g) >= 3, got k = {k}")
+    in_s = bytearray(g.n)
+    for v in subset:
+        in_s[v] = 1
+    for v in range(g.n):
+        if not in_s[v] and g.degree(v) == 1:
+            return PRUNE_PENDANT
+    limit = k - 1
+    for u, v in g.edges:
+        if (
+            not in_s[u]
+            and not in_s[v]
+            and g.degree(u) <= limit
+            and g.degree(v) <= limit
+        ):
+            return PRUNE_UNCOLORED_EDGE
+    return None
+
+
+def canonical_colorings(g: Graph, subset, k: int):
+    """Proper colorings of g[subset], one per color-permutation orbit.
+
+    Canonical form: scanning the support in ascending vertex order, each vertex
+    reuses a previously seen color or opens the next fresh one. For k >= 3 only
+    representatives with at least k-1 distinct colors are yielded (a uniquely
+    extendable coloring can never use fewer). Yields PartialColorings in
+    canonical-form order.
+    """
+    verts = sorted(subset)
+    need = k - 1 if k >= 3 else 1
+    inner_adj: list[list[int]] = []
+    position = {v: i for i, v in enumerate(verts)}
+    for v in verts:
+        inner_adj.append([position[u] for u in g.adj[v] if u in position])
+    t = len(verts)
+    colors = [0] * t
+
+    def rec(i: int, used: int):
+        if used + (t - i) < need:
+            return
+        if i == t:
+            yield PartialColoring(k, {verts[j]: colors[j] for j in range(t)})
+            return
+        taken = {colors[j] for j in inner_adj[i] if j < i}
+        top = min(k, used + 1)
+        for c in range(1, top + 1):
+            if c in taken:
+                continue
+            colors[i] = c
+            yield from rec(i + 1, max(used, c))
+            colors[i] = 0
+
+    yield from rec(0, 0)
+
+
+def brute_connected_graphs(n: int):
+    """Connected graphs on n vertices, one per isomorphism class, by brute force.
+
+    Tests every edge mask (bit i is the i-th pair (u, v), u < v, in
+    lexicographic order) against every vertex permutation, and keeps a
+    connected mask when it is minimal over all of them. Ascending mask order.
+    """
+    if n < 1:
+        return
+    if n == 1:
+        yield build(1, [])
+        return
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {p: i for i, p in enumerate(pairs)}
+    emaps = []
+    for perm in itertools.permutations(range(n)):
+        emap = [0] * len(pairs)
+        for (i, j), idx in index.items():
+            a, b = perm[i], perm[j]
+            emap[idx] = 1 << index[(a, b) if a < b else (b, a)]
+        emaps.append(emap)
+    emaps = emaps[1:]
+    full_vertex_mask = (1 << n) - 1
+    for mask in range(1, 1 << len(pairs)):
+        if mask.bit_count() < n - 1:
+            continue
+        nbr = [0] * n
+        rest = mask
+        while rest:
+            low = rest & (-rest)
+            rest ^= low
+            u, v = pairs[low.bit_length() - 1]
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        seen = 1
+        frontier = 1
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                lb = f & (-f)
+                f ^= lb
+                nxt |= nbr[lb.bit_length() - 1]
+            frontier = nxt & ~seen
+            seen |= frontier
+        if seen != full_vertex_mask:
+            continue
+        minimal = True
+        for emap in emaps:
+            mm = 0
+            b = mask
+            while b:
+                low = b & (-b)
+                b ^= low
+                mm |= emap[low.bit_length() - 1]
+                if mm >= mask:
+                    break
+            else:
+                if mm < mask:
+                    minimal = False
+                    break
+        if not minimal:
+            continue
+        edges = []
+        rest = mask
+        while rest:
+            low = rest & (-rest)
+            rest ^= low
+            edges.append(pairs[low.bit_length() - 1])
+        yield build(n, edges)
 
 
 def random_connected_graph(rng, n: int, extra: float = 0.3) -> Graph:

@@ -465,6 +465,21 @@ def test_conjecture_scan_budget_exits_1(capsys):
     assert json.loads(out)["error"] == "budget-exceeded"
 
 
+def test_nan_time_budget_exits_2(capsys, tmp_path):
+    gpath = write_graph(capsys, tmp_path, "c7.txt", ["--family", "cycle", "--n", "7"])
+    for argv in (
+        ["sn", "--in", gpath, "--budget-seconds", "nan"],
+        ["conjecture-scan", "--max-n", "4", "--budget-seconds", "nan"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "nan" in err
+    code, out, err = run(capsys, ["sn", "--in", gpath, "--budget-seconds", "-1"])
+    assert code == 1
+    assert json.loads(out)["error"] == "budget-exceeded"
+
+
 def test_pretty_json_is_indented(capsys, tmp_path):
     gpath = write_graph(capsys, tmp_path, "k3.txt", ["--family", "complete", "--n", "3"])
     code, out, err = run(capsys, ["chroma", "--pretty", "--in", gpath])

@@ -1,11 +1,19 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
 sys.path.insert(0, "tests")
-from oracles import brute_is_sudoku, brute_sn, random_connected_graph
+from oracles import (
+    brute_connected_graphs,
+    brute_is_sudoku,
+    brute_sn,
+    canonical_colorings,
+    prune_subset,
+    random_connected_graph,
+)
 
 from sudokugraph import (
     BudgetExceededError,
@@ -16,13 +24,11 @@ from sudokugraph import (
     ExtensionKind,
     PartialColoring,
     build,
-    canonical_colorings,
     chromatic_number,
     conjecture_scan,
     count_extensions,
     generate,
     is_proper,
-    prune_subset,
     relabel,
     sn_exact,
     verify_certificate,
@@ -36,6 +42,7 @@ from sudokugraph.sn import (
     _suffix_tables,
     _support_engine,
     _supports,
+    connected_graphs_up_to_iso,
     search_lower_bound,
 )
 
@@ -407,3 +414,38 @@ def test_conjecture_scan_validates_range():
 def test_conjecture_scan_budget():
     with pytest.raises(BudgetExceededError):
         conjecture_scan(6, max_seconds=0.0)
+
+
+# OEIS A001349: connected graphs on n vertices up to isomorphism.
+A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+
+
+def test_orderly_generator_matches_brute_force_enumerator():
+    # Same canonical representatives, same labels, same order.
+    for n, count in A001349.items():
+        orderly = list(connected_graphs_up_to_iso(n))
+        assert len(orderly) == count
+        assert all(g.n == n for g in orderly)
+        assert [g.edges for g in orderly] == [g.edges for g in brute_connected_graphs(n)]
+
+
+def test_orderly_generator_is_lazy():
+    first = next(connected_graphs_up_to_iso(7))
+    assert first.n == 7
+    assert first.edges == tuple((0, v) for v in range(1, 7))
+    # The budget is checked between classes, so a generator that enumerated
+    # all of n = 7 before its first yield would overrun it by seconds.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        conjecture_scan(7, max_seconds=0.5)
+    assert time.perf_counter() - start < 2.5
+
+
+def test_nan_time_budget_is_rejected():
+    g = make(Family.CYCLE, n=7)
+    with pytest.raises(ValueError, match="nan"):
+        sn_exact(g, max_seconds=float("nan"))
+    with pytest.raises(ValueError, match="nan"):
+        conjecture_scan(4, max_seconds=float("nan"))
+    # An infinite budget is a valid bound that never runs out.
+    assert sn_exact(g, max_seconds=float("inf")).sn == 4
