@@ -113,7 +113,7 @@ def cmd_gen(args) -> int:
 
 def cmd_chroma(args) -> int:
     g = _read_graph(args)
-    budget = args.budget_nodes if args.budget_nodes else DEFAULT_NODE_BUDGET
+    budget = DEFAULT_NODE_BUDGET if args.budget_nodes is None else args.budget_nodes
     chi, witness = chromatic_number(g, budget=budget)
     _emit_json(args, {"chi": chi, "coloring": coloring_to_object(witness)["colors"]})
     return EXIT_OK

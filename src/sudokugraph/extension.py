@@ -14,6 +14,8 @@ propagate() never applies it, and it adds no trace step.
 
 from __future__ import annotations
 
+import time
+
 from .chromatic import chromatic_number
 from .coloring import (
     RULE_ATTRACTIVE,
@@ -42,6 +44,14 @@ _REMOVE = 1
 # An assignment made from outside the engine (a root color or a support vertex
 # placed by a caller): undone like _ASSIGN but never on the deduction path.
 _PLACE = 2
+
+
+class SearchExpired(Exception):
+    """An engine given a deadline found time.perf_counter() past it.
+
+    Raised from inside a propagation or completion search, which is left
+    unfinished: the engine must not be used again.
+    """
 
 
 def _k_cliques(g: Graph, k: int) -> tuple[list[tuple[int, ...]], int]:
@@ -141,11 +151,15 @@ class _Engine:
 
     Root assignments are journaled as _PLACE and then forgotten, so undo never
     goes above the root. A caller that reuses one engine for many searches
-    starts from an empty root and moves with place() and rewind().
+    starts from an empty root and moves with place() and rewind(). Given a
+    deadline (a time.perf_counter() value), propagation checks the clock
+    before each attractive step and the search before each branch; either
+    raises SearchExpired once the deadline has passed.
     """
 
-    def __init__(self, eg: _EngineGraph, assignments=None):
+    def __init__(self, eg: _EngineGraph, assignments=None, deadline: float | None = None):
         self.eg = eg
+        self.deadline = deadline
         self.full = eg.full
         self.adj = eg.adj
         self.attr_eligible = eg.attr_eligible
@@ -265,8 +279,13 @@ class _Engine:
                     rule = RULE_COLOR_DOMINATING
                 self._assign(v, col, rule)
                 continue
-            if self.attr_eligible and self.uncolored and self._attractive_step():
-                continue
+            if self.attr_eligible and self.uncolored:
+                # One attractive step scans every eligible vertex, and one
+                # propagation can take n of them.
+                if self.deadline is not None and time.perf_counter() >= self.deadline:
+                    raise SearchExpired
+                if self._attractive_step():
+                    continue
             return True
 
     def _mrv(self) -> int:
@@ -328,6 +347,7 @@ class _Engine:
         if self.dead:
             return 0
         root = len(self.journal)
+        deadline = self.deadline
         stack: list[list[int]] = []
         alive = self._propagate()
         while True:
@@ -343,6 +363,8 @@ class _Engine:
                 w, bits, mark = frame
                 self._undo(mark)
                 if bits and self.count < cap:
+                    if deadline is not None and time.perf_counter() >= deadline:
+                        raise SearchExpired
                     bit = bits & (-bits)
                     frame[1] = bits ^ bit
                     self._assign(w, bit.bit_length(), RULE_BRANCH)

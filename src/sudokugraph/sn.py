@@ -12,13 +12,25 @@ from math import comb, isnan
 from .chromatic import chromatic_number
 from .coloring import ExtensionKind, PartialColoring, is_proper
 from .errors import BudgetExceededError, DisconnectedGraphError
-from .extension import DEFAULT_ATTRACTIVE_LIMIT, _Engine, _EngineGraph, count_extensions
+from .extension import (
+    DEFAULT_ATTRACTIVE_LIMIT,
+    SearchExpired,
+    _Engine,
+    _EngineGraph,
+    count_extensions,
+)
 from .graph import Graph, build, is_connected
 
 PROVENANCE_EXACT = "exact-search"
 
 PRUNE_PENDANT = "pendant"
 PRUNE_UNCOLORED_EDGE = "uncolored-edge"
+
+# Automorphism generators are computed once this many supports have been
+# evaluated, so searches that end sooner never pay for them.
+ORBIT_START = 16
+# Most supports marked as images of evaluated ones, per support size.
+ORBIT_LIMIT = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -156,9 +168,9 @@ def _supports(n: int, size: int, tables):
             return
 
 
-def _support_engine(g: Graph, k: int) -> _Engine:
+def _support_engine(g: Graph, k: int, deadline: float | None = None) -> _Engine:
     """An empty extension engine for g at k colors, reused by every support walk."""
-    return _Engine(_EngineGraph(g, k, DEFAULT_ATTRACTIVE_LIMIT))
+    return _Engine(_EngineGraph(g, k, DEFAULT_ATTRACTIVE_LIMIT), deadline=deadline)
 
 
 def _evaluate_subset(eng: _Engine, subset):
@@ -261,8 +273,11 @@ def _batches(items, workers: int):
         yield batch
 
 
-def _pool_init(n: int, edges, k: int) -> None:
-    _POOL_STATE["engine"] = _support_engine(build(n, list(edges)), k)
+def _pool_init(n: int, edges, k: int, seconds_left: float | None) -> None:
+    # perf_counter values need not agree across processes, so the worker
+    # sets its own deadline from the time that was left.
+    deadline = None if seconds_left is None else time.perf_counter() + seconds_left
+    _POOL_STATE["engine"] = _support_engine(build(n, list(edges)), k, deadline)
 
 
 def _pool_eval(subset):
@@ -280,6 +295,7 @@ class _Budget:
         self.max_subsets = max_subsets
         self.max_seconds = max_seconds
         self.start = time.perf_counter()
+        self.deadline = None if max_seconds is None else self.start + max_seconds
 
     def check(self, subsets_used: int, proven: int, count: int = 1) -> None:
         """Raise unless `count` more subsets fit after `subsets_used`."""
@@ -288,14 +304,66 @@ class _Budget:
                 f"subset budget {self.max_subsets} exhausted; sn >= {proven}",
                 lower_bound=proven,
             )
-        if self.max_seconds is not None and time.perf_counter() - self.start >= self.max_seconds:
-            raise BudgetExceededError(
-                f"time budget {self.max_seconds}s exhausted; sn >= {proven}",
-                lower_bound=proven,
-            )
+        if self.deadline is not None and time.perf_counter() >= self.deadline:
+            raise self.expired(proven)
+
+    def expired(self, proven: int) -> BudgetExceededError:
+        return BudgetExceededError(
+            f"time budget {self.max_seconds}s exhausted; sn >= {proven}",
+            lower_bound=proven,
+        )
+
+    def seconds_left(self) -> float | None:
+        return None if self.deadline is None else self.deadline - time.perf_counter()
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.start
+
+
+class _Orbits:
+    """Supports of one size that are images of an evaluated support under Aut(G).
+
+    rep[s] is the evaluated support that s is an image of (s itself once s is
+    evaluated) and tried[r] the colorings r tried. The generators come from
+    canon.automorphism_generators once ORBIT_START supports have been
+    evaluated; canon is imported then too, so a search that ends sooner, and
+    every command that never searches, skips even loading it.
+    """
+
+    def __init__(self, g: Graph, deadline: float | None):
+        self.g = g
+        self.deadline = deadline
+        self.gens: list[tuple[int, ...]] | None = None
+        self.evaluated = 0
+        self.rep: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.tried: dict[tuple[int, ...], int] = {}
+
+    def new_size(self) -> None:
+        self.rep.clear()
+        self.tried.clear()
+
+    def mark(self, subset: tuple[int, ...]) -> None:
+        """Mark subset's orbit, breadth first over the generators, up to ORBIT_LIMIT."""
+        self.evaluated += 1
+        if self.gens is None:
+            if self.evaluated < ORBIT_START:
+                return
+            from . import canon
+
+            self.gens = canon.automorphism_generators(self.g, self.deadline)[0]
+        rep = self.rep
+        if not self.gens or len(rep) >= ORBIT_LIMIT:
+            return
+        rep[subset] = subset
+        frontier = [subset]
+        for s in frontier:
+            for gamma in self.gens:
+                image = tuple(sorted([gamma[v] for v in s]))
+                if image not in rep:
+                    if len(rep) >= ORBIT_LIMIT:
+                        return
+                    rep[image] = subset
+                    frontier.append(image)
 
 
 def sn_exact(
@@ -324,8 +392,34 @@ def sn_exact(
     skipped but still counted in colorings_examined, exactly as if each had
     been tried and found not extendable. Only live complete colorings run the
     completion search, capped at 2.
+
+    Supports in one orbit of Aut(G) are evaluated once. After a losing
+    evaluation (with workers > 1, at dispatch), the support's orbit under
+    automorphism generators is marked, and a marked support is counted in
+    colorings_examined with its representative's count instead of being
+    evaluated. The output stays the same:
+
+    - Lemma survival and the count of a losing support (its canonical
+      colorings: the partitions of G[S] into between max(k-1, 1) and k
+      independent sets) are invariant under automorphisms, so a marked
+      support survives and its count is its representative's.
+    - An automorphism maps a winning support and its coloring to a winning
+      support, so every image of a loser loses: a marked support is a loser
+      that is not evaluated, and the count it adds is the one its
+      evaluation would add.
+    - The representative comes first in lex order, so it is evaluated before
+      any image of it is reached. The lex-first winner S* is no image of an
+      earlier loser, so it is evaluated and wins with the same coloring.
+    - Every support and cut block is still walked and checked against the
+      budgets, so subsets_examined, pruned_by and the budget stops do not
+      change.
+
+    A time budget is also checked inside each support's engine work, so one
+    long completion search cannot overrun it.
     """
     _check_seconds(max_seconds)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if g.n < 2:
         raise ValueError("Sudoku numbers need at least 2 vertices (chi >= 2)")
     if not is_connected(g):
@@ -349,43 +443,60 @@ def sn_exact(
             elapsed_seconds=budget.elapsed(),
         )
 
-    eng = _support_engine(g, k) if workers <= 1 else None
+    eng = _support_engine(g, k, budget.deadline) if workers == 1 else None
     if workers > 1:
         pool_context = multiprocessing.get_context().Pool(
-            workers, initializer=_pool_init, initargs=(g.n, g.edges, k)
+            workers, initializer=_pool_init, initargs=(g.n, g.edges, k, budget.seconds_left())
         )
     else:
         pool_context = contextlib.nullcontext()
-    with pool_context as pool:
-        for size in range(search_lower_bound(k), g.n):
-            items = _supports(g.n, size, tables)
-            batches = (items,) if pool is None else _batches(items, workers)
-            for batch in batches:
-                results = None
-                if pool is not None:
-                    # map returns once the whole batch is done, so no task is in
-                    # flight when a winner or a budget stop leaves the with
-                    # block: Pool.terminate() can hang on queued tasks.
-                    survivors = [s for s, _, _ in batch if s is not None]
-                    chunk = max(1, len(survivors) // (4 * workers))
-                    results = iter(pool.map(_pool_eval, survivors, chunk))
-                for subset, pendant_cut, edge_cut in batch:
-                    if subset is None:
-                        cut = pendant_cut + edge_cut
-                        budget.check(subsets_examined, size, cut)
-                        subsets_examined += cut
-                        pruned_by[PRUNE_PENDANT] += pendant_cut
-                        pruned_by[PRUNE_UNCOLORED_EDGE] += edge_cut
-                        continue
-                    budget.check(subsets_examined, size)
-                    subsets_examined += 1
-                    if results is None:
-                        tried, win = _evaluate_subset(eng, subset)
-                    else:
-                        tried, win = next(results)
-                    colorings_examined += tried
-                    if win is not None:
-                        return finish(subset, win)
+    orbits = _Orbits(g, budget.deadline)
+    try:
+        with pool_context as pool:
+            for size in range(search_lower_bound(k), g.n):
+                orbits.new_size()
+                items = _supports(g.n, size, tables)
+                batches = (items,) if pool is None else _batches(items, workers)
+                for batch in batches:
+                    results = {}
+                    if pool is not None:
+                        # Images of supports sent earlier are resolved from
+                        # their representatives' results. map returns once the
+                        # whole batch is done, so no task is in flight when a
+                        # winner or a budget stop leaves the with block:
+                        # Pool.terminate() can hang on queued tasks.
+                        todo = []
+                        for s, _, _ in batch:
+                            if s is not None and s not in orbits.rep:
+                                todo.append(s)
+                                orbits.mark(s)
+                        chunk = max(1, len(todo) // (4 * workers))
+                        results = dict(zip(todo, pool.map(_pool_eval, todo, chunk)))
+                    for subset, pendant_cut, edge_cut in batch:
+                        if subset is None:
+                            cut = pendant_cut + edge_cut
+                            budget.check(subsets_examined, size, cut)
+                            subsets_examined += cut
+                            pruned_by[PRUNE_PENDANT] += pendant_cut
+                            pruned_by[PRUNE_UNCOLORED_EDGE] += edge_cut
+                            continue
+                        budget.check(subsets_examined, size)
+                        subsets_examined += 1
+                        if subset in results:
+                            tried, win = results[subset]
+                        elif subset in orbits.rep:
+                            colorings_examined += orbits.tried[orbits.rep[subset]]
+                            continue
+                        else:
+                            tried, win = _evaluate_subset(eng, subset)
+                        colorings_examined += tried
+                        if win is not None:
+                            return finish(subset, win)
+                        orbits.tried[subset] = tried
+                        if pool is None:
+                            orbits.mark(subset)
+    except SearchExpired:
+        raise budget.expired(size) from None
     raise AssertionError("unreachable: sn(G) <= n - 1 for every connected graph")
 
 

@@ -227,6 +227,19 @@ def brute_connected_graphs(n: int):
         yield build(n, edges)
 
 
+def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:
+    """Aut(g) by trying all n! vertex permutations; gamma[v] is the image of v."""
+    edges = set(g.edges)
+    return {
+        gamma
+        for gamma in itertools.permutations(range(g.n))
+        if all(
+            ((gamma[u], gamma[v]) if gamma[u] < gamma[v] else (gamma[v], gamma[u])) in edges
+            for u, v in g.edges
+        )
+    }
+
+
 def random_connected_graph(rng, n: int, extra: float = 0.3) -> Graph:
     """Random spanning tree plus each remaining pair independently with prob extra."""
     edges = set()

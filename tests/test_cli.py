@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -132,9 +133,11 @@ def test_chroma_budget_exhaustion_exits_1(capsys, tmp_path):
         capsys, tmp_path, "cocm.txt",
         ["--family", "cycle-of-cliques-minus", "--n", "3", "--m", "5"],
     )
-    code, out, err = run(capsys, ["chroma", "--in", gpath, "--budget-nodes", "5"])
-    assert code == 1
-    assert json.loads(out)["error"] == "budget-exceeded"
+    # A budget of 0 or below is a budget, not a request for the default one.
+    for budget in ("5", "0", "-3"):
+        code, out, err = run(capsys, ["chroma", "--in", gpath, "--budget-nodes", budget])
+        assert code == 1
+        assert json.loads(out)["error"] == "budget-exceeded"
 
 
 def test_chroma_on_long_odd_cycle(capsys, tmp_path):
@@ -242,6 +245,30 @@ def test_sn_budget_exhaustion_reports_lower_bound(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["error"] == "budget-exceeded"
     assert obj["lower_bound"] == 4
+
+
+def test_sn_worker_count_below_one_exits_2(capsys, tmp_path):
+    gpath = write_graph(capsys, tmp_path, "c5.txt", ["--family", "cycle", "--n", "5"])
+    for workers in ("0", "-3"):
+        code, out, err = run(capsys, ["sn", "--in", gpath, "--workers", workers])
+        assert code == 2
+        assert out == ""
+        assert "workers" in err
+
+
+def test_sn_time_budget_holds_inside_one_support(capsys, tmp_path):
+    # 6,000 vertices: one support's propagation and completion search run far
+    # past the budget unless the engine itself watches the clock.
+    gpath = write_graph(
+        capsys, tmp_path, "coc.txt", ["--family", "cycle-of-cliques", "--n", "1500", "--m", "4"]
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["sn", "--in", gpath, "--budget-seconds", "5"])
+    assert time.perf_counter() - start < 15
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["error"] == "budget-exceeded"
+    assert obj["lower_bound"] >= 3
 
 
 def test_sn_disconnected_graph_exits_2(capsys, monkeypatch):

@@ -453,3 +453,17 @@ def test_k_clique_enumerator_stops_at_its_bound():
     out = count_extensions(k3x20, PartialColoring(20, {0: 1}))
     assert time.process_time() - start < 1.0
     assert out.kind is ExtensionKind.MULTIPLE
+
+
+def test_engine_deadline_stops_search_and_propagation():
+    g, c = _seventeen_clue()
+    eg = extension._EngineGraph(g, 9, extension.DEFAULT_ATTRACTIVE_LIMIT)
+    assert extension._Engine(eg, c.assignments).search(2) == 1
+    with pytest.raises(extension.SearchExpired):
+        extension._Engine(eg, c.assignments, deadline=time.perf_counter()).search(2)
+    # Placing one color starts attractive steps, which check the clock too.
+    coc = generate(FamilySpec(Family.CYCLE_OF_CLIQUES, {"n": 3, "m": 4}))
+    eg = extension._EngineGraph(coc, 4, extension.DEFAULT_ATTRACTIVE_LIMIT)
+    assert extension._Engine(eg).place(0, 1)
+    with pytest.raises(extension.SearchExpired):
+        extension._Engine(eg, deadline=time.perf_counter()).place(0, 1)

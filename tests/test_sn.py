@@ -33,6 +33,8 @@ from sudokugraph import (
     sn_exact,
     verify_certificate,
 )
+import sudokugraph.canon as canon
+import sudokugraph.sn as sn_module
 from sudokugraph.sn import (
     PRUNE_PENDANT,
     PRUNE_UNCOLORED_EDGE,
@@ -329,6 +331,9 @@ def test_sn_exact_rejects_bad_inputs():
         sn_exact(build(1, []))
     with pytest.raises(DisconnectedGraphError):
         sn_exact(build(4, [(0, 1), (2, 3)]))
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            sn_exact(make(Family.CYCLE, n=5), workers=workers)
 
 
 def test_sn_exact_budget_carries_lower_bound():
@@ -449,3 +454,136 @@ def test_nan_time_budget_is_rejected():
         conjecture_scan(4, max_seconds=float("nan"))
     # An infinite budget is a valid bound that never runs out.
     assert sn_exact(g, max_seconds=float("inf")).sn == 4
+
+
+def _outcome(g, prune, budget):
+    try:
+        return _report_key(sn_exact(g, prune=prune, max_subsets=budget))
+    except BudgetExceededError as err:
+        return str(err), err.lower_bound
+
+
+def _no_generators(m):
+    m.setattr(canon, "automorphism_generators", lambda g, deadline=None: ([], 0))
+
+
+def _reference(monkeypatch, g, prune):
+    """The search with no automorphisms: (subsets walked, outcome under a subset budget).
+
+    One full run records every budget check, so the outcome under a smaller
+    budget is read off instead of searched again.
+    """
+    checks = []
+    inner = sn_module._Budget.check
+
+    def spy(self, used, proven, count=1):
+        checks.append((used + count, proven))
+        return inner(self, used, proven, count)
+
+    with monkeypatch.context() as m:
+        _no_generators(m)
+        m.setattr(sn_module._Budget, "check", spy)
+        full = sn_exact(g, prune=prune)
+
+    def outcome(budget):
+        if budget is None:
+            return _report_key(full)
+        proven = next(p for need, p in checks if need > budget)
+        return f"subset budget {budget} exhausted; sn >= {proven}", proven
+
+    return full.subsets_examined, outcome
+
+
+# Module settings under which the orbit skip must not change any output:
+# as shipped, marking from the first evaluated support, and marking at most
+# one support per size.
+ORBIT_SETTINGS = {
+    "default": {},
+    "eager": {"ORBIT_START": 1},
+    "one mark": {"ORBIT_START": 1, "ORBIT_LIMIT": 1},
+}
+
+
+def _check_orbit_skip_identity(monkeypatch, g, prune, settings, budgets=True):
+    s, want = _reference(monkeypatch, g, prune)
+    points = (None, 0, s // 2, s - 1) if budgets else (None,)
+    for name in settings:
+        with monkeypatch.context() as m:
+            for attr, value in ORBIT_SETTINGS[name].items():
+                m.setattr(sn_module, attr, value)
+            for budget in points:
+                assert _outcome(g, prune, budget) == want(budget), (name, budget, g.edges, prune)
+
+
+def test_orbit_skip_keeps_output_on_random_graphs(monkeypatch):
+    rng = random.Random(2014)
+    for _ in range(300):
+        g = random_connected_graph(rng, rng.randint(3, 9), extra=rng.choice([0.1, 0.3, 0.5, 0.8]))
+        for prune in (True, False):
+            _check_orbit_skip_identity(monkeypatch, g, prune, ORBIT_SETTINGS)
+
+
+# The 13 graphs of the sn benchmark workloads, and whether to search them
+# without pruning too: without it, the cycles, tadpoles, W_13 and the
+# amalgam take from 9 s to minutes each.
+BENCHMARK_GRAPHS = [
+    (Family.CYCLE, {"n": 17}, False),
+    (Family.CYCLE, {"n": 19}, False),
+    (Family.WHEEL, {"n": 11}, True),
+    (Family.WHEEL, {"n": 13}, False),
+    (Family.TADPOLE, {"n": 9, "m": 6}, False),
+    (Family.TADPOLE, {"n": 11, "m": 4}, False),
+    (Family.FRIENDSHIP, {"m": 6}, True),
+    (Family.AMALGAM, {"m": 4, "n": 4, "r": 1}, False),
+    (Family.CYCLE_OF_CLIQUES, {"n": 3, "m": 4}, True),
+    (Family.CYCLE_OF_CLIQUES_MINUS, {"n": 3, "m": 4}, True),
+    (Family.CYCLE_OF_CLIQUES_MINUS, {"n": 2, "m": 5}, True),
+    (Family.CYCLE_OF_CLIQUES_MINUS, {"n": 4, "m": 4}, True),
+    (Family.SUDOKU_GRID, {"b": 2}, True),
+]
+
+
+def test_orbit_skip_keeps_output_on_benchmark_graphs(monkeypatch):
+    for family, params, unpruned in BENCHMARK_GRAPHS:
+        g = make(family, **params)
+        for prune in (True, False) if unpruned else (True,):
+            _check_orbit_skip_identity(monkeypatch, g, prune, ["default"])
+        # A single mark per size makes the search nearly as slow as no skip,
+        # so it runs once, without budgets.
+        _check_orbit_skip_identity(monkeypatch, g, True, ["one mark"], budgets=False)
+
+
+def test_orbit_skip_evaluates_fewer_supports(monkeypatch):
+    g = make(Family.CYCLE_OF_CLIQUES_MINUS, n=4, m=4)
+    evaluated = []
+    for skip in (True, False):
+        calls = [0]
+        inner = sn_module._evaluate_subset
+
+        def spy(eng, subset):
+            calls[0] += 1
+            return inner(eng, subset)
+
+        with monkeypatch.context() as m:
+            m.setattr(sn_module, "_evaluate_subset", spy)
+            if not skip:
+                _no_generators(m)
+            sn_exact(g)
+        evaluated.append(calls[0])
+    # 3,816 supports are walked; most are images of earlier losers.
+    assert evaluated[1] == 3816
+    assert evaluated[0] * 5 < evaluated[1]
+    # With a pool, the parent marks each support it sends and sends no image
+    # of one sent before.
+    sent = [0]
+    mark = sn_module._Orbits.mark
+
+    def counting_mark(self, subset):
+        sent[0] += 1
+        return mark(self, subset)
+
+    serial = _report_key(sn_exact(g))
+    with monkeypatch.context() as m:
+        m.setattr(sn_module._Orbits, "mark", counting_mark)
+        assert _report_key(sn_exact(g, workers=2)) == serial
+    assert evaluated[0] <= sent[0] < 2 * evaluated[0]
