@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 computational failure or exhausted budget,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -288,6 +289,12 @@ def parse_puzzle(text: str) -> dict[int, int]:
     return givens
 
 
+@functools.cache
+def _sudoku_board() -> Graph:
+    """The 9x9 Sudoku grid, built once per process (a Graph is immutable)."""
+    return sudoku_grid(3)
+
+
 def cmd_sudoku(args) -> int:
     if args.puzzle:
         text = args.puzzle
@@ -297,7 +304,7 @@ def cmd_sudoku(args) -> int:
     else:
         text = sys.stdin.read()
     givens = parse_puzzle(text)
-    g = sudoku_grid(3)
+    g = _sudoku_board()
     c = PartialColoring(9, givens)
     if not is_proper(g, c):
         raise ImproperGivensError("two equal givens share a row, column, or box")

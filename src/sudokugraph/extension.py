@@ -3,13 +3,22 @@
 Internally colors 1..k live in bitmasks (bit i-1 is color i). The search
 keeps an undo journal so branching never copies state.
 
-The search also drops nodes with no completion by a k-clique cut: a proper
-k-coloring uses all k colors on every k-clique, so a node where some k-clique
-through the branch vertex has a color on none of its colored members and on
-none of its uncolored members' lists is dead. The cliques come from a
-bitmask enumerator run once per graph under a work bound linear in n + m;
-any subset of them keeps the cut sound. The cut is not a propagation rule:
-propagate() never applies it, and it adds no trace step.
+The search drops nodes with no completion by two cuts. Both rest on one fact:
+a proper k-coloring uses all k colors on every k-clique.
+
+- The k-clique cut: a node where some k-clique through the branch vertex has
+  a color on none of its colored members and on none of its uncolored
+  members' lists is dead.
+- The hidden-single probe: a shadow look-ahead that runs propagation plus
+  hidden singles (a color with no colored member and a single candidate
+  member in a k-clique must go there) to a fixpoint, drops the node if that
+  reaches a contradiction, and undoes everything it deduced either way.
+
+The cliques come from a bitmask enumerator run once per graph under a work
+bound linear in n + m; any subset of them keeps both cuts sound. Neither is a
+propagation rule: propagate() never applies them, and they add no trace step.
+A dropped node has no completion and the other nodes keep their depth-first
+order, so counts, witnesses and traces are those of the search without cuts.
 """
 
 from __future__ import annotations
@@ -44,6 +53,10 @@ _REMOVE = 1
 # An assignment made from outside the engine (a root color or a support vertex
 # placed by a caller): undone like _ASSIGN but never on the deduction path.
 _PLACE = 2
+
+# Rule of a probe's hidden-single assignment. The probe undoes it before
+# returning, so no trace ever holds it.
+_RULE_PROBE = "probe"
 
 
 class SearchExpired(Exception):
@@ -113,7 +126,8 @@ class _EngineGraph:
         self.full = (1 << k) - 1
         self.adj = g.adj
         self._chi_memo: dict[int, bool] = {}
-        self._cliques_at: tuple[tuple[tuple[int, ...], ...], ...] | None = None
+        self.cliques: tuple[tuple[int, ...], ...] = ()
+        self._cliques_at: tuple[tuple[int, ...], ...] | None = None
         if k <= attractive_limit:
             self.attr_eligible = tuple(
                 w for w in range(g.n) if g.degree(w) + 1 <= attractive_limit
@@ -122,18 +136,20 @@ class _EngineGraph:
             # chi(N[w]) <= |N[w]| <= limit < k, so the rule can never fire.
             self.attr_eligible = ()
 
-    def cliques_at(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per vertex, the k-cliques through it found within the work bound.
+    def cliques_at(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the indices into self.cliques of the k-cliques through it.
 
-        Built on first use, as many searches never branch. None are kept for
-        k <= 2, where the cut never fires (see _Engine.search).
+        Both are built on first use, as many searches never branch; until then
+        self.cliques is empty. None are kept for k <= 2, where the cuts never
+        fire (see _Engine.search).
         """
         if self._cliques_at is None:
-            at: list[list[tuple[int, ...]]] = [[] for _ in range(self.n)]
+            at: list[list[int]] = [[] for _ in range(self.n)]
             if self.k >= 3:
-                for clique in _k_cliques(self.g, self.k)[0]:
+                self.cliques = tuple(_k_cliques(self.g, self.k)[0])
+                for i, clique in enumerate(self.cliques):
                     for u in clique:
-                        at[u].append(clique)
+                        at[u].append(i)
             self._cliques_at = tuple(map(tuple, at))
         return self._cliques_at
 
@@ -153,8 +169,14 @@ class _Engine:
     goes above the root. A caller that reuses one engine for many searches
     starts from an empty root and moves with place() and rewind(). Given a
     deadline (a time.perf_counter() value), propagation checks the clock
-    before each attractive step and the search before each branch; either
-    raises SearchExpired once the deadline has passed.
+    before each attractive step, the search before each branch and the probe
+    before it starts; each raises SearchExpired once the deadline has passed.
+
+    The counters add up over the engine's life: nodes (live nodes the search
+    branched from or cut), clique_cuts, probes, probe_cuts, search_work
+    (neighbor visits of every assignment made outside a probe, root and
+    placed colors included) and probe_work (clique-member visits plus
+    neighbor visits of the probes' own assignments).
     """
 
     def __init__(self, eg: _EngineGraph, assignments=None, deadline: float | None = None):
@@ -171,8 +193,16 @@ class _Engine:
         self.used_mask = 0
         self.dead = False
         self.journal: list[tuple[int, int, int]] = []
-        self.path: list[TraceStep] = []
+        # (vertex, color, rule) of each deduction. TraceSteps, like witness
+        # dicts, are built only for an outcome that reports them.
+        self.path: list[tuple[int, int, str]] = []
         self.squeue: list[int] = []
+        self.nodes = 0
+        self.clique_cuts = 0
+        self.probes = 0
+        self.probe_cuts = 0
+        self.search_work = 0
+        self.probe_work = 0
         if assignments:
             for v, col in assignments.items():
                 self._assign(v, col, rule=None)
@@ -181,15 +211,17 @@ class _Engine:
         for v in range(n):
             if self.color[v] == 0 and self.lists[v].bit_count() == 1:
                 self.squeue.append(v)
-        # Search bookkeeping.
+        # Search bookkeeping: witnesses are color lists indexed by vertex.
         self.count = 0
-        self.witness1: dict[int, int] | None = None
-        self.witness2: dict[int, int] | None = None
-        self.trace: tuple[TraceStep, ...] = ()
+        self.witness1: list[int] | None = None
+        self.witness2: list[int] | None = None
+        self.trace: tuple[tuple[int, int, str], ...] = ()
 
     def _assign(self, v: int, col: int, rule: str | None) -> None:
         bit = 1 << (col - 1)
         color, lists, journal = self.color, self.lists, self.journal
+        nbrs = self.adj[v]
+        self.search_work += len(nbrs)
         color[v] = col
         self.uncolored -= 1
         self.class_size[col] += 1
@@ -198,8 +230,8 @@ class _Engine:
             journal.append((_PLACE, v, col))
         else:
             journal.append((_ASSIGN, v, col))
-            self.path.append(TraceStep(v, col, rule))
-        for u in self.adj[v]:
+            self.path.append((v, col, rule))
+        for u in nbrs:
             if color[u] == 0 and lists[u] & bit:
                 rest = lists[u] ^ bit
                 lists[u] = rest
@@ -307,23 +339,87 @@ class _Engine:
         members' lists can no longer reach it.
         """
         color, lists, full = self.color, self.lists, self.full
-        for clique in self.eg.cliques_at()[w]:
+        at = self.eg.cliques_at()
+        cliques = self.eg.cliques
+        for i in at[w]:
             seen = 0
-            for u in clique:
+            for u in cliques[i]:
                 cu = color[u]
                 seen |= (1 << (cu - 1)) if cu else lists[u]
             if seen != full:
                 return True
         return False
 
+    def _probe(self) -> bool:
+        """Shadow look-ahead at a live fixpoint. False means no completion exists.
+
+        Runs hidden singles over the k-cliques, with _propagate after each, to
+        a fixpoint or a contradiction. In a k-clique, a color on no colored
+        member must go to an uncolored member; with one candidate member it
+        must go there, and with none the node is dead. The cliques are swept
+        once, then rescanned only from a worklist of the cliques through
+        vertices journaled since the last scan. Everything deduced is undone,
+        so the state, the path and the singleton queue are as before, and its
+        work is moved from search_work to probe_work.
+        """
+        if self.deadline is not None and time.perf_counter() >= self.deadline:
+            raise SearchExpired
+        self.probes += 1
+        cliques, at = self.eg.cliques, self.eg.cliques_at()
+        color, lists, full, journal = self.color, self.lists, self.full, self.journal
+        mark = seen = len(journal)
+        work = self.search_work
+        visits = 0
+        queued = bytearray(b"\x01") * len(cliques)
+        todo = list(range(len(cliques)))
+        alive = True
+        while todo:
+            i = todo.pop()
+            queued[i] = 0
+            clique = cliques[i]
+            visits += len(clique)
+            placed = once = twice = 0
+            for u in clique:
+                cu = color[u]
+                if cu:
+                    placed |= 1 << (cu - 1)
+                else:
+                    lu = lists[u]
+                    twice |= once & lu
+                    once |= lu
+            if placed | once != full:
+                alive = False
+                break
+            single = once & ~twice
+            if not single:
+                continue
+            bit = single & -single
+            for u in clique:
+                if color[u] == 0 and lists[u] & bit:
+                    break
+            self._assign(u, bit.bit_length(), _RULE_PROBE)
+            if not self._propagate():
+                alive = False
+                break
+            for _, v, _ in journal[seen:]:
+                for j in at[v]:
+                    if not queued[j]:
+                        queued[j] = 1
+                        todo.append(j)
+            seen = len(journal)
+        self._undo(mark)
+        self.squeue.clear()
+        self.probe_work += self.search_work - work + visits
+        self.search_work = work
+        return alive
+
     def _record_witness(self) -> None:
         self.count += 1
-        snapshot = {v: self.color[v] for v in range(self.eg.n)}
         if self.count == 1:
-            self.witness1 = snapshot
+            self.witness1 = self.color[:]
             self.trace = tuple(self.path)
         elif self.count == 2:
-            self.witness2 = snapshot
+            self.witness2 = self.color[:]
 
     def search(self, cap: int) -> int:
         """Count completions of the current state, saturating at cap.
@@ -333,13 +429,22 @@ class _Engine:
         uncolored vertex w with the fewest colors, lowest color first, until
         cap completions are found. The state is restored on return.
 
-        Before branching on w, a node where a k-clique through w misses a
-        color is dropped (_short_clique). Its subtree holds no completion and
-        the other branches keep their depth-first order, so counts, witnesses
-        and traces are those of the search without the cut. With k <= 2 no
-        cliques are kept, as the cut could never fire: at a live fixpoint
-        every uncolored list has at least two of the k colors, so it is full,
-        and a colored neighbor would have left it a singleton.
+        Before branching on w, a node is dropped when a k-clique through w
+        misses a color (_short_clique) or when the probe reaches a
+        contradiction (_probe). Both are sound: a dropped node's subtree
+        holds no completion. The probe keeps nothing it deduced, and a
+        dropped node only removes a subtree while the other branches keep
+        their depth-first order. So propagation, counts, witnesses and traces
+        are those of the search without the cuts. With k <= 2 no cliques are
+        kept, as neither cut could fire: at a live fixpoint every uncolored
+        list has at least two of the k colors, so it is full, and a colored
+        neighbor would have left it a singleton.
+
+        Two fixed rules bound the probe's cost. It starts only after this
+        search has met its first dead end, so searches that find their
+        completions without one never probe. And a probe starts only while
+        the probe work of this search is at most its search work, so the
+        probes' work never passes the search's own by more than one probe.
         """
         self.count = 0
         self.witness1 = self.witness2 = None
@@ -348,6 +453,9 @@ class _Engine:
             return 0
         root = len(self.journal)
         deadline = self.deadline
+        # Probe work minus search work before this search: the budget.
+        slack = self.probe_work - self.search_work
+        probing = False
         stack: list[list[int]] = []
         alive = self._propagate()
         while True:
@@ -355,9 +463,23 @@ class _Engine:
                 if self.uncolored == 0:
                     self._record_witness()
                 else:
+                    self.nodes += 1
                     w = self._mrv()
-                    if not self._short_clique(w):
+                    if self._short_clique(w):
+                        self.clique_cuts += 1
+                        probing = True
+                    elif (
+                        probing
+                        and self.probe_work - self.search_work <= slack
+                        and not self._probe()
+                    ):
+                        self.probe_cuts += 1
+                    else:
                         stack.append([w, self.lists[w], len(self.journal)])
+            else:
+                # Below the root the clique table is built; with no cliques
+                # the probe could never fire.
+                probing = bool(self.eg.cliques)
             while stack:
                 frame = stack[-1]
                 w, bits, mark = frame
@@ -395,9 +517,9 @@ def propagate(
     eng = _Engine(_EngineGraph(g, c.k, attractive_limit), c.assignments)
     alive = eng._propagate()
     extended = dict(c.assignments)
-    for step in eng.path:
-        extended[step.vertex] = step.color
-    trace = tuple(eng.path)
+    for v, col, _ in eng.path:
+        extended[v] = col
+    trace = tuple(TraceStep(*step) for step in eng.path)
     if not alive:
         status = PropagationStatus.DEAD_END
     elif trace:
@@ -425,12 +547,15 @@ def count_extensions(
     found = eng.search(cap)
     if found == 0:
         return ExtensionOutcome(ExtensionKind.NOT_EXTENDABLE, count=0)
+    witness1 = dict(enumerate(eng.witness1))
     if found == 1:
-        return ExtensionOutcome(
-            ExtensionKind.UNIQUE, witness1=eng.witness1, trace=eng.trace, count=1
-        )
+        trace = tuple(TraceStep(*step) for step in eng.trace)
+        return ExtensionOutcome(ExtensionKind.UNIQUE, witness1=witness1, trace=trace, count=1)
     return ExtensionOutcome(
-        ExtensionKind.MULTIPLE, witness1=eng.witness1, witness2=eng.witness2, count=found
+        ExtensionKind.MULTIPLE,
+        witness1=witness1,
+        witness2=dict(enumerate(eng.witness2)),
+        count=found,
     )
 
 

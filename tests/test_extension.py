@@ -26,7 +26,7 @@ from sudokugraph import (
     propagate,
 )
 from sudokugraph import extension
-from sudokugraph.coloring import RULE_ATTRACTIVE, RULE_NEAR_COLOR_DOMINATING
+from sudokugraph.coloring import RULE_ATTRACTIVE, RULE_NEAR_COLOR_DOMINATING, TRACE_RULES
 from sudokugraph.generators import sudoku_grid
 
 C13 = generate(FamilySpec(Family.CYCLE, {"n": 13}))
@@ -467,3 +467,144 @@ def test_engine_deadline_stops_search_and_propagation():
     assert extension._Engine(eg).place(0, 1)
     with pytest.raises(extension.SearchExpired):
         extension._Engine(eg, deadline=time.perf_counter()).place(0, 1)
+
+
+def _engine_search(g, c, cap):
+    eng = extension._Engine(
+        extension._EngineGraph(g, c.k, extension.DEFAULT_ATTRACTIVE_LIMIT), c.assignments
+    )
+    found = eng.search(cap)
+    return (found, eng.witness1, eng.witness2, eng.trace), eng
+
+
+def _grid_cases():
+    rng = random.Random(88)
+    g, c = _seventeen_clue()
+    solution = count_extensions(g, c).witness1
+    given = dict(c.assignments)
+    for cap in (2, 3, 5):
+        yield g, c, cap
+        for b in (2, 3):
+            grid = sudoku_grid(b)
+            for _ in range(8):
+                coverage = rng.uniform(0.05, 0.5)
+                yield grid, random_proper_partial(rng, grid, b * b, coverage=coverage), cap
+        # The 17-clue puzzle less one clue, and plus one clue that is proper
+        # but not the solution's: deep searches with two or more and with no
+        # completion.
+        less = dict(given)
+        del less[rng.choice(sorted(less))]
+        yield g, PartialColoring(9, less), cap
+        while True:
+            v = rng.choice([u for u in range(g.n) if u not in given])
+            taken = {given[u] for u in g.adj[v] if u in given} | {solution[v]}
+            free = [col for col in range(1, 10) if col not in taken]
+            if free:
+                yield g, PartialColoring(9, {**given, v: rng.choice(free)}), cap
+                break
+
+
+def test_probe_keeps_counts_witnesses_traces_and_propagation(monkeypatch):
+    cases = list(_clique_cut_cases()) + list(_grid_cases())
+    with_probe, probe_cuts = [], 0
+    for g, c, cap in cases:
+        got, eng = _engine_search(g, c, cap)
+        with_probe.append(got)
+        probe_cuts += eng.probe_cuts
+    propagated = [propagate(g, c) for g, c, _ in cases]
+    with monkeypatch.context() as m:
+        m.setattr(extension._Engine, "_probe", lambda self: True)
+        without = [_engine_search(g, c, cap)[0] for g, c, cap in cases]
+        assert [propagate(g, c) for g, c, _ in cases] == propagated
+    assert with_probe == without
+    assert probe_cuts > 0
+    assert {min(found, 2) for found, *_ in with_probe} == {0, 1, 2}
+    for _, _, _, trace in with_probe:
+        assert all(rule in TRACE_RULES for _, _, rule in trace)
+
+
+def test_probe_cuts_the_seventeen_clue_search():
+    g, c = _seventeen_clue()
+    (found, *_), eng = _engine_search(g, c, 2)
+    assert found == 1
+    assert eng.probe_cuts > 0
+    # 671 nodes without the probe.
+    assert eng.nodes < 100
+    assert count_extensions(g, c).kind is ExtensionKind.UNIQUE
+
+
+def test_probe_waits_for_the_first_dead_end():
+    # Empty grids find two completions without meeting a dead end.
+    for b in (2, 3):
+        (found, *_), eng = _engine_search(sudoku_grid(b), PartialColoring(b * b, {}), 2)
+        assert found == 2 and eng.nodes > 0
+        assert eng.clique_cuts == eng.probes == 0
+
+
+def _cost_cases():
+    coc = generate(FamilySpec(Family.CYCLE_OF_CLIQUES_MINUS, {"n": 300, "m": 5}))
+    grid = sudoku_grid(4)
+    for g, k, seed, coverage in (
+        (coc, 4, 1, 0.01),
+        (coc, 4, 3, 0.02),
+        (grid, 16, 0, 0.05),
+        (grid, 16, 3, 0.15),
+        (grid, 16, 1, 0.35),
+        (grid, 16, 3, 0.35),
+    ):
+        yield g, random_proper_partial(random.Random(seed), g, k, coverage=coverage)
+
+
+def test_probe_work_stays_within_the_search_work(monkeypatch):
+    inner = extension._Engine._probe
+    sizes = []
+
+    def spy(self):
+        # A probe starts only while the probe work is at most the search work.
+        assert self.probe_work - probe0 <= self.search_work - search0
+        before = self.probe_work
+        got = inner(self)
+        sizes.append(self.probe_work - before)
+        return got
+
+    monkeypatch.setattr(extension._Engine, "_probe", spy)
+    probes = 0
+    for g, c in _cost_cases():
+        for cap in (2, 5):
+            eng = extension._Engine(
+                extension._EngineGraph(g, c.k, extension.DEFAULT_ATTRACTIVE_LIMIT),
+                c.assignments,
+            )
+            search0, probe0 = eng.search_work, eng.probe_work
+            sizes.clear()
+            eng.search(cap)
+            largest = max(sizes, default=0)
+            assert eng.probe_work - probe0 <= eng.search_work - search0 + largest
+            assert eng.probes == len(sizes)
+            probes += eng.probes
+    assert probes > 0
+
+
+def test_probe_checks_the_deadline(monkeypatch):
+    inner = extension._Engine._probe
+    raised = []
+
+    def expire_then_probe(self):
+        self.deadline = time.perf_counter() - 1.0
+        try:
+            return inner(self)
+        except extension.SearchExpired:
+            raised.append(self.probes)
+            raise
+
+    monkeypatch.setattr(extension._Engine, "_probe", expire_then_probe)
+    g, c = _seventeen_clue()
+    eng = extension._Engine(
+        extension._EngineGraph(g, 9, extension.DEFAULT_ATTRACTIVE_LIMIT),
+        c.assignments,
+        deadline=time.perf_counter() + 3600.0,
+    )
+    with pytest.raises(extension.SearchExpired):
+        eng.search(2)
+    # Raised before the probe counted itself.
+    assert raised == [0]
