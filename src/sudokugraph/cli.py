@@ -12,7 +12,7 @@ import json
 import sys
 
 from .chromatic import DEFAULT_NODE_BUDGET, chromatic_number
-from .coloring import ExtensionKind, PartialColoring
+from .coloring import ExtensionKind, PartialColoring, is_proper
 from .errors import (
     BudgetExceededError,
     DisconnectedGraphError,
@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     SudokugraphError,
 )
-from .extension import count_extensions
+from .extension import DEFAULT_ATTRACTIVE_LIMIT, _count, _EngineGraph, count_extensions
 from .generators import Family, FamilySpec, generate, sudoku_grid
 from .graph import Graph
 from .io import (
@@ -36,8 +36,7 @@ from .io import (
     serialize_graph,
 )
 from .sn import Certificate, conjecture_scan, sn_exact, verify_certificate
-from .theorems import THEOREM_CASES, construct, expected_sn, verify_theorem
-from .coloring import is_proper
+from .theorems import _EXPECTED_FAMILY, THEOREM_CASES, expected_sn, verify_theorem
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -72,8 +71,8 @@ def _read_coloring(args) -> PartialColoring:
         return parse_coloring(fh.read())
 
 
-def _family_spec_from_args(args) -> FamilySpec:
-    family = Family(args.family)
+def _family_spec_from_args(args, name: str) -> FamilySpec:
+    family = Family(name)
     params: dict = {}
     if args.parts is not None:
         try:
@@ -103,7 +102,7 @@ def _family_spec_from_args(args) -> FamilySpec:
 
 
 def cmd_gen(args) -> int:
-    spec = _family_spec_from_args(args)
+    spec = _family_spec_from_args(args, args.family)
     g = generate(spec)
     if args.dot:
         _write(args, emit_dot(g).decode("ascii"))
@@ -209,34 +208,11 @@ def cmd_verify(args) -> int:
 
 def _verify_spec(case: str, args) -> FamilySpec:
     if case == "bipartite":
-        under = args.graph_family or "path"
-        stash = args.family
-        args.family = under
-        try:
-            return _family_spec_from_args(args)
-        finally:
-            args.family = stash
-    mapping = {
-        "odd-cycle": "cycle",
-        "complete-multipartite": "complete-multipartite",
-        "friendship": "friendship",
-        "amalgam": "amalgam",
-        "tadpole": "tadpole",
-        "lollipop": "lollipop",
-        "cycle-of-cliques": "cycle-of-cliques",
-        "cycle-of-cliques-minus": "cycle-of-cliques-minus",
-        "stacked-triangulation": "stacked-triangulation",
-        "fan": "fan",
-        "wheel": "wheel",
-    }
+        return _family_spec_from_args(args, args.graph_family or "path")
     if case == "complete-multipartite" and args.parts is None and args.n is not None:
         return FamilySpec(Family.COMPLETE, {"n": args.n})
-    stash = args.family
-    args.family = mapping[case]
-    try:
-        return _family_spec_from_args(args)
-    finally:
-        args.family = stash
+    # A case is built on the first family it applies to.
+    return _family_spec_from_args(args, _EXPECTED_FAMILY[case][0].value)
 
 
 def cmd_solve(args) -> int:
@@ -290,12 +266,18 @@ def parse_puzzle(text: str) -> dict[int, int]:
 
 
 @functools.cache
-def _sudoku_board() -> Graph:
-    """The 9x9 Sudoku grid, built once per process (a Graph is immutable)."""
-    return sudoku_grid(3)
+def _sudoku_tables() -> _EngineGraph:
+    """The 9x9 grid's engine tables for 9 colors, shared by every puzzle (see extension._count)."""
+    return _EngineGraph(sudoku_grid(3), 9, DEFAULT_ATTRACTIVE_LIMIT)
 
 
 def cmd_sudoku(args) -> int:
+    """Classify one puzzle as 0, 1 or 2+ solutions, with the grid when unique.
+
+    The givens are checked once here for properness (exit 2 when two equal
+    givens are peers); the search then runs on the tables every puzzle of
+    the process shares, so the 9x9 grid and its 27 cliques are built once.
+    """
     if args.puzzle:
         text = args.puzzle
     elif args.infile:
@@ -304,14 +286,14 @@ def cmd_sudoku(args) -> int:
     else:
         text = sys.stdin.read()
     givens = parse_puzzle(text)
-    g = _sudoku_board()
+    eg = _sudoku_tables()
     c = PartialColoring(9, givens)
-    if not is_proper(g, c):
+    if not is_proper(eg.g, c):
         raise ImproperGivensError("two equal givens share a row, column, or box")
-    outcome = count_extensions(g, c, 2)
+    outcome = _count(eg, c, 2)
     if outcome.kind is ExtensionKind.UNIQUE:
         solutions = "1"
-        grid = "".join(str(outcome.witness1[v]) for v in range(g.n))
+        grid = "".join(str(outcome.witness1[v]) for v in range(eg.n))
     elif outcome.kind is ExtensionKind.MULTIPLE:
         solutions = "2+"
         grid = None
@@ -352,7 +334,13 @@ def _add_io_flags(sub, coloring: bool = False) -> None:
         sub.add_argument("--coloring", required=True, help="coloring JSON file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and then reused.
+
+    Parsing reads it and never changes it, so repeated main() calls in one
+    process only parse. Callers must not change it either.
+    """
     parser = argparse.ArgumentParser(
         prog="sudokugraph",
         description="Sudoku colorings of graphs: chromatic numbers, extension counts, "
@@ -428,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

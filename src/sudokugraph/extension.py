@@ -539,11 +539,26 @@ def count_extensions(
     """Count completions of c to proper k-colorings of g, saturating at cap.
 
     cap >= 2 so that unique and multiple outcomes stay distinguishable.
+    Each call builds its own engine tables for (g, c.k), the k-clique list
+    among them: no table outlives the call, so nothing is kept per graph.
     """
     if cap < 2:
         raise ValueError(f"cap must be >= 2, got {cap}")
     _check_inputs(g, c)
-    eng = _Engine(_EngineGraph(g, c.k, attractive_limit), c.assignments)
+    return _count(_EngineGraph(g, c.k, attractive_limit), c, cap)
+
+
+def _count(eg: _EngineGraph, c: PartialColoring, cap: int) -> ExtensionOutcome:
+    """count_extensions of c on the tables eg of (g, c.k), without its input checks.
+
+    The caller has checked that cap >= 2 and that c is proper on eg.g. A
+    search changes eg only by filling its lazy tables (the k-cliques and the
+    chi(N[w]) memo), pure functions of (g, k, limit). Before its first branch,
+    which builds the cliques, it reads them only at a dead end of the root,
+    where it stops either way (see search). So one eg shared by many searches
+    gives each the outcome fresh tables would.
+    """
+    eng = _Engine(eg, c.assignments)
     found = eng.search(cap)
     if found == 0:
         return ExtensionOutcome(ExtensionKind.NOT_EXTENDABLE, count=0)

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import sys
 import time
 
@@ -8,7 +9,11 @@ import pytest
 sys.path.insert(0, "tests")
 from oracles import brute_sudoku_solutions
 
+from sudokugraph import cli, extension
 from sudokugraph.cli import main
+from sudokugraph.coloring import ExtensionKind, PartialColoring
+from sudokugraph.extension import count_extensions
+from sudokugraph.generators import sudoku_grid
 
 SOLUTION = "693784512487512936125963874932651487568247391741398625319475268856129743274836159"
 EASY_PUZZLE = "093784512407512936125963874932651487568207391741398625319475268856129743274836150"
@@ -474,7 +479,125 @@ def test_sudoku_improper_givens_exit_2(capsys):
     clash = "66" + "0" * 79
     code, out, err = run(capsys, ["sudoku", "--puzzle", clash])
     assert code == 2
-    assert "error:" in err
+    assert out == ""
+    assert err == "error: two equal givens share a row, column, or box\n"
+
+
+def _seeded_boards(rng, count):
+    """(kind, board) rows cycling through kinds "1", "2+" and "0".
+
+    A "1" board is the 17-clue puzzle with its digits renamed, which keeps
+    its unique solution; "2+" drops one of its givens (no 16-clue puzzle is
+    unique); "0" adds a given that clashes with no given but differs from
+    the solution, so no completion is left.
+    """
+    with open("tests/data/puzzle_17clue.txt", encoding="ascii") as fh:
+        base = "".join(fh.read().split())
+    adj = sudoku_grid(3).adj
+    rows = []
+    for i in range(count):
+        kind = ("1", "2+", "0")[i % 3]
+        digits = list("123456789")
+        rng.shuffle(digits)
+        name = dict(zip("123456789", digits), **{"0": "0"})
+        board = [name[ch] for ch in base]
+        solution = [name[ch] for ch in SOLUTION]
+        if kind == "2+":
+            board[rng.choice([j for j, ch in enumerate(board) if ch != "0"])] = "0"
+        elif kind == "0":
+            options = [
+                (j, d)
+                for j, ch in enumerate(board)
+                if ch == "0"
+                for d in "123456789"
+                if d != solution[j] and all(board[u] != d for u in adj[j])
+            ]
+            j, d = rng.choice(options)
+            board[j] = d
+        rows.append((kind, "".join(board)))
+    return rows
+
+
+def _fresh_sudoku_stdout(board: str) -> str:
+    """What sudoku prints for board, from count_extensions on fresh tables."""
+    givens = {j: int(ch) for j, ch in enumerate(board) if ch != "0"}
+    outcome = count_extensions(sudoku_grid(3), PartialColoring(9, givens), 2)
+    solutions = {
+        ExtensionKind.UNIQUE: "1",
+        ExtensionKind.MULTIPLE: "2+",
+        ExtensionKind.NOT_EXTENDABLE: "0",
+    }[outcome.kind]
+    grid = None
+    if outcome.kind is ExtensionKind.UNIQUE:
+        grid = "".join(str(outcome.witness1[v]) for v in range(81))
+    return json.dumps({"solutions": solutions, "grid": grid}) + "\n"
+
+
+def test_sudoku_on_shared_tables_matches_fresh_count_extensions(capsys):
+    # Every board after the first searches on the tables the earlier ones
+    # filled; each must print what a search on tables of its own finds.
+    cli._sudoku_tables.cache_clear()
+    boards = _seeded_boards(random.Random(7), 9)
+    for kind, board in boards:
+        code, out, err = run(capsys, ["sudoku", "--puzzle", board])
+        assert code == 0, err
+        assert out == _fresh_sudoku_stdout(board)
+        assert json.loads(out)["solutions"] == kind
+
+
+def test_sudoku_enumerates_the_grid_cliques_once_per_process(capsys, monkeypatch):
+    calls = []
+    real = extension._k_cliques
+
+    def spy(g, k):
+        calls.append((g.n, k))
+        return real(g, k)
+
+    monkeypatch.setattr(extension, "_k_cliques", spy)
+    cli.build_parser.cache_clear()
+    cli._sudoku_tables.cache_clear()
+    # Each of these searches branches, so each needs the cliques.
+    boards = [board for _, board in _seeded_boards(random.Random(11), 3)]
+    boards += [UNSOLVABLE_PUZZLE, "0" * 81]
+    for board in boards:
+        code, out, err = run(capsys, ["sudoku", "--puzzle", board])
+        assert code == 0, err
+    assert calls == [(81, 9)]
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    c5 = write_graph(capsys, tmp_path, "c5.txt", ["--family", "cycle", "--n", "5"])
+    cocm = write_graph(
+        capsys, tmp_path, "cocm.txt",
+        ["--family", "cycle-of-cliques-minus", "--n", "3", "--m", "5"],
+    )
+    pairs = [
+        (["sn", "--no-prune", "--in", c5], ["sn", "--in", c5]),
+        (["sudoku", "--pretty", "--puzzle", EASY_PUZZLE], ["sudoku", "--puzzle", EASY_PUZZLE]),
+        (["chroma", "--budget-nodes", "0", "--in", cocm], ["chroma", "--in", cocm]),
+        (["sn", "--workers", "0", "--in", c5], ["sn", "--in", c5]),
+        (
+            ["verify", "--family", "bipartite", "--graph-family", "path", "--n", "6"],
+            ["verify", "--family", "odd-cycle", "--n", "7"],
+        ),
+    ]
+
+    def fresh(argv):
+        cli.build_parser.cache_clear()
+        return run(capsys, argv)[:2]
+
+    want = {tuple(argv): fresh(argv) for pair in pairs for argv in pair}
+    assert [want[tuple(argv)][0] for pair in pairs[2:4] for argv in pair] == [1, 0, 2, 0]
+    for first, second in pairs:
+        # The two runs of a pair differ, so a leaked option would show.
+        assert want[tuple(first)] != want[tuple(second)]
+        for a, b in ((first, second), (second, first)):
+            cli.build_parser.cache_clear()
+            got_a = run(capsys, a)[:2]
+            parser = cli.build_parser()
+            got_b = run(capsys, b)[:2]
+            assert cli.build_parser() is parser
+            assert (got_a, got_b) == (want[tuple(a)], want[tuple(b)]), (a, b)
 
 
 def test_conjecture_scan_small(capsys):
