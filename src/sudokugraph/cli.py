@@ -36,7 +36,7 @@ from .io import (
     serialize_graph,
 )
 from .sn import Certificate, conjecture_scan, sn_exact, verify_certificate
-from .theorems import _EXPECTED_FAMILY, THEOREM_CASES, expected_sn, verify_theorem
+from .theorems import CASES, THEOREM_CASES, expected_sn, verify_theorem
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -154,12 +154,10 @@ def cmd_sn(args) -> int:
     report = sn_exact(
         g,
         prune=not args.no_prune,
-        workers=args.workers,
         max_subsets=args.budget_nodes,
         max_seconds=args.budget_seconds,
     )
-    # elapsed time is deliberately left out: output must not vary across runs
-    # or worker counts.
+    # elapsed time is deliberately left out: output must not vary across runs.
     _emit_json(
         args,
         {
@@ -211,8 +209,7 @@ def _verify_spec(case: str, args) -> FamilySpec:
         return _family_spec_from_args(args, args.graph_family or "path")
     if case == "complete-multipartite" and args.parts is None and args.n is not None:
         return FamilySpec(Family.COMPLETE, {"n": args.n})
-    # A case is built on the first family it applies to.
-    return _family_spec_from_args(args, _EXPECTED_FAMILY[case][0].value)
+    return _family_spec_from_args(args, CASES[case].families[0].value)
 
 
 def cmd_solve(args) -> int:
@@ -379,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("sn", help="exact Sudoku number with certificate")
     _add_io_flags(p)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-prune", action="store_true", help="disable subset pruning")
     p.add_argument("--budget-nodes", type=int, default=None, help="max subsets examined")
     p.add_argument("--budget-seconds", type=float, default=None)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from math import comb, isnan
@@ -168,11 +166,6 @@ def _supports(n: int, size: int, tables):
             return
 
 
-def _support_engine(g: Graph, k: int, deadline: float | None = None) -> _Engine:
-    """An empty extension engine for g at k colors, reused by every support walk."""
-    return _Engine(_EngineGraph(g, k, DEFAULT_ATTRACTIVE_LIMIT), deadline=deadline)
-
-
 def _evaluate_subset(eng: _Engine, subset):
     """Try the canonical colorings of one support, in canonical order.
 
@@ -246,44 +239,6 @@ def _evaluate_subset(eng: _Engine, subset):
     return tried, None
 
 
-_POOL_STATE: dict = {}
-# Most surviving supports per worker in one pool batch.
-_POOL_BATCH = 32
-
-
-def _batches(items, workers: int):
-    """Consecutive runs of _supports items for a pool of `workers`, in order.
-
-    The i-th run holds at most workers * 2**i surviving supports, capped at
-    workers * _POOL_BATCH: small first runs limit the supports evaluated past
-    an early winner, larger later runs keep the workers busy.
-    """
-    limit = workers
-    batch: list = []
-    held = 0
-    for item in items:
-        batch.append(item)
-        if item[0] is not None:
-            held += 1
-            if held == limit:
-                yield batch
-                batch, held = [], 0
-                limit = min(2 * limit, workers * _POOL_BATCH)
-    if batch:
-        yield batch
-
-
-def _pool_init(n: int, edges, k: int, seconds_left: float | None) -> None:
-    # perf_counter values need not agree across processes, so the worker
-    # sets its own deadline from the time that was left.
-    deadline = None if seconds_left is None else time.perf_counter() + seconds_left
-    _POOL_STATE["engine"] = _support_engine(build(n, list(edges)), k, deadline)
-
-
-def _pool_eval(subset):
-    return _evaluate_subset(_POOL_STATE["engine"], subset)
-
-
 def _check_seconds(max_seconds: float | None) -> None:
     # Every comparison with NaN is false, so a NaN budget would never run out.
     if max_seconds is not None and isnan(max_seconds):
@@ -312,9 +267,6 @@ class _Budget:
             f"time budget {self.max_seconds}s exhausted; sn >= {proven}",
             lower_bound=proven,
         )
-
-    def seconds_left(self) -> float | None:
-        return None if self.deadline is None else self.deadline - time.perf_counter()
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.start
@@ -370,7 +322,6 @@ def sn_exact(
     g: Graph,
     *,
     prune: bool = True,
-    workers: int = 1,
     max_subsets: int | None = None,
     max_seconds: float | None = None,
 ) -> SearchReport:
@@ -378,26 +329,26 @@ def sn_exact(
 
     Supports are tried in ascending size from the lower bound, each size in
     lexicographic subset order and each support in canonical coloring order,
-    so the first success is a deterministic, worker-count-independent winner.
+    so the first success is a deterministic winner.
     With prune (and chi >= 3) the supports are generated with a look-ahead on
     the pendant and uncolored-edge lemmas, so the ones those lemmas rule out
     are never visited: they are cut in whole blocks, and each block is counted
     in subsets_examined and pruned_by as checking its supports one by one
     would count them. The subset budget applies to those counts.
 
-    One extension engine serves the whole search (one per worker with
-    workers > 1). Each support's canonical colorings are walked vertex by
-    vertex on it, propagating after every placement; a prefix whose
-    propagation dies has no proper completion, so the colorings below it are
-    skipped but still counted in colorings_examined, exactly as if each had
-    been tried and found not extendable. Only live complete colorings run the
-    completion search, capped at 2.
+    One extension engine serves the whole search. Each support's canonical
+    colorings are walked vertex by vertex on it, propagating after every
+    placement; a prefix whose propagation dies has no proper completion, so
+    the colorings below it are skipped but still counted in
+    colorings_examined, exactly as if each had been tried and found not
+    extendable. Only live complete colorings run the completion search,
+    capped at 2.
 
     Supports in one orbit of Aut(G) are evaluated once. After a losing
-    evaluation (with workers > 1, at dispatch), the support's orbit under
-    automorphism generators is marked, and a marked support is counted in
-    colorings_examined with its representative's count instead of being
-    evaluated. The output stays the same:
+    evaluation, the support's orbit under automorphism generators is marked,
+    and a marked support is counted in colorings_examined with its
+    representative's count instead of being evaluated. The output stays the
+    same:
 
     - Lemma survival and the count of a losing support (its canonical
       colorings: the partitions of G[S] into between max(k-1, 1) and k
@@ -418,8 +369,6 @@ def sn_exact(
     long completion search cannot overrun it.
     """
     _check_seconds(max_seconds)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if g.n < 2:
         raise ValueError("Sudoku numbers need at least 2 vertices (chi >= 2)")
     if not is_connected(g):
@@ -443,58 +392,30 @@ def sn_exact(
             elapsed_seconds=budget.elapsed(),
         )
 
-    eng = _support_engine(g, k, budget.deadline) if workers == 1 else None
-    if workers > 1:
-        pool_context = multiprocessing.get_context().Pool(
-            workers, initializer=_pool_init, initargs=(g.n, g.edges, k, budget.seconds_left())
-        )
-    else:
-        pool_context = contextlib.nullcontext()
+    eng = _Engine(_EngineGraph(g, k, DEFAULT_ATTRACTIVE_LIMIT), deadline=budget.deadline)
     orbits = _Orbits(g, budget.deadline)
     try:
-        with pool_context as pool:
-            for size in range(search_lower_bound(k), g.n):
-                orbits.new_size()
-                items = _supports(g.n, size, tables)
-                batches = (items,) if pool is None else _batches(items, workers)
-                for batch in batches:
-                    results = {}
-                    if pool is not None:
-                        # Images of supports sent earlier are resolved from
-                        # their representatives' results. map returns once the
-                        # whole batch is done, so no task is in flight when a
-                        # winner or a budget stop leaves the with block:
-                        # Pool.terminate() can hang on queued tasks.
-                        todo = []
-                        for s, _, _ in batch:
-                            if s is not None and s not in orbits.rep:
-                                todo.append(s)
-                                orbits.mark(s)
-                        chunk = max(1, len(todo) // (4 * workers))
-                        results = dict(zip(todo, pool.map(_pool_eval, todo, chunk)))
-                    for subset, pendant_cut, edge_cut in batch:
-                        if subset is None:
-                            cut = pendant_cut + edge_cut
-                            budget.check(subsets_examined, size, cut)
-                            subsets_examined += cut
-                            pruned_by[PRUNE_PENDANT] += pendant_cut
-                            pruned_by[PRUNE_UNCOLORED_EDGE] += edge_cut
-                            continue
-                        budget.check(subsets_examined, size)
-                        subsets_examined += 1
-                        if subset in results:
-                            tried, win = results[subset]
-                        elif subset in orbits.rep:
-                            colorings_examined += orbits.tried[orbits.rep[subset]]
-                            continue
-                        else:
-                            tried, win = _evaluate_subset(eng, subset)
-                        colorings_examined += tried
-                        if win is not None:
-                            return finish(subset, win)
-                        orbits.tried[subset] = tried
-                        if pool is None:
-                            orbits.mark(subset)
+        for size in range(search_lower_bound(k), g.n):
+            orbits.new_size()
+            for subset, pendant_cut, edge_cut in _supports(g.n, size, tables):
+                if subset is None:
+                    cut = pendant_cut + edge_cut
+                    budget.check(subsets_examined, size, cut)
+                    subsets_examined += cut
+                    pruned_by[PRUNE_PENDANT] += pendant_cut
+                    pruned_by[PRUNE_UNCOLORED_EDGE] += edge_cut
+                    continue
+                budget.check(subsets_examined, size)
+                subsets_examined += 1
+                if subset in orbits.rep:
+                    colorings_examined += orbits.tried[orbits.rep[subset]]
+                    continue
+                tried, win = _evaluate_subset(eng, subset)
+                colorings_examined += tried
+                if win is not None:
+                    return finish(subset, win)
+                orbits.tried[subset] = tried
+                orbits.mark(subset)
     except SearchExpired:
         raise budget.expired(size) from None
     raise AssertionError("unreachable: sn(G) <= n - 1 for every connected graph")

@@ -1,9 +1,10 @@
 """Closed-form Sudoku colorings for named graph families, with verification.
 
-Each case builds the graph, lays down the published support coloring in our
-0-based labeling, and wraps it in a Certificate whose uniqueness the engine
-re-proves. Formulas give the claimed Sudoku number as a function of the
-family parameters.
+CASES describes each theorem case once: the families it applies to, the
+published support coloring in our 0-based labeling, and the claimed Sudoku
+number as a function of the family parameters. construct builds the graph
+and wraps the coloring in a Certificate whose uniqueness the engine
+re-proves.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .chromatic import chromatic_number
 from .coloring import PartialColoring
@@ -36,18 +38,27 @@ class SuiteScale(Enum):
     EXACT = "exact"
 
 
-def _certificate(name: str, g: Graph, k: int, colors: dict[int, int]) -> Certificate:
-    partial = PartialColoring(k, colors)
-    return Certificate(g, partial, len(colors), f"family:{name}")
+@dataclass(frozen=True)
+class Case:
+    """One family result of the paper.
+
+    families: the families the case applies to (None: any), the first being
+    the one `sudokugraph verify` builds. build(g, spec) gives (k, support
+    colors) on the graph generate(spec) built. sn(spec) is the closed-form
+    Sudoku number; it reads only the parameters and never builds the graph.
+    """
+
+    families: tuple[Family, ...] | None
+    build: Callable[[Graph, FamilySpec], tuple[int, dict[int, int]]]
+    sn: Callable[[FamilySpec], int]
 
 
-def _build_bipartite(name: str, spec: FamilySpec) -> Certificate:
-    g = generate(spec)
+def _bipartite(g: Graph, spec: FamilySpec):
     if g.n < 2 or not is_connected(g):
-        raise InvalidFamilyParamsError(f"{name} case needs a connected graph on >= 2 vertices")
+        raise InvalidFamilyParamsError("bipartite case needs a connected graph on >= 2 vertices")
     if bipartition(g) is None or g.m == 0:
-        raise InvalidFamilyParamsError(f"{name} case needs a bipartite graph with an edge")
-    return _certificate(name, g, 2, {0: 1})
+        raise InvalidFamilyParamsError("bipartite case needs a bipartite graph with an edge")
+    return 2, {0: 1}
 
 
 def _parts_of(spec: FamilySpec) -> list[int]:
@@ -59,38 +70,30 @@ def _parts_of(spec: FamilySpec) -> list[int]:
     return list(parts)
 
 
-def _build_complete_multipartite(spec: FamilySpec) -> Certificate:
-    g = generate(spec)
+def _complete_multipartite(g: Graph, spec: FamilySpec):
     parts = _parts_of(spec)
-    t = len(parts)
     colors = {}
     offset = 0
     for i, size in enumerate(parts[:-1]):
         colors[offset] = i + 1
         offset += size
-    return _certificate("complete-multipartite", g, t, colors)
+    return len(parts), colors
 
 
-def _build_odd_cycle(spec: FamilySpec) -> Certificate:
-    n = spec.params.get("n", 0)
+def _odd_cycle(g: Graph, spec: FamilySpec):
+    n = spec.params["n"]
     if n % 2 == 0:
         raise InvalidFamilyParamsError(f"odd-cycle case needs odd n, got {n}")
-    g = generate(spec)
     if n == 3:
-        return _certificate("odd-cycle", g, 3, {0: 1, 1: 2})
+        return 3, {0: 1, 1: 2}
     colors = {}
     for j in range(1, n - 1, 2):
         colors[j - 1] = 1 if j % 4 == 1 else 2
     colors[n - 2] = 3
-    return _certificate("odd-cycle", g, 3, colors)
+    return 3, colors
 
 
-def _build_amalgam(name: str, spec: FamilySpec) -> Certificate:
-    g = generate(spec)
-    if spec.family is Family.FRIENDSHIP:
-        m, n, r = spec.params["m"], 3, 1
-    else:
-        m, n, r = spec.params["m"], spec.params["n"], spec.params["r"]
+def _amalgam(m: int, n: int, r: int) -> tuple[int, dict[int, int]]:
     colors = {}
     if r == n - 1:
         # Each copy contributes a single vertex adjacent to the whole core,
@@ -99,7 +102,7 @@ def _build_amalgam(name: str, spec: FamilySpec) -> Certificate:
         # one core vertex leaves a two-way swap, so the whole core goes in.
         for v in range(r):
             colors[v] = v + 1
-        return _certificate(name, g, n, colors)
+        return n, colors
     for v in range(1, r):
         colors[v] = v
     first_interior = list(range(r + 1, r + (n - r)))
@@ -109,16 +112,25 @@ def _build_amalgam(name: str, spec: FamilySpec) -> Certificate:
         x_i = r + (i - 1) * (n - r)
         for offset, v in enumerate(range(x_i + 1, x_i + (n - r))):
             colors[v] = r + 2 + offset
-    return _certificate(name, g, n, colors)
+    return n, colors
 
 
-def _build_tadpole(spec: FamilySpec) -> Certificate:
+def _amalgam_sn(spec: FamilySpec) -> int:
+    m, n, r = spec.params["m"], spec.params["n"], spec.params["r"]
+    if r == n - 1:
+        # Degenerate shape: complete n-partite with one part of size m,
+        # so the uniquely-colorable value n-1 applies, not the general
+        # amalgam formula (which undercounts by one here).
+        return n - 1
+    return m * (n - r - 1) + r - 1
+
+
+def _tadpole(g: Graph, spec: FamilySpec):
     n, m = spec.params["n"], spec.params["m"]
-    g = generate(spec)
     if n % 2 == 0:
         if bipartition(g) is None:
             raise AssertionError("even tadpole must be bipartite")
-        return _certificate("tadpole", g, 2, {0: 1})
+        return 2, {0: 1}
     colors = {}
     for i in range(2, n, 2):
         colors[i - 1] = 3 if i % 4 == 2 else 2
@@ -129,27 +141,25 @@ def _build_tadpole(spec: FamilySpec) -> Certificate:
         for j in range(1, m + 1, 2):
             vertex = 0 if j == 1 else n + j - 2
             colors[vertex] = 1 if j % 4 == 1 else 3
-    return _certificate("tadpole", g, 3, colors)
+    return 3, colors
 
 
-def _build_lollipop(spec: FamilySpec) -> Certificate:
+def _lollipop(g: Graph, spec: FamilySpec):
     n, m = spec.params["n"], spec.params["m"]
     if n < 4:
         raise InvalidFamilyParamsError(
             f"lollipop case needs clique order n >= 4 (n = 3 is the tadpole), got {n}"
         )
-    g = generate(spec)
     colors = {}
     for i in range(3, n + 1):
         colors[i - 1] = i
     for j in range(2, m + 1):
         colors[n + j - 2] = 2 if j % 2 == 0 else 1
-    return _certificate("lollipop", g, n, colors)
+    return n, colors
 
 
-def _build_cycle_of_cliques(spec: FamilySpec) -> Certificate:
+def _cycle_of_cliques(g: Graph, spec: FamilySpec):
     n, m = spec.params["n"], spec.params["m"]
-    g = generate(spec)
     colors = {}
     rim = 2 * n
     for i in range(1, n + 1):
@@ -162,12 +172,11 @@ def _build_cycle_of_cliques(spec: FamilySpec) -> Certificate:
         colors[4 * j + 2] = 2
     if n % 2 == 1:
         colors[2 * n - 2] = 3
-    return _certificate("cycle-of-cliques", g, m, colors)
+    return m, colors
 
 
-def _build_cycle_of_cliques_minus(spec: FamilySpec) -> Certificate:
+def _cycle_of_cliques_minus(g: Graph, spec: FamilySpec):
     n, m = spec.params["n"], spec.params["m"]
-    g = generate(spec)
     rim = 2 * n
 
     def y(i: int, j: int) -> int:
@@ -183,115 +192,98 @@ def _build_cycle_of_cliques_minus(spec: FamilySpec) -> Certificate:
         for j in range(3, m - 1):
             colors[y(n, j)] = j + 1
         colors[y(n, 2)] = 1
-    return _certificate("cycle-of-cliques-minus", g, m - 1, colors)
+    return m - 1, colors
 
 
-def _build_stacked(name: str, spec: FamilySpec) -> Certificate:
-    g = generate(spec)
-    if name == "fan":
-        # Hub and first path vertex span an edge of the initial triangle.
-        n = spec.params["n"]
-        return _certificate(name, g, 3, {n: 1, 0: 2})
-    return _certificate(name, g, 3, {0: 1, 1: 2})
-
-
-def _build_wheel(spec: FamilySpec) -> Certificate:
+def _wheel(g: Graph, spec: FamilySpec):
     n = spec.params["n"]
-    g = generate(spec)
     if n == 3:
-        return _certificate("wheel", g, 4, {0: 1, 1: 2, 2: 3})
+        return 4, {0: 1, 1: 2, 2: 3}
     if n % 2 == 0:
-        return _certificate("wheel", g, 3, {n: 1, 0: 2})
+        return 3, {n: 1, 0: 2}
     colors = {n - 1: 4}
     for i in range(1, n, 2):
         colors[i - 1] = 2 if i % 4 == 1 else 3
-    return _certificate("wheel", g, 4, colors)
+    return 4, colors
+
+
+def _wheel_sn(spec: FamilySpec) -> int:
+    n = spec.params["n"]
+    if n == 3:
+        return 3
+    return 2 if n % 2 == 0 else (n + 1) // 2
+
+
+CASES: dict[str, Case] = {
+    "bipartite": Case(None, _bipartite, lambda s: 1),
+    "odd-cycle": Case((Family.CYCLE,), _odd_cycle, lambda s: (s.params["n"] + 1) // 2),
+    "complete-multipartite": Case(
+        (Family.COMPLETE_MULTIPARTITE, Family.COMPLETE),
+        _complete_multipartite,
+        lambda s: len(_parts_of(s)) - 1,
+    ),
+    "friendship": Case(
+        (Family.FRIENDSHIP,),
+        lambda g, s: _amalgam(s.params["m"], 3, 1),
+        lambda s: s.params["m"],
+    ),
+    "amalgam": Case(
+        (Family.AMALGAM,),
+        lambda g, s: _amalgam(s.params["m"], s.params["n"], s.params["r"]),
+        _amalgam_sn,
+    ),
+    "tadpole": Case(
+        (Family.TADPOLE,),
+        _tadpole,
+        lambda s: 1 if s.params["n"] % 2 == 0 else (s.params["n"] + s.params["m"]) // 2,
+    ),
+    "lollipop": Case((Family.LOLLIPOP,), _lollipop, lambda s: s.params["n"] + s.params["m"] - 3),
+    "cycle-of-cliques": Case(
+        (Family.CYCLE_OF_CLIQUES,),
+        _cycle_of_cliques,
+        lambda s: s.params["n"] * (s.params["m"] - 2),
+    ),
+    "cycle-of-cliques-minus": Case(
+        (Family.CYCLE_OF_CLIQUES_MINUS,),
+        _cycle_of_cliques_minus,
+        lambda s: (s.params["m"] - 3) * s.params["n"] + 1,
+    ),
+    "stacked-triangulation": Case(
+        (Family.STACKED_TRIANGULATION,), lambda g, s: (3, {0: 1, 1: 2}), lambda s: 2
+    ),
+    # Hub and first path vertex span an edge of the initial triangle.
+    "fan": Case((Family.FAN,), lambda g, s: (3, {s.params["n"]: 1, 0: 2}), lambda s: 2),
+    "wheel": Case((Family.WHEEL,), _wheel, _wheel_sn),
+}
+
+THEOREM_CASES = tuple(CASES)
+
+
+def _case(name: str, spec: FamilySpec) -> Case:
+    case = CASES.get(name)
+    if case is None:
+        raise InvalidFamilyParamsError(f"unknown theorem case {name!r}")
+    if case.families is not None and spec.family not in case.families:
+        raise InvalidFamilyParamsError(
+            f"case {name!r} does not apply to family {spec.family.value!r}"
+        )
+    return case
 
 
 def expected_sn(name: str, spec: FamilySpec) -> int:
     """The closed-form Sudoku number each case claims."""
-    p = spec.params
-    if name == "bipartite":
-        return 1
-    if name == "complete-multipartite":
-        return len(_parts_of(spec)) - 1
-    if name == "odd-cycle":
-        return (p["n"] + 1) // 2
-    if name == "friendship":
-        return p["m"]
-    if name == "amalgam":
-        if p["r"] == p["n"] - 1:
-            # Degenerate shape: complete n-partite with one part of size m,
-            # so the uniquely-colorable value n-1 applies, not the general
-            # amalgam formula (which undercounts by one here).
-            return p["n"] - 1
-        return p["m"] * (p["n"] - p["r"] - 1) + p["r"] - 1
-    if name == "tadpole":
-        return 1 if p["n"] % 2 == 0 else (p["n"] + p["m"]) // 2
-    if name == "lollipop":
-        return p["n"] + p["m"] - 3
-    if name == "cycle-of-cliques":
-        return p["n"] * (p["m"] - 2)
-    if name == "cycle-of-cliques-minus":
-        return (p["m"] - 3) * p["n"] + 1
-    if name in ("stacked-triangulation", "fan"):
-        return 2
-    if name == "wheel":
-        n = p["n"]
-        if n == 3:
-            return 3
-        return 2 if n % 2 == 0 else (n + 1) // 2
-    raise InvalidFamilyParamsError(f"unknown theorem case {name!r}")
-
-
-_EXPECTED_FAMILY = {
-    "odd-cycle": (Family.CYCLE,),
-    "complete-multipartite": (Family.COMPLETE_MULTIPARTITE, Family.COMPLETE),
-    "friendship": (Family.FRIENDSHIP,),
-    "amalgam": (Family.AMALGAM,),
-    "tadpole": (Family.TADPOLE,),
-    "lollipop": (Family.LOLLIPOP,),
-    "cycle-of-cliques": (Family.CYCLE_OF_CLIQUES,),
-    "cycle-of-cliques-minus": (Family.CYCLE_OF_CLIQUES_MINUS,),
-    "stacked-triangulation": (Family.STACKED_TRIANGULATION,),
-    "fan": (Family.FAN,),
-    "wheel": (Family.WHEEL,),
-}
-
-THEOREM_CASES = ("bipartite",) + tuple(_EXPECTED_FAMILY)
+    return _case(name, spec).sn(spec)
 
 
 def construct(name: str, spec: FamilySpec) -> Certificate:
-    """Build the published support coloring for one family instance."""
-    if name != "bipartite":
-        allowed = _EXPECTED_FAMILY.get(name)
-        if allowed is None:
-            raise InvalidFamilyParamsError(f"unknown theorem case {name!r}")
-        if spec.family not in allowed:
-            raise InvalidFamilyParamsError(
-                f"case {name!r} does not apply to family {spec.family.value!r}"
-            )
-    if name == "bipartite":
-        return _build_bipartite(name, spec)
-    if name == "complete-multipartite":
-        return _build_complete_multipartite(spec)
-    if name == "odd-cycle":
-        return _build_odd_cycle(spec)
-    if name in ("amalgam", "friendship"):
-        return _build_amalgam(name, spec)
-    if name == "tadpole":
-        return _build_tadpole(spec)
-    if name == "lollipop":
-        return _build_lollipop(spec)
-    if name == "cycle-of-cliques":
-        return _build_cycle_of_cliques(spec)
-    if name == "cycle-of-cliques-minus":
-        return _build_cycle_of_cliques_minus(spec)
-    if name in ("stacked-triangulation", "fan"):
-        return _build_stacked(name, spec)
-    if name == "wheel":
-        return _build_wheel(spec)
-    raise InvalidFamilyParamsError(f"unknown theorem case {name!r}")
+    """Build the published support coloring for one family instance.
+
+    generate(spec) checks the family parameters before the case reads them.
+    """
+    case = _case(name, spec)
+    g = generate(spec)
+    k, colors = case.build(g, spec)
+    return Certificate(g, PartialColoring(k, colors), len(colors), f"family:{name}")
 
 
 def verify_theorem(name: str, spec: FamilySpec, *, exact: bool = False) -> VerificationResult:

@@ -91,7 +91,7 @@ def test_criterion_1_exact_sn_table(capsys):
     for label, case_spec, want in SN_TABLE:
         g = generate(case_spec)
         started = time.perf_counter()
-        got = sn_exact(g, workers=1).sn
+        got = sn_exact(g).sn
         elapsed = time.perf_counter() - started
         if got != want:
             failures.append(f"{label}: sn={got}, expected {want}")
@@ -102,7 +102,7 @@ def test_criterion_1_exact_sn_table(capsys):
         n = rng.randint(2, 10)
         g = generate(spec(Family.TREE, n=n, seed=rng.randint(0, 10**6)))
         started = time.perf_counter()
-        got = sn_exact(g, workers=1).sn
+        got = sn_exact(g).sn
         elapsed = time.perf_counter() - started
         if got != 1:
             failures.append(f"random tree n={n}: sn={got}, expected 1")

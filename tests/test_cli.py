@@ -207,15 +207,6 @@ def test_sn_reports_certificate(capsys, tmp_path):
     assert "elapsed_seconds" not in obj
 
 
-def test_sn_output_is_identical_across_workers(capsys, tmp_path):
-    gpath = write_graph(capsys, tmp_path, "lp.txt", ["--family", "lollipop", "--n", "5", "--m", "3"])
-    code, out1, _ = run(capsys, ["sn", "--in", gpath, "--workers", "1"])
-    assert code == 0
-    code, out2, _ = run(capsys, ["sn", "--in", gpath, "--workers", "3"])
-    assert code == 0
-    assert out1 == out2
-
-
 @pytest.mark.parametrize(
     "gen_argv, golden",
     [
@@ -229,10 +220,9 @@ def test_sn_output_matches_golden_file(capsys, tmp_path, gen_argv, golden):
     gpath = write_graph(capsys, tmp_path, "g.txt", gen_argv)
     with open(golden, encoding="ascii") as fh:
         want = fh.read()
-    for workers in ("1", "3"):
-        code, out, err = run(capsys, ["sn", "--in", gpath, "--workers", workers])
-        assert code == 0, err
-        assert out == want
+    code, out, err = run(capsys, ["sn", "--in", gpath])
+    assert code == 0, err
+    assert out == want
 
 
 def test_sn_no_prune_agrees(capsys, tmp_path):
@@ -250,15 +240,6 @@ def test_sn_budget_exhaustion_reports_lower_bound(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["error"] == "budget-exceeded"
     assert obj["lower_bound"] == 4
-
-
-def test_sn_worker_count_below_one_exits_2(capsys, tmp_path):
-    gpath = write_graph(capsys, tmp_path, "c5.txt", ["--family", "cycle", "--n", "5"])
-    for workers in ("0", "-3"):
-        code, out, err = run(capsys, ["sn", "--in", gpath, "--workers", workers])
-        assert code == 2
-        assert out == ""
-        assert "workers" in err
 
 
 def test_sn_time_budget_holds_inside_one_support(capsys, tmp_path):
@@ -325,6 +306,24 @@ def test_verify_unknown_case_exits_2(capsys):
     assert code == 2
     code, out, err = run(capsys, ["verify"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "wheel"],
+        ["verify", "--family", "tadpole"],
+        ["verify", "--family", "lollipop"],
+        ["verify", "--family", "cycle-of-cliques", "--n", "3"],
+        ["verify", "--family", "odd-cycle"],
+    ],
+    ids=lambda argv: " ".join(argv[2:]),
+)
+def test_verify_missing_parameters_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_certificate_file_roundtrip(capsys, tmp_path):
@@ -575,7 +574,7 @@ def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
         (["sn", "--no-prune", "--in", c5], ["sn", "--in", c5]),
         (["sudoku", "--pretty", "--puzzle", EASY_PUZZLE], ["sudoku", "--puzzle", EASY_PUZZLE]),
         (["chroma", "--budget-nodes", "0", "--in", cocm], ["chroma", "--in", cocm]),
-        (["sn", "--workers", "0", "--in", c5], ["sn", "--in", c5]),
+        (["sn", "--budget-seconds", "nan", "--in", c5], ["sn", "--in", c5]),
         (
             ["verify", "--family", "bipartite", "--graph-family", "path", "--n", "6"],
             ["verify", "--family", "odd-cycle", "--n", "7"],

@@ -35,14 +35,12 @@ from sudokugraph import (
 )
 import sudokugraph.canon as canon
 import sudokugraph.sn as sn_module
+from sudokugraph.extension import DEFAULT_ATTRACTIVE_LIMIT, _Engine, _EngineGraph
 from sudokugraph.sn import (
     PRUNE_PENDANT,
     PRUNE_UNCOLORED_EDGE,
-    _POOL_BATCH,
-    _batches,
     _evaluate_subset,
     _suffix_tables,
-    _support_engine,
     _supports,
     connected_graphs_up_to_iso,
     search_lower_bound,
@@ -234,50 +232,6 @@ def test_sn_exact_prune_equivalence():
         assert a.certificate.partial == b.certificate.partial
 
 
-def test_sn_exact_workers_deterministic():
-    g = make(Family.LOLLIPOP, n=5, m=3)
-    seq = sn_exact(g, workers=1)
-    par = sn_exact(g, workers=4)
-    assert seq.sn == par.sn
-    assert seq.certificate.partial == par.certificate.partial
-    assert seq.subsets_examined == par.subsets_examined
-    assert seq.colorings_examined == par.colorings_examined
-    assert seq.pruned_by == par.pruned_by
-
-
-def test_pool_batches_keep_order_and_bound_survivors():
-    g = make(Family.SUDOKU_GRID, b=2)
-    tables = _suffix_tables(g, 4, True)
-    for size in range(3, 6):
-        items = list(_supports(g.n, size, tables))
-        batches = list(_batches(iter(items), 3))
-        assert [item for batch in batches for item in batch] == items
-        held = [sum(s is not None for s, _, _ in batch) for batch in batches]
-        limits = [min(3 * 2**i, 3 * _POOL_BATCH) for i in range(len(held))]
-        assert held[:-1] == limits[:-1] and held[-1] <= limits[-1]
-        assert max(held) == 3 * _POOL_BATCH
-
-
-def test_sn_exact_workers_match_across_batches_and_budget_stops():
-    # The 4x4 grid has 560 survivors at size 3 and wins at the 65th of size 4,
-    # so with two workers both the winner and the budget stops leave the pool
-    # after several batches.
-    g = make(Family.SUDOKU_GRID, b=2)
-    for budget in (None, 300, 600):
-        outcomes = []
-        for workers in (1, 2):
-            try:
-                r = sn_exact(g, workers=workers, max_subsets=budget)
-                outcomes.append(
-                    (r.sn, r.certificate.partial, r.subsets_examined,
-                     r.colorings_examined, r.pruned_by)
-                )
-            except BudgetExceededError as err:
-                outcomes.append(str(err))
-        assert outcomes[0] == outcomes[1]
-        assert isinstance(outcomes[0], str) == (budget is not None)
-
-
 def _canonical_loop(g, k, subset):
     # The search as defined: every canonical coloring, one full count each.
     tried = 0
@@ -286,6 +240,11 @@ def _canonical_loop(g, k, subset):
         if count_extensions(g, c, 2).kind is ExtensionKind.UNIQUE:
             return tried, dict(c.assignments)
     return tried, None
+
+
+def _support_engine(g, k):
+    # An empty engine as sn_exact builds it, reused by every support walk.
+    return _Engine(_EngineGraph(g, k, DEFAULT_ATTRACTIVE_LIMIT))
 
 
 def test_support_walk_matches_canonical_coloring_loop():
@@ -331,9 +290,6 @@ def test_sn_exact_rejects_bad_inputs():
         sn_exact(build(1, []))
     with pytest.raises(DisconnectedGraphError):
         sn_exact(build(4, [(0, 1), (2, 3)]))
-    for workers in (0, -3):
-        with pytest.raises(ValueError, match="workers"):
-            sn_exact(make(Family.CYCLE, n=5), workers=workers)
 
 
 def test_sn_exact_budget_carries_lower_bound():
@@ -573,17 +529,3 @@ def test_orbit_skip_evaluates_fewer_supports(monkeypatch):
     # 3,816 supports are walked; most are images of earlier losers.
     assert evaluated[1] == 3816
     assert evaluated[0] * 5 < evaluated[1]
-    # With a pool, the parent marks each support it sends and sends no image
-    # of one sent before.
-    sent = [0]
-    mark = sn_module._Orbits.mark
-
-    def counting_mark(self, subset):
-        sent[0] += 1
-        return mark(self, subset)
-
-    serial = _report_key(sn_exact(g))
-    with monkeypatch.context() as m:
-        m.setattr(sn_module._Orbits, "mark", counting_mark)
-        assert _report_key(sn_exact(g, workers=2)) == serial
-    assert evaluated[0] <= sent[0] < 2 * evaluated[0]

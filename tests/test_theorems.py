@@ -149,6 +149,8 @@ def test_construct_rejects_family_mismatch():
         construct("wheel", spec(Family.CYCLE, n=5))
     with pytest.raises(InvalidFamilyParamsError):
         construct("lollipop", spec(Family.TADPOLE, n=5, m=2))
+    with pytest.raises(InvalidFamilyParamsError):
+        expected_sn("wheel", spec(Family.CYCLE, n=5))
 
 
 def test_construct_rejects_unknown_case():
@@ -165,6 +167,8 @@ def test_construct_rejects_out_of_scope_params():
         construct("lollipop", spec(Family.LOLLIPOP, n=3, m=2))
     with pytest.raises(InvalidFamilyParamsError):
         construct("bipartite", spec(Family.CYCLE, n=5))
+    with pytest.raises(InvalidFamilyParamsError):
+        construct("wheel", spec(Family.WHEEL))
 
 
 def test_fast_suite_is_green():
