@@ -10,12 +10,10 @@ for named graph families.
 from .chromatic import (
     chromatic_number,
     count_color_partitions,
-    count_labeled_colorings,
     count_list_colorings,
     find_k_coloring,
     greedy_clique,
     greedy_coloring,
-    is_uniquely_colorable,
 )
 from .coloring import (
     ColorListState,
@@ -39,8 +37,6 @@ from .errors import (
 )
 from .extension import (
     count_extensions,
-    is_extendable,
-    is_sudoku_coloring,
     propagate,
 )
 from .generators import Family, FamilySpec, generate
@@ -115,7 +111,6 @@ __all__ = [
     "construct",
     "count_color_partitions",
     "count_extensions",
-    "count_labeled_colorings",
     "count_list_colorings",
     "emit_dot",
     "expected_sn",
@@ -127,10 +122,7 @@ __all__ = [
     "greedy_coloring",
     "induced_subgraph",
     "is_connected",
-    "is_extendable",
     "is_proper",
-    "is_sudoku_coloring",
-    "is_uniquely_colorable",
     "parse_coloring",
     "parse_graph",
     "relabel",

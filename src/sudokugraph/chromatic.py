@@ -1,24 +1,34 @@
-"""Exact chromatic number and coloring counts from one search.
+"""Exact chromatic number, greedy coloring and coloring counts from one search.
 
-Every public function here configures `_search`, a depth-first search over
-per-vertex color bitmasks (bit i-1 is color i) that keeps its state on an
-explicit stack, so its depth is bounded by memory, not by the recursion
-limit. It branches on the uncolored vertex with the fewest free colors
-(ties: higher degree, then lower index), which is Brélaz's DSATUR order
-(D. Brélaz, "New methods to color the vertices of a graph", CACM 22(4),
-1979). With `fresh` set, a vertex may take at most one color above the
-highest in use, so colorings that differ only by renaming colors are
-visited once: with nothing preset, exactly one per vertex partition.
-Deterministic by construction.
+Every public function here, greedy_coloring included, configures `_search`,
+a depth-first search over per-vertex color bitmasks (bit i-1 is color i)
+that keeps its state on an explicit stack, so its depth is bounded by memory,
+not by the recursion limit. It branches on the uncolored vertex with the
+fewest free colors (ties: higher degree, then lower index), which is
+Brélaz's DSATUR order (D. Brélaz, "New methods to color the vertices of a
+graph", CACM 22(4), 1979). With `fresh` set, a vertex may take at most one
+color above the highest in use, so colorings that differ only by renaming
+colors are visited once: with nothing preset, exactly one per vertex
+partition. Deterministic by construction.
 """
 
 from __future__ import annotations
+
+import time
 
 from .coloring import ColorListState, PartialColoring
 from .errors import BudgetExceededError
 from .graph import Graph
 
 DEFAULT_NODE_BUDGET = 50_000_000
+
+
+class SearchExpired(Exception):
+    """A search given a deadline found time.perf_counter() past it.
+
+    Raised from inside a coloring, propagation or completion search, which is
+    left unfinished: an extension engine must not be used again after it.
+    """
 
 
 def _search(
@@ -29,6 +39,7 @@ def _search(
     cap: int | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
     fresh: bool = False,
+    deadline: float | None = None,
     what: str,
 ) -> tuple[int, list[int] | None]:
     """Count proper colorings with color[v] in lists[v], saturating at cap.
@@ -36,10 +47,11 @@ def _search(
     Returns the count (cap None counts all) and the first coloring found,
     as a list indexed by vertex. Preset vertices keep their colors, which
     must be proper. Each branching vertex is one node; more than budget
-    nodes raise BudgetExceededError naming `what`.
+    nodes raise BudgetExceededError naming `what`, and a node reached past
+    the deadline (a time.perf_counter() value) raises SearchExpired.
     """
     adj = g.adj
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    order = sorted(range(g.n), key=lambda v: -len(adj[v]))  # stable: ties by index
     color = [0] * g.n
     free = list(lists)
     preset = preset or {}
@@ -59,6 +71,8 @@ def _search(
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(f"{what} exceeded {budget} nodes", nodes=nodes)
+            if deadline is not None and time.perf_counter() >= deadline:
+                raise SearchExpired
             best, fewest = -1, 1 << 62
             for u in order:
                 if not color[u]:
@@ -116,29 +130,24 @@ def greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
-def greedy_coloring(g: Graph) -> dict[int, int]:
+def greedy_coloring(g: Graph, *, deadline: float | None = None) -> dict[int, int]:
     """DSATUR greedy: always color the most saturated uncolored vertex next.
 
     Ties go to higher degree, then lower index; each vertex takes its lowest
-    free color. The dict lists vertices in the order they were colored.
+    free color. This is `_search` stopped at its first coloring: with Δ+1
+    colors on every list no vertex runs out of colors, so it never backtracks
+    and makes exactly one node per vertex.
     """
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    seen = [0] * g.n  # bit c-1 is set once a neighbor has color c
-    color: dict[int, int] = {}
-    for _ in range(g.n):
-        v, most = -1, -1
-        for u in order:
-            if u not in color and seen[u].bit_count() > most:
-                v, most = u, seen[u].bit_count()
-        bit = ~seen[v] & (seen[v] + 1)
-        color[v] = bit.bit_length()
-        for u in g.adj[v]:
-            seen[u] |= bit
-    return color
+    width = max(map(len, g.adj), default=0) + 1
+    _, first = _search(
+        g, [(1 << width) - 1] * g.n, cap=1, budget=g.n, fresh=True, deadline=deadline,
+        what="greedy coloring",
+    )
+    return dict(enumerate(first))
 
 
 def find_k_coloring(
-    g: Graph, k: int, *, budget: int = DEFAULT_NODE_BUDGET
+    g: Graph, k: int, *, budget: int = DEFAULT_NODE_BUDGET, deadline: float | None = None
 ) -> dict[int, int] | None:
     """A proper coloring with colors 1..k, or None when none exists."""
     if g.n == 0:
@@ -152,40 +161,31 @@ def find_k_coloring(
     preset = {v: i + 1 for i, v in enumerate(clique)}
     _, first = _search(
         g, [(1 << k) - 1] * g.n, preset=preset, cap=1, budget=budget, fresh=True,
-        what="k-coloring search",
+        deadline=deadline, what="k-coloring search",
     )
     return None if first is None else dict(enumerate(first))
 
 
 def chromatic_number(
-    g: Graph, *, budget: int = DEFAULT_NODE_BUDGET
+    g: Graph, *, budget: int = DEFAULT_NODE_BUDGET, deadline: float | None = None
 ) -> tuple[int, PartialColoring]:
-    """Exact chromatic number with a witness coloring."""
+    """Exact chromatic number with a witness coloring.
+
+    The node budget applies to each exact k-coloring search; the deadline
+    (a time.perf_counter() value) to the greedy bound and those searches
+    alike, which raise SearchExpired once it has passed.
+    """
     if g.n == 0:
         raise ValueError("chromatic number needs a nonempty graph")
     if g.m == 0:
         return 1, PartialColoring(1, {v: 1 for v in range(g.n)})
-    greedy = greedy_coloring(g)
+    greedy = greedy_coloring(g, deadline=deadline)
     ub = max(greedy.values())
     for k in range(max(len(greedy_clique(g)), 2), ub):
-        witness = find_k_coloring(g, k, budget=budget)
+        witness = find_k_coloring(g, k, budget=budget, deadline=deadline)
         if witness is not None:
             return k, PartialColoring(k, witness)
     return ub, PartialColoring(ub, greedy)
-
-
-def count_labeled_colorings(
-    g: Graph, k: int, cap: int | None = None, *, budget: int = DEFAULT_NODE_BUDGET
-) -> int:
-    """Number of proper colorings using colors from 1..k, saturating at cap.
-
-    cap None means count exactly. No symmetry breaking: colorings differing
-    by a color permutation all count.
-    """
-    if k < 0 or (cap is not None and cap < 1):
-        raise ValueError("need k >= 0 and cap >= 1")
-    lists = [(1 << k) - 1] * g.n
-    return _search(g, lists, cap=cap, budget=budget, what="coloring count")[0]
 
 
 def count_color_partitions(
@@ -225,15 +225,3 @@ def count_list_colorings(g: Graph, state: ColorListState, cap: int = 2) -> int:
             raise ValueError(f"vertex {v} has an empty list")
         masks.append(mask)
     return _search(g, masks, cap=cap, what="list coloring count")[0]
-
-
-def is_uniquely_colorable(g: Graph, k: int, *, budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """True when all proper k-colorings induce a single vertex partition.
-
-    Requires k to be the chromatic number; then the labeled coloring count
-    equals k! exactly when one partition exists.
-    """
-    chi, _ = chromatic_number(g, budget=budget)
-    if k != chi:
-        raise ValueError(f"unique colorability is defined at k = chi(g) = {chi}, got k = {k}")
-    return count_color_partitions(g, k, 2, budget=budget) == 1

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     SudokugraphError,
 )
-from .extension import DEFAULT_ATTRACTIVE_LIMIT, _count, _EngineGraph, count_extensions
+from .extension import _count, _EngineGraph, count_extensions
 from .generators import Family, FamilySpec, generate, sudoku_grid
 from .graph import Graph
 from .io import (
@@ -265,7 +265,7 @@ def parse_puzzle(text: str) -> dict[int, int]:
 @functools.cache
 def _sudoku_tables() -> _EngineGraph:
     """The 9x9 grid's engine tables for 9 colors, shared by every puzzle (see extension._count)."""
-    return _EngineGraph(sudoku_grid(3), 9, DEFAULT_ATTRACTIVE_LIMIT)
+    return _EngineGraph(sudoku_grid(3), 9)
 
 
 def cmd_sudoku(args) -> int:
@@ -331,6 +331,15 @@ def _add_io_flags(sub, coloring: bool = False) -> None:
         sub.add_argument("--coloring", required=True, help="coloring JSON file")
 
 
+def _add_family_flags(sub) -> None:
+    """The family parameters that _family_spec_from_args reads."""
+    for key in ("--n", "--m", "--r", "--b"):
+        sub.add_argument(key, type=int)
+    sub.add_argument("--parts", help="comma-separated part sizes")
+    sub.add_argument("--attach", action="append", help="attachment edge 'u,v' (repeatable)")
+    sub.add_argument("--seed", type=int, default=0)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on the first call and then reused.
@@ -353,13 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("gen", help="generate a named family instance")
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--parts", help="comma-separated part sizes")
-    p.add_argument("--attach", action="append", help="attachment edge 'u,v' (repeatable)")
-    p.add_argument("--seed", type=int, default=0)
+    _add_family_flags(p)
     p.add_argument("--format", choices=["edgelist", "json"], default="edgelist")
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT instead")
     p.set_defaults(func=cmd_gen)
@@ -386,13 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph-family", default=None, help="underlying family for the bipartite case")
     p.add_argument("--cert", default=None, help="certificate JSON file to verify")
     p.add_argument("--exact", action="store_true", help="re-prove minimality by full search")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--parts")
-    p.add_argument("--attach", action="append")
-    p.add_argument("--seed", type=int, default=0)
+    _add_family_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = add_parser("solve", help="propagation trace plus unique extension")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 
-from .chromatic import chromatic_number
+from .chromatic import SearchExpired, chromatic_number
 from .coloring import (
     RULE_ATTRACTIVE,
     RULE_BRANCH,
@@ -57,14 +57,6 @@ _PLACE = 2
 # Rule of a probe's hidden-single assignment. The probe undoes it before
 # returning, so no trace ever holds it.
 _RULE_PROBE = "probe"
-
-
-class SearchExpired(Exception):
-    """An engine given a deadline found time.perf_counter() past it.
-
-    Raised from inside a propagation or completion search, which is left
-    unfinished: the engine must not be used again.
-    """
 
 
 def _k_cliques(g: Graph, k: int) -> tuple[list[tuple[int, ...]], int]:
@@ -119,7 +111,7 @@ def _k_cliques(g: Graph, k: int) -> tuple[list[tuple[int, ...]], int]:
 class _EngineGraph:
     """The per-graph part of the engine, shared by every search on (g, k)."""
 
-    def __init__(self, g: Graph, k: int, attractive_limit: int):
+    def __init__(self, g: Graph, k: int):
         self.g = g
         self.n = g.n
         self.k = k
@@ -128,9 +120,9 @@ class _EngineGraph:
         self._chi_memo: dict[int, bool] = {}
         self.cliques: tuple[tuple[int, ...], ...] = ()
         self._cliques_at: tuple[tuple[int, ...], ...] | None = None
-        if k <= attractive_limit:
+        if k <= DEFAULT_ATTRACTIVE_LIMIT:
             self.attr_eligible = tuple(
-                w for w in range(g.n) if g.degree(w) + 1 <= attractive_limit
+                w for w in range(g.n) if g.degree(w) + 1 <= DEFAULT_ATTRACTIVE_LIMIT
             )
         else:
             # chi(N[w]) <= |N[w]| <= limit < k, so the rule can never fire.
@@ -505,7 +497,7 @@ def _check_inputs(g: Graph, c: PartialColoring) -> None:
 
 
 def propagate(
-    g: Graph, c: PartialColoring, *, attractive_limit: int = DEFAULT_ATTRACTIVE_LIMIT
+    g: Graph, c: PartialColoring
 ) -> tuple[PartialColoring, tuple[TraceStep, ...], PropagationStatus]:
     """Extend c by forced assignments only.
 
@@ -514,7 +506,7 @@ def propagate(
     deductions need chi(N[w]) = k, tested exactly on the closed neighborhood.
     """
     _check_inputs(g, c)
-    eng = _Engine(_EngineGraph(g, c.k, attractive_limit), c.assignments)
+    eng = _Engine(_EngineGraph(g, c.k), c.assignments)
     alive = eng._propagate()
     extended = dict(c.assignments)
     for v, col, _ in eng.path:
@@ -529,13 +521,7 @@ def propagate(
     return PartialColoring(c.k, extended), trace, status
 
 
-def count_extensions(
-    g: Graph,
-    c: PartialColoring,
-    cap: int = 2,
-    *,
-    attractive_limit: int = DEFAULT_ATTRACTIVE_LIMIT,
-) -> ExtensionOutcome:
+def count_extensions(g: Graph, c: PartialColoring, cap: int = 2) -> ExtensionOutcome:
     """Count completions of c to proper k-colorings of g, saturating at cap.
 
     cap >= 2 so that unique and multiple outcomes stay distinguishable.
@@ -545,7 +531,7 @@ def count_extensions(
     if cap < 2:
         raise ValueError(f"cap must be >= 2, got {cap}")
     _check_inputs(g, c)
-    return _count(_EngineGraph(g, c.k, attractive_limit), c, cap)
+    return _count(_EngineGraph(g, c.k), c, cap)
 
 
 def _count(eg: _EngineGraph, c: PartialColoring, cap: int) -> ExtensionOutcome:
@@ -553,7 +539,7 @@ def _count(eg: _EngineGraph, c: PartialColoring, cap: int) -> ExtensionOutcome:
 
     The caller has checked that cap >= 2 and that c is proper on eg.g. A
     search changes eg only by filling its lazy tables (the k-cliques and the
-    chi(N[w]) memo), pure functions of (g, k, limit). Before its first branch,
+    chi(N[w]) memo), pure functions of (g, k). Before its first branch,
     which builds the cliques, it reads them only at a dead end of the root,
     where it stops either way (see search). So one eg shared by many searches
     gives each the outcome fresh tables would.
@@ -572,11 +558,3 @@ def _count(eg: _EngineGraph, c: PartialColoring, cap: int) -> ExtensionOutcome:
         witness2=dict(enumerate(eng.witness2)),
         count=found,
     )
-
-
-def is_extendable(g: Graph, c: PartialColoring) -> bool:
-    return count_extensions(g, c).kind is not ExtensionKind.NOT_EXTENDABLE
-
-
-def is_sudoku_coloring(g: Graph, c: PartialColoring) -> bool:
-    return count_extensions(g, c).kind is ExtensionKind.UNIQUE

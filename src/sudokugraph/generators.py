@@ -297,45 +297,46 @@ def sudoku_grid(b: int) -> Graph:
     return build(side * side, sorted(edges))
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Build the graph a FamilySpec describes, validating its parameters."""
+# Each family's builder and the integer parameters it takes, in order.
+_BUILDERS = {
+    Family.PATH: (path, ("n",)),
+    Family.CYCLE: (cycle, ("n",)),
+    Family.COMPLETE: (complete, ("n",)),
+    Family.COMPLETE_MULTIPARTITE: (complete_multipartite, ()),
+    Family.STAR: (star, ("n",)),
+    Family.TREE: (tree, ("n",)),
+    Family.FRIENDSHIP: (friendship, ("m",)),
+    Family.AMALGAM: (amalgam, ("m", "n", "r")),
+    Family.TADPOLE: (tadpole, ("n", "m")),
+    Family.LOLLIPOP: (lollipop, ("n", "m")),
+    Family.CYCLE_OF_CLIQUES: (cycle_of_cliques, ("n", "m")),
+    Family.CYCLE_OF_CLIQUES_MINUS: (cycle_of_cliques_minus, ("n", "m")),
+    Family.STACKED_TRIANGULATION: (stacked_triangulation, ()),
+    Family.FAN: (fan, ("n",)),
+    Family.WHEEL: (wheel, ("n",)),
+    Family.SUDOKU_GRID: (sudoku_grid, ("b",)),
+}
+
+
+def family_args(spec: FamilySpec) -> tuple:
+    """Check spec's parameters (their ranges are the builder's) and return its arguments."""
     fam, p = spec.family, spec.params
-    if fam is Family.PATH:
-        return path(_need(p, "n"))
-    if fam is Family.CYCLE:
-        return cycle(_need(p, "n"))
-    if fam is Family.COMPLETE:
-        return complete(_need(p, "n"))
+    if fam not in _BUILDERS:
+        raise InvalidFamilyParamsError(f"unknown family {fam!r}")
     if fam is Family.COMPLETE_MULTIPARTITE:
         parts = p.get("parts")
         if not isinstance(parts, (list, tuple)):
             raise InvalidFamilyParamsError("complete-multipartite needs a 'parts' list")
-        return complete_multipartite(list(parts))
-    if fam is Family.STAR:
-        return star(_need(p, "n"))
-    if fam is Family.TREE:
-        return tree(_need(p, "n"), p.get("seed", 0))
-    if fam is Family.FRIENDSHIP:
-        return friendship(_need(p, "m"))
-    if fam is Family.AMALGAM:
-        return amalgam(_need(p, "m"), _need(p, "n"), _need(p, "r"))
-    if fam is Family.TADPOLE:
-        return tadpole(_need(p, "n"), _need(p, "m"))
-    if fam is Family.LOLLIPOP:
-        return lollipop(_need(p, "n"), _need(p, "m"))
-    if fam is Family.CYCLE_OF_CLIQUES:
-        return cycle_of_cliques(_need(p, "n"), _need(p, "m"))
-    if fam is Family.CYCLE_OF_CLIQUES_MINUS:
-        return cycle_of_cliques_minus(_need(p, "n"), _need(p, "m"))
+        return (list(parts),)
     if fam is Family.STACKED_TRIANGULATION:
         att = p.get("attachments")
         if not isinstance(att, (list, tuple)):
             raise InvalidFamilyParamsError("stacked-triangulation needs an 'attachments' list of edges")
-        return stacked_triangulation([tuple(a) for a in att])
-    if fam is Family.FAN:
-        return fan(_need(p, "n"))
-    if fam is Family.WHEEL:
-        return wheel(_need(p, "n"))
-    if fam is Family.SUDOKU_GRID:
-        return sudoku_grid(_need(p, "b"))
-    raise InvalidFamilyParamsError(f"unknown family {fam!r}")
+        return (list(att),)
+    args = tuple(_need(p, key) for key in _BUILDERS[fam][1])
+    return (*args, p.get("seed", 0)) if fam is Family.TREE else args
+
+
+def generate(spec: FamilySpec) -> Graph:
+    """Build the graph a FamilySpec describes, validating its parameters."""
+    return _BUILDERS[spec.family][0](*family_args(spec))

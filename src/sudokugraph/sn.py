@@ -7,16 +7,10 @@ import time
 from dataclasses import dataclass, field
 from math import comb, isnan
 
-from .chromatic import chromatic_number
+from .chromatic import SearchExpired, chromatic_number
 from .coloring import ExtensionKind, PartialColoring, is_proper
 from .errors import BudgetExceededError, DisconnectedGraphError
-from .extension import (
-    DEFAULT_ATTRACTIVE_LIMIT,
-    SearchExpired,
-    _Engine,
-    _EngineGraph,
-    count_extensions,
-)
+from .extension import _Engine, _EngineGraph, count_extensions
 from .graph import Graph, build, is_connected
 
 PROVENANCE_EXACT = "exact-search"
@@ -365,17 +359,22 @@ def sn_exact(
       budgets, so subsets_examined, pruned_by and the budget stops do not
       change.
 
-    A time budget is also checked inside each support's engine work, so one
-    long completion search cannot overrun it.
+    The time budget starts before the chromatic number, which runs under its
+    deadline, and is also checked inside each support's engine work, so
+    neither a long chi search nor one long completion search can overrun it.
     """
     _check_seconds(max_seconds)
     if g.n < 2:
         raise ValueError("Sudoku numbers need at least 2 vertices (chi >= 2)")
+    budget = _Budget(max_subsets, max_seconds)
     if not is_connected(g):
         raise DisconnectedGraphError("Sudoku numbers are defined for connected graphs")
-    k, _ = chromatic_number(g)
+    try:
+        k, _ = chromatic_number(g, deadline=budget.deadline)
+    except SearchExpired:
+        # Every connected graph on >= 2 vertices needs a nonempty support.
+        raise budget.expired(1) from None
     tables = _suffix_tables(g, k, prune and k >= 3)
-    budget = _Budget(max_subsets, max_seconds)
     subsets_examined = 0
     colorings_examined = 0
     pruned_by = {PRUNE_PENDANT: 0, PRUNE_UNCOLORED_EDGE: 0}
@@ -392,7 +391,7 @@ def sn_exact(
             elapsed_seconds=budget.elapsed(),
         )
 
-    eng = _Engine(_EngineGraph(g, k, DEFAULT_ATTRACTIVE_LIMIT), deadline=budget.deadline)
+    eng = _Engine(_EngineGraph(g, k), deadline=budget.deadline)
     orbits = _Orbits(g, budget.deadline)
     try:
         for size in range(search_lower_bound(k), g.n):

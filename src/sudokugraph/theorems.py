@@ -17,7 +17,7 @@ from typing import Callable
 from .chromatic import chromatic_number
 from .coloring import PartialColoring
 from .errors import InvalidFamilyParamsError
-from .generators import Family, FamilySpec, generate
+from .generators import Family, FamilySpec, family_args, generate
 from .graph import Graph, is_connected, bipartition
 from .sn import Certificate, VerificationResult, verify_certificate
 
@@ -271,8 +271,10 @@ def _case(name: str, spec: FamilySpec) -> Case:
 
 
 def expected_sn(name: str, spec: FamilySpec) -> int:
-    """The closed-form Sudoku number each case claims."""
-    return _case(name, spec).sn(spec)
+    """The closed-form Sudoku number each case claims, from parameters checked as generate does."""
+    case = _case(name, spec)
+    family_args(spec)
+    return case.sn(spec)
 
 
 def construct(name: str, spec: FamilySpec) -> Certificate:

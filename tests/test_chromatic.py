@@ -6,26 +6,38 @@ import pytest
 sys.path.insert(0, "tests")
 from oracles import brute_chromatic, brute_count_extensions, random_connected_graph
 
+import sudokugraph
 from sudokugraph import (
     BudgetExceededError,
+    ColorListState,
     PartialColoring,
     Family,
     FamilySpec,
     build,
     chromatic_number,
     count_color_partitions,
-    count_labeled_colorings,
+    count_list_colorings,
     find_k_coloring,
     generate,
     greedy_clique,
     greedy_coloring,
     is_proper,
-    is_uniquely_colorable,
 )
 
 
 def make(family, **params):
     return generate(FamilySpec(family, params))
+
+
+def labeled_count(g, k, cap=None):
+    """Proper colorings from 1..k, each labeling counted: full lists, cap above k^n unless given."""
+    full = ColorListState.from_partial(g, PartialColoring(k, {}))
+    return count_list_colorings(g, full, k**g.n + 1 if cap is None else cap)
+
+
+def uniquely_colorable(g):
+    """One vertex partition among the chi-colorings."""
+    return count_color_partitions(g, chromatic_number(g)[0], 2) == 1
 
 
 def test_known_chromatic_numbers():
@@ -100,17 +112,17 @@ def test_chromatic_matches_brute_force():
 def test_count_labeled_colorings_cycle():
     # chromatic polynomial of C_n at k: (k-1)^n + (-1)^n (k-1)
     g = make(Family.CYCLE, n=5)
-    assert count_labeled_colorings(g, 3) == 2**5 - 2
-    assert count_labeled_colorings(g, 4) == 3**5 - 3
+    assert labeled_count(g, 3) == 2**5 - 2
+    assert labeled_count(g, 4) == 3**5 - 3
     g6 = make(Family.CYCLE, n=6)
-    assert count_labeled_colorings(g6, 2) == 2
-    assert count_labeled_colorings(g6, 3) == 2**6 + 2
+    assert labeled_count(g6, 2) == 2
+    assert labeled_count(g6, 3) == 2**6 + 2
 
 
 def test_count_labeled_colorings_cap_saturates():
     g = make(Family.CYCLE, n=5)
-    assert count_labeled_colorings(g, 3, cap=7) == 7
-    assert count_labeled_colorings(g, 3, cap=100) == 30
+    assert labeled_count(g, 3, cap=7) == 7
+    assert labeled_count(g, 3, cap=100) == 30
 
 
 def test_count_color_partitions():
@@ -123,12 +135,10 @@ def test_count_color_partitions():
 
 
 def test_is_uniquely_colorable():
-    assert is_uniquely_colorable(make(Family.PATH, n=6), 2)
-    assert is_uniquely_colorable(make(Family.COMPLETE, n=4), 4)
-    assert is_uniquely_colorable(make(Family.COMPLETE_MULTIPARTITE, parts=[2, 3, 2]), 3)
-    assert not is_uniquely_colorable(make(Family.CYCLE, n=5), 3)
-    with pytest.raises(ValueError):
-        is_uniquely_colorable(make(Family.CYCLE, n=5), 4)
+    assert uniquely_colorable(make(Family.PATH, n=6))
+    assert uniquely_colorable(make(Family.COMPLETE, n=4))
+    assert uniquely_colorable(make(Family.COMPLETE_MULTIPARTITE, parts=[2, 3, 2]))
+    assert not uniquely_colorable(make(Family.CYCLE, n=5))
 
 
 def test_labeled_count_is_factorial_times_partitions_at_chi():
@@ -139,7 +149,7 @@ def test_labeled_count_is_factorial_times_partitions_at_chi():
         g = random_connected_graph(rng, rng.randint(2, 7), extra=0.4)
         chi, _ = chromatic_number(g)
         parts = count_color_partitions(g, chi)
-        labeled = count_labeled_colorings(g, chi)
+        labeled = labeled_count(g, chi)
         assert labeled == parts * math.factorial(chi)
 
 
@@ -156,7 +166,7 @@ def test_count_labeled_colorings_matches_oracle():
         g = random_connected_graph(rng, rng.randint(1, 7), extra=rng.choice([0.2, 0.5, 0.8]))
         for k in range(1, 5):
             want = brute_count_extensions(g, PartialColoring(k, {}))
-            assert count_labeled_colorings(g, k) == want
+            assert labeled_count(g, k) == want
 
 
 def test_chromatic_number_of_long_odd_cycle():
@@ -166,3 +176,36 @@ def test_chromatic_number_of_long_odd_cycle():
     assert chi == 3
     assert witness.domain == frozenset(range(g.n))
     assert is_proper(g, witness)
+
+
+def test_greedy_coloring_is_dsatur():
+    # The reference DSATUR: most saturated first, ties to higher degree then
+    # lower index, lowest free color.
+    rng = random.Random(16)
+    for _ in range(200):
+        g = random_connected_graph(rng, rng.randint(1, 11), extra=rng.choice([0.1, 0.4, 0.85]))
+        seen, want = [0] * g.n, {}
+        for _ in range(g.n):
+            v = max(
+                (u for u in range(g.n) if u not in want),
+                key=lambda u: (seen[u].bit_count(), g.degree(u), -u),
+            )
+            bit = ~seen[v] & (seen[v] + 1)
+            want[v] = bit.bit_length()
+            for u in g.adj[v]:
+                seen[u] |= bit
+        assert greedy_coloring(g) == want
+
+
+def test_public_names_resolve_and_wrappers_are_gone():
+    for name in sudokugraph.__all__:
+        assert hasattr(sudokugraph, name), name
+    removed = (
+        "count_labeled_colorings",
+        "is_uniquely_colorable",
+        "is_extendable",
+        "is_sudoku_coloring",
+    )
+    for name in removed:
+        assert name not in sudokugraph.__all__
+        assert not hasattr(sudokugraph, name)

@@ -257,6 +257,18 @@ def test_sn_time_budget_holds_inside_one_support(capsys, tmp_path):
     assert obj["lower_bound"] >= 3
 
 
+def test_sn_time_budget_covers_the_chromatic_number(capsys, tmp_path):
+    # chi(C_9999) alone takes several seconds; the clock starts before it.
+    gpath = write_graph(capsys, tmp_path, "c9999.txt", ["--family", "cycle", "--n", "9999"])
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["sn", "--in", gpath, "--budget-seconds", "1"])
+    assert time.perf_counter() - start < 4
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["error"] == "budget-exceeded"
+    assert obj["lower_bound"] == 1
+
+
 def test_sn_disconnected_graph_exits_2(capsys, monkeypatch):
     feed_stdin(monkeypatch, b"4 2\n0 1\n2 3\n")
     code, out, err = run(capsys, ["sn"])

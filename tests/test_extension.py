@@ -20,9 +20,7 @@ from sudokugraph import (
     count_extensions,
     count_list_colorings,
     generate,
-    is_extendable,
     is_proper,
-    is_sudoku_coloring,
     propagate,
 )
 from sudokugraph import extension
@@ -50,7 +48,6 @@ def test_thirteen_cycle_support_is_sudoku():
     out = count_extensions(C13, C13_SUPPORT)
     assert out.kind is ExtensionKind.UNIQUE
     assert out.count == 1
-    assert is_sudoku_coloring(C13, C13_SUPPORT)
     assert out.witness1[11] == 1 and out.witness1[1] == 3
 
 
@@ -121,7 +118,6 @@ def test_triangle_with_shared_list_is_not_extendable():
     assert out.kind is ExtensionKind.NOT_EXTENDABLE
     assert out.count == 0
     assert out.witness1 is None
-    assert not is_extendable(g, PartialColoring(3, {0: 1}))
 
 
 def _rim_pendant_wheel(rim: int, pendants_per_rim: int):
@@ -153,13 +149,14 @@ def test_attractive_rule_forces_hub():
     assert out.kind is ExtensionKind.MULTIPLE
 
 
-def test_attractive_rule_skipped_beyond_neighborhood_limit():
+def test_attractive_rule_skipped_beyond_neighborhood_limit(monkeypatch):
     g, hub, pendant_of = _rim_pendant_wheel(4, 1)
     support = PartialColoring(3, {p: 3 for ps in pendant_of.values() for p in ps})
-    extended, trace, status = propagate(g, support, attractive_limit=3)
+    monkeypatch.setattr(extension, "DEFAULT_ATTRACTIVE_LIMIT", 3)
+    extended, trace, status = propagate(g, support)
     assert status is PropagationStatus.STUCK
     assert trace == ()
-    out = count_extensions(g, support, attractive_limit=3)
+    out = count_extensions(g, support)
     assert out.kind is ExtensionKind.MULTIPLE
 
 
@@ -177,14 +174,16 @@ def test_two_attractive_colors_is_a_dead_end():
     assert out.kind is ExtensionKind.NOT_EXTENDABLE
 
 
-def test_attractive_on_off_agree_on_kind():
+def test_attractive_on_off_agree_on_kind(monkeypatch):
     rng = random.Random(99)
     for _ in range(80):
         g = random_connected_graph(rng, rng.randint(2, 7), extra=0.4)
         chi, _ = chromatic_number(g)
         c = random_proper_partial(rng, g, chi)
         with_rule = count_extensions(g, c)
-        without = count_extensions(g, c, attractive_limit=0)
+        with monkeypatch.context() as m:
+            m.setattr(extension, "DEFAULT_ATTRACTIVE_LIMIT", 0)
+            without = count_extensions(g, c)
         assert with_rule.kind is without.kind
 
 
@@ -457,22 +456,20 @@ def test_k_clique_enumerator_stops_at_its_bound():
 
 def test_engine_deadline_stops_search_and_propagation():
     g, c = _seventeen_clue()
-    eg = extension._EngineGraph(g, 9, extension.DEFAULT_ATTRACTIVE_LIMIT)
+    eg = extension._EngineGraph(g, 9)
     assert extension._Engine(eg, c.assignments).search(2) == 1
     with pytest.raises(extension.SearchExpired):
         extension._Engine(eg, c.assignments, deadline=time.perf_counter()).search(2)
     # Placing one color starts attractive steps, which check the clock too.
     coc = generate(FamilySpec(Family.CYCLE_OF_CLIQUES, {"n": 3, "m": 4}))
-    eg = extension._EngineGraph(coc, 4, extension.DEFAULT_ATTRACTIVE_LIMIT)
+    eg = extension._EngineGraph(coc, 4)
     assert extension._Engine(eg).place(0, 1)
     with pytest.raises(extension.SearchExpired):
         extension._Engine(eg, deadline=time.perf_counter()).place(0, 1)
 
 
 def _engine_search(g, c, cap):
-    eng = extension._Engine(
-        extension._EngineGraph(g, c.k, extension.DEFAULT_ATTRACTIVE_LIMIT), c.assignments
-    )
+    eng = extension._Engine(extension._EngineGraph(g, c.k), c.assignments)
     found = eng.search(cap)
     return (found, eng.witness1, eng.witness2, eng.trace), eng
 
@@ -571,10 +568,7 @@ def test_probe_work_stays_within_the_search_work(monkeypatch):
     probes = 0
     for g, c in _cost_cases():
         for cap in (2, 5):
-            eng = extension._Engine(
-                extension._EngineGraph(g, c.k, extension.DEFAULT_ATTRACTIVE_LIMIT),
-                c.assignments,
-            )
+            eng = extension._Engine(extension._EngineGraph(g, c.k), c.assignments)
             search0, probe0 = eng.search_work, eng.probe_work
             sizes.clear()
             eng.search(cap)
@@ -600,7 +594,7 @@ def test_probe_checks_the_deadline(monkeypatch):
     monkeypatch.setattr(extension._Engine, "_probe", expire_then_probe)
     g, c = _seventeen_clue()
     eng = extension._Engine(
-        extension._EngineGraph(g, 9, extension.DEFAULT_ATTRACTIVE_LIMIT),
+        extension._EngineGraph(g, 9),
         c.assignments,
         deadline=time.perf_counter() + 3600.0,
     )

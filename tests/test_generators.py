@@ -110,8 +110,10 @@ def test_stacked_triangulation_growth():
 
 
 def test_stacked_triangulation_rejects_non_edge():
-    with pytest.raises(InvalidFamilyParamsError):
-        make(Family.STACKED_TRIANGULATION, attachments=[(1, 2), (0, 3)])
+    # a non-edge, a non-pair and a triple
+    for bad in ([(1, 2), (0, 3)], [5], [(0, 1, 2)]):
+        with pytest.raises(InvalidFamilyParamsError):
+            make(Family.STACKED_TRIANGULATION, attachments=bad)
 
 
 def test_fan_and_wheel_hubs():

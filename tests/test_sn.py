@@ -35,7 +35,7 @@ from sudokugraph import (
 )
 import sudokugraph.canon as canon
 import sudokugraph.sn as sn_module
-from sudokugraph.extension import DEFAULT_ATTRACTIVE_LIMIT, _Engine, _EngineGraph
+from sudokugraph.extension import _Engine, _EngineGraph
 from sudokugraph.sn import (
     PRUNE_PENDANT,
     PRUNE_UNCOLORED_EDGE,
@@ -244,7 +244,7 @@ def _canonical_loop(g, k, subset):
 
 def _support_engine(g, k):
     # An empty engine as sn_exact builds it, reused by every support walk.
-    return _Engine(_EngineGraph(g, k, DEFAULT_ATTRACTIVE_LIMIT))
+    return _Engine(_EngineGraph(g, k))
 
 
 def test_support_walk_matches_canonical_coloring_loop():

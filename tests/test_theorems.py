@@ -171,6 +171,21 @@ def test_construct_rejects_out_of_scope_params():
         construct("wheel", spec(Family.WHEEL))
 
 
+@pytest.mark.parametrize(
+    "case, bad",
+    [
+        ("wheel", spec(Family.WHEEL)),
+        ("odd-cycle", spec(Family.CYCLE, n="x")),
+        ("amalgam", spec(Family.AMALGAM, m=2, n=4)),
+    ],
+)
+def test_expected_sn_checks_params_as_generate_does(case, bad):
+    with pytest.raises(InvalidFamilyParamsError):
+        generate(bad)
+    with pytest.raises(InvalidFamilyParamsError):
+        expected_sn(case, bad)
+
+
 def test_fast_suite_is_green():
     report = theorem_suite(SuiteScale.FAST)
     assert report.scale is SuiteScale.FAST
