@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from math import comb, isnan
@@ -470,6 +469,32 @@ class ScanReport:
     counterexamples: list[dict]
 
 
+def _is_least(nbr: list[int]) -> bool:
+    """True when the mask with neighbour bitsets nbr is canonical (see below)."""
+    n = len(nbr)
+    image = [0] * n  # image[j] is pi(j)
+
+    def place(i: int, free: int) -> bool:
+        cand = free
+        for j in range(n - 1, i, -1):
+            w = nbr[image[j]]
+            if nbr[i] >> j & 1:
+                if cand & ~w:
+                    return False
+                cand &= w
+            else:
+                cand &= ~w
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[i] = low.bit_length() - 1
+            if i and not place(i - 1, free ^ low):
+                return False
+        return True
+
+    return place(n - 1, (1 << n) - 1)
+
+
 def connected_graphs_up_to_iso(n: int):
     """All connected graphs on exactly n vertices, one per isomorphism class.
 
@@ -492,13 +517,24 @@ def connected_graphs_up_to_iso(n: int):
     (which has no bit at or below e) plus bit d, one bit more than C'.
     Both are contradictions.
 
+    Whether M is canonical is decided row by row. Relabelled by pi, pair
+    (i, j) of the new mask is pair (pi(i), pi(j)) of M. From the top, a mask
+    reads row n-2, row n-3, ..., row 0, row i being the pairs (i, j), j > i,
+    from j = n-1 down; it depends only on pi(i..n-1). So pi(n-1), pi(n-2),
+    ..., pi(0) are picked in turn, the rows above i equal to M's. A free
+    vertex whose row (its edges to pi(n-1), ..., pi(i+1)) first differs from
+    M's row i by a missing edge makes the new mask smaller whatever follows,
+    so M is not canonical; one that first differs by an extra edge makes it
+    larger and is cut; the rest, where the bitsets nbr[pi(j)] or their
+    complements meet, are branched on. So M is canonical exactly when the
+    branches run out: the verdict of comparing all n! relabellings.
+
     The tree is walked in post-order on an explicit stack, children by
     descending b: a node is the largest mask of its subtree and a larger b
-    gives smaller masks, so masks come out ascending. A child that fails
-    the permutation test has no canonical descendant, and one that is
-    disconnected has no connected descendant (each is a spanning subgraph
-    of it), so either is dropped with its subtree; connectivity is tested
-    first because it is cheaper.
+    gives smaller masks, so masks come out ascending. A child that is not
+    canonical has no canonical descendant, and one that is disconnected has
+    no connected descendant (each is a spanning subgraph of it), so either
+    is dropped with its subtree; connectivity is tested first (cheaper).
     """
     if n < 1:
         return
@@ -506,28 +542,9 @@ def connected_graphs_up_to_iso(n: int):
         yield build(1, [])
         return
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {p: i for i, p in enumerate(pairs)}
-    emaps = []
-    for perm in itertools.permutations(range(n)):
-        emap = [0] * len(pairs)
-        for (i, j), idx in index.items():
-            a, b = perm[i], perm[j]
-            emap[idx] = 1 << index[(a, b) if a < b else (b, a)]
-        emaps.append(emap)
-    emaps = emaps[1:]
     full_vertex_mask = (1 << n) - 1
 
-    def connected(mask: int) -> bool:
-        if mask.bit_count() < n - 1:
-            return False
-        nbr = [0] * n
-        rest = mask
-        while rest:
-            low = rest & (-rest)
-            rest ^= low
-            u, v = pairs[low.bit_length() - 1]
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
+    def connected(nbr: list[int]) -> bool:
         seen = 1
         frontier = 1
         while frontier:
@@ -541,27 +558,12 @@ def connected_graphs_up_to_iso(n: int):
             seen |= frontier
         return seen == full_vertex_mask
 
-    def minimal(mask: int) -> bool:
-        for emap in emaps:
-            mm = 0
-            b = mask
-            while b:
-                low = b & (-b)
-                b ^= low
-                mm |= emap[low.bit_length() - 1]
-                if mm >= mask:
-                    break
-            else:
-                if mm < mask:
-                    return False
-        return True
-
-    # Frames are [mask, untried]: bits 0..untried-1 of mask's trailing ones
-    # are still to be cleared, the highest first.
-    stack = [[(1 << len(pairs)) - 1, len(pairs)]]
+    # Frames are [mask, untried, nbr]: bits 0..untried-1 of mask's trailing
+    # ones are still to be cleared, the highest first; nbr holds neighbour bitsets.
+    stack = [[(1 << len(pairs)) - 1, len(pairs), [full_vertex_mask ^ 1 << v for v in range(n)]]]
     while stack:
         frame = stack[-1]
-        mask, b = frame
+        mask, b, nbr = frame
         if b == 0:
             stack.pop()
             yield build(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
@@ -569,8 +571,14 @@ def connected_graphs_up_to_iso(n: int):
         b -= 1
         frame[1] = b
         child = mask ^ (1 << b)
-        if connected(child) and minimal(child):
-            stack.append([child, b])
+        if child.bit_count() < n - 1:
+            continue
+        u, v = pairs[b]
+        child_nbr = nbr.copy()
+        child_nbr[u] ^= 1 << v
+        child_nbr[v] ^= 1 << u
+        if connected(child_nbr) and _is_least(child_nbr):
+            stack.append([child, b, child_nbr])
 
 
 def conjecture_scan(max_n: int, *, max_seconds: float | None = None) -> ScanReport:

@@ -8,6 +8,7 @@ package's support generator and coloring walk one item at a time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -155,18 +156,10 @@ def canonical_colorings(g: Graph, subset, k: int):
     yield from rec(0, 0)
 
 
-def brute_connected_graphs(n: int):
-    """Connected graphs on n vertices, one per isomorphism class, by brute force.
-
-    Tests every edge mask (bit i is the i-th pair (u, v), u < v, in
-    lexicographic order) against every vertex permutation, and keeps a
-    connected mask when it is minimal over all of them. Ascending mask order.
-    """
-    if n < 1:
-        return
-    if n == 1:
-        yield build(1, [])
-        return
+@functools.cache
+def _pairs_and_emaps(n: int):
+    """The pairs (u, v), u < v, in lexicographic order, and for every vertex
+    permutation but the identity the image bit of each pair's bit."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     index = {p: i for i, p in enumerate(pairs)}
     emaps = []
@@ -176,7 +169,41 @@ def brute_connected_graphs(n: int):
             a, b = perm[i], perm[j]
             emap[idx] = 1 << index[(a, b) if a < b else (b, a)]
         emaps.append(emap)
-    emaps = emaps[1:]
+    return pairs, emaps[1:]
+
+
+def brute_is_least(n: int, mask: int) -> bool:
+    """Whether no vertex permutation maps edge mask `mask` (bit i is the i-th
+    pair (u, v), u < v, in lexicographic order) to a smaller one, by trying
+    all n! - 1 of them."""
+    for emap in _pairs_and_emaps(n)[1]:
+        mm = 0
+        b = mask
+        while b:
+            low = b & (-b)
+            b ^= low
+            mm |= emap[low.bit_length() - 1]
+            if mm >= mask:
+                break
+        else:
+            if mm < mask:
+                return False
+    return True
+
+
+def brute_connected_graphs(n: int):
+    """Connected graphs on n vertices, one per isomorphism class, by brute force.
+
+    Tests every edge mask against every vertex permutation (brute_is_least),
+    and keeps a connected mask when it is minimal over all of them. Ascending
+    mask order.
+    """
+    if n < 1:
+        return
+    if n == 1:
+        yield build(1, [])
+        return
+    pairs = _pairs_and_emaps(n)[0]
     full_vertex_mask = (1 << n) - 1
     for mask in range(1, 1 << len(pairs)):
         if mask.bit_count() < n - 1:
@@ -200,23 +227,7 @@ def brute_connected_graphs(n: int):
                 nxt |= nbr[lb.bit_length() - 1]
             frontier = nxt & ~seen
             seen |= frontier
-        if seen != full_vertex_mask:
-            continue
-        minimal = True
-        for emap in emaps:
-            mm = 0
-            b = mask
-            while b:
-                low = b & (-b)
-                b ^= low
-                mm |= emap[low.bit_length() - 1]
-                if mm >= mask:
-                    break
-            else:
-                if mm < mask:
-                    minimal = False
-                    break
-        if not minimal:
+        if seen != full_vertex_mask or not brute_is_least(n, mask):
             continue
         edges = []
         rest = mask

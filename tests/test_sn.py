@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, "tests")
 from oracles import (
     brute_connected_graphs,
+    brute_is_least,
     brute_is_sudoku,
     brute_sn,
     canonical_colorings,
@@ -390,16 +391,84 @@ def test_orderly_generator_matches_brute_force_enumerator():
         assert [g.edges for g in orderly] == [g.edges for g in brute_connected_graphs(n)]
 
 
-def test_orderly_generator_is_lazy():
+def test_orderly_generator_n7():
+    gs = list(connected_graphs_up_to_iso(7))
+    pairs = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    assert len(gs) == 853  # OEIS A001349
+    assert gs[0].edges == tuple((0, v) for v in range(1, 7))
+    assert gs[-1].edges == tuple(pairs)
+    masks = [sum(1 << pairs.index(e) for e in g.edges) for g in gs]
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+
+
+def _mask(nbr):
+    n = len(nbr)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return sum(1 << i for i, (u, v) in enumerate(pairs) if nbr[u] >> v & 1)
+
+
+def test_is_least_matches_permutation_oracle_on_orderly_walk(monkeypatch):
+    # Every child the walk tests for n <= 6 gets the oracle's verdict, and
+    # the walk follows the oracle, so it tests the oracle's children.
+    tested = []
+    real = sn_module._is_least
+
+    def spy(nbr):
+        verdict = brute_is_least(len(nbr), _mask(nbr))
+        assert real(nbr) == verdict
+        tested.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(sn_module, "_is_least", spy)
+    for n, count in A001349.items():
+        assert len(list(connected_graphs_up_to_iso(n))) == count
+    assert tested.count(True) == sum(A001349.values()) - len(A001349)
+    assert tested.count(False) > 100
+
+
+def test_is_least_matches_permutation_oracle_on_random_n7():
+    rng = random.Random(12)
+    verdicts = []
+    for t in range(2000):
+        g = random_connected_graph(rng, 7, extra=rng.random())
+        if t % 2:
+            # Higher degree first pushes edges down the mask, near the least one.
+            order = sorted(range(7), key=lambda v: -g.degree(v))
+            g = relabel(g, [order.index(v) for v in range(7)])
+        nbr = [0] * 7
+        for u, v in g.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        verdict = brute_is_least(7, _mask(nbr))
+        assert sn_module._is_least(nbr) == verdict, g.edges
+        verdicts.append(verdict)
+    assert 50 < verdicts.count(True) < 1950
+
+
+def test_orderly_generator_is_lazy(monkeypatch):
     first = next(connected_graphs_up_to_iso(7))
     assert first.n == 7
     assert first.edges == tuple((0, v) for v in range(1, 7))
-    # The budget is checked between classes, so a generator that enumerated
-    # all of n = 7 before its first yield would overrun it by seconds.
+    # The budget is checked between classes. Listing all of n = 7 takes
+    # well under it, so this part cannot tell a lazy generator from an
+    # eager one; the call count below can.
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
         conjecture_scan(7, max_seconds=0.5)
     assert time.perf_counter() - start < 2.5
+    # The first n = 8 class (the star) comes after a small part of the walk.
+    calls = 0
+    real = sn_module._is_least
+
+    def counting(nbr):
+        nonlocal calls
+        calls += 1
+        return real(nbr)
+
+    monkeypatch.setattr(sn_module, "_is_least", counting)
+    first = next(connected_graphs_up_to_iso(8))
+    assert first.edges == tuple((0, v) for v in range(1, 8))
+    assert calls < 100  # of 19,856 for the whole walk
 
 
 def test_nan_time_budget_is_rejected():
