@@ -189,17 +189,20 @@ def chromatic_number(
 
 
 def count_color_partitions(
-    g: Graph, k: int, cap: int | None = None, *, budget: int = DEFAULT_NODE_BUDGET
+    g: Graph, k: int, cap: int | None = None, *, budget: int = DEFAULT_NODE_BUDGET,
+    deadline: float | None = None,
 ) -> int:
     """Number of proper colorings with <= k colors counted up to color permutation.
 
     cap None means count exactly. Counts the colorings whose colors appear
-    in the search in the order 1, 2, 3, ...: one per vertex partition.
+    in the search in the order 1, 2, 3, ...: one per vertex partition. Past
+    the deadline (a time.perf_counter() value) it raises SearchExpired.
     """
     if k < 0 or (cap is not None and cap < 1):
         raise ValueError("need k >= 0 and cap >= 1")
     lists = [(1 << k) - 1] * g.n
-    return _search(g, lists, cap=cap, budget=budget, fresh=True, what="partition count")[0]
+    return _search(g, lists, cap=cap, budget=budget, fresh=True, deadline=deadline,
+                   what="partition count")[0]
 
 
 def count_list_colorings(g: Graph, state: ColorListState, cap: int = 2) -> int:

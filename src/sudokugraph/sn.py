@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from math import comb, isnan
 
-from .chromatic import SearchExpired, chromatic_number
+from .chromatic import SearchExpired, chromatic_number, count_color_partitions
 from .coloring import ExtensionKind, PartialColoring, is_proper
 from .errors import BudgetExceededError, DisconnectedGraphError
 from .extension import _Engine, _EngineGraph, count_extensions
@@ -22,6 +23,7 @@ PRUNE_UNCOLORED_EDGE = "uncolored-edge"
 ORBIT_START = 16
 # Most supports marked as images of evaluated ones, per support size.
 ORBIT_LIMIT = 1 << 15
+ORBIT_TABLE_BYTES = 1 << 24  # most bytes of generator image tables (see _Orbits)
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,31 @@ def _supports(n: int, size: int, tables):
             return
 
 
+def _pattern(adj, verts) -> tuple[tuple[int, ...], ...]:
+    """G[S] for sorted verts: per position i, the positions j < i of its neighbours."""
+    position = {v: i for i, v in enumerate(verts)}
+    return tuple(tuple(position[u] for u in adj[v] if u < v and u in position) for v in verts)
+
+
+def _twin_classes(g: Graph) -> list[int]:
+    """Bitmasks of the classes of two or more closed twins (N[u] == N[v])."""
+    classes: dict[tuple[int, ...], int] = defaultdict(int)
+    for v in range(g.n):
+        classes[tuple(sorted(g.adj[v] + (v,)))] |= 1 << v
+    return [c for c in classes.values() if c & (c - 1)]
+
+
+def _loser_count(g: Graph, k: int, subset, memo: dict, deadline: float | None) -> int:
+    """_evaluate_subset's count for a loser: partitions of G[S] into max(k-1, 1)..k sets."""
+    pattern = _pattern(g.adj, subset)
+    if pattern not in memo:
+        sub = build(len(subset), [(j, i) for i, row in enumerate(pattern) for j in row])
+        fewer = search_lower_bound(k) - 1
+        high, low = (count_color_partitions(sub, c, deadline=deadline) for c in (k, fewer))
+        memo[pattern] = high - low
+    return memo[pattern]
+
+
 def _evaluate_subset(eng: _Engine, subset):
     """Try the canonical colorings of one support, in canonical order.
 
@@ -180,11 +207,7 @@ def _evaluate_subset(eng: _Engine, subset):
     verts = sorted(subset)
     t = len(verts)
     need = k - 1 if k >= 3 else 1
-    position = {v: i for i, v in enumerate(verts)}
-    earlier = [
-        tuple(position[u] for u in eng.adj[v] if position.get(u, t) < i)
-        for i, v in enumerate(verts)
-    ]
+    earlier = _pattern(eng.adj, verts)
     color, lists = eng.color, eng.lists
     colors = [0] * t
     used = [0] * (t + 1)  # used[i]: highest color on positions < i
@@ -266,48 +289,54 @@ class _Budget:
 
 
 class _Orbits:
-    """Supports of one size that are images of an evaluated support under Aut(G).
+    """Supports of one size that are images of a losing support under Aut(G).
 
-    rep[s] is the evaluated support that s is an image of (s itself once s is
-    evaluated) and tried[r] the colorings r tried. The generators come from
-    canon.automorphism_generators once ORBIT_START supports have been
-    evaluated; canon is imported then too, so a search that ends sooner, and
-    every command that never searches, skips even loading it.
+    counted[s], s a vertex bitmask, is the count of the loser s is an image
+    of (s itself included). Generators come from canon.automorphism_generators
+    once ORBIT_START supports have lost, and canon is imported only then, so
+    short searches skip even loading it. Each becomes a table per byte of a
+    support, from the byte to its image's bitmask; those past
+    ORBIT_TABLE_BYTES (about 4n(n + 256) bytes each) are dropped.
     """
 
     def __init__(self, g: Graph, deadline: float | None):
         self.g = g
         self.deadline = deadline
-        self.gens: list[tuple[int, ...]] | None = None
+        self.tables: list[list[list[int]]] | None = None
         self.evaluated = 0
-        self.rep: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.tried: dict[tuple[int, ...], int] = {}
+        self.counted: dict[int, int] = {}
 
-    def new_size(self) -> None:
-        self.rep.clear()
-        self.tried.clear()
-
-    def mark(self, subset: tuple[int, ...]) -> None:
-        """Mark subset's orbit, breadth first over the generators, up to ORBIT_LIMIT."""
+    def mark(self, support: int, tried: int) -> None:
+        """Mark support's orbit, breadth first over the generators, up to ORBIT_LIMIT."""
         self.evaluated += 1
-        if self.gens is None:
+        if self.tables is None:
             if self.evaluated < ORBIT_START:
                 return
             from . import canon
 
-            self.gens = canon.automorphism_generators(self.g, self.deadline)[0]
-        rep = self.rep
-        if not self.gens or len(rep) >= ORBIT_LIMIT:
+            gens = canon.automorphism_generators(self.g, self.deadline)[0]
+            self.tables = []
+            for gamma in gens[: ORBIT_TABLE_BYTES // (4 * self.g.n * (self.g.n + 256))]:
+                self.tables.append(tables := [])
+                for lo in range(0, len(gamma), 8):
+                    tables.append(table := [0])
+                    for w in gamma[lo : lo + 8]:
+                        table += [x | 1 << w for x in table]
+        counted = self.counted
+        if not self.tables or len(counted) >= ORBIT_LIMIT:
             return
-        rep[subset] = subset
-        frontier = [subset]
+        counted[support] = tried
+        frontier = [support]
         for s in frontier:
-            for gamma in self.gens:
-                image = tuple(sorted([gamma[v] for v in s]))
-                if image not in rep:
-                    if len(rep) >= ORBIT_LIMIT:
+            for tables in self.tables:
+                image, rest = 0, s
+                for table in tables:
+                    image |= table[rest & 255]
+                    rest >>= 8
+                if image not in counted:
+                    if len(counted) >= ORBIT_LIMIT:
                         return
-                    rep[image] = subset
+                    counted[image] = tried
                     frontier.append(image)
 
 
@@ -337,16 +366,20 @@ def sn_exact(
     extendable. Only live complete colorings run the completion search,
     capped at 2.
 
-    Supports in one orbit of Aut(G) are evaluated once. After a losing
-    evaluation, the support's orbit under automorphism generators is marked,
-    and a marked support is counted in colorings_examined with its
+    A support that leaves two closed twins (N[u] == N[v]) uncolored loses
+    under every coloring, as swapping their colors in a completion gives
+    another. It is settled without the engine, not pruned: it adds to
+    colorings_examined the count its evaluation would add (_loser_count).
+
+    Supports in one orbit of Aut(G) are evaluated once. After a support
+    loses, evaluated or settled, its orbit under automorphism generators is
+    marked, and a marked support is counted in colorings_examined with its
     representative's count instead of being evaluated. The output stays the
     same:
 
-    - Lemma survival and the count of a losing support (its canonical
-      colorings: the partitions of G[S] into between max(k-1, 1) and k
-      independent sets) are invariant under automorphisms, so a marked
-      support survives and its count is its representative's.
+    - Lemma survival and the count of a losing support (see _loser_count)
+      are invariant under automorphisms, so a marked support survives and
+      its count is its representative's.
     - An automorphism maps a winning support and its coloring to a winning
       support, so every image of a loser loses: a marked support is a loser
       that is not evaluated, and the count it adds is the one its
@@ -359,8 +392,8 @@ def sn_exact(
       change.
 
     The time budget starts before the chromatic number, which runs under its
-    deadline, and is also checked inside each support's engine work, so
-    neither a long chi search nor one long completion search can overrun it.
+    deadline, and is also checked inside each support's engine work or count,
+    so neither a long chi search nor one long completion can overrun it.
     """
     _check_seconds(max_seconds)
     if g.n < 2:
@@ -377,24 +410,13 @@ def sn_exact(
     subsets_examined = 0
     colorings_examined = 0
     pruned_by = {PRUNE_PENDANT: 0, PRUNE_UNCOLORED_EDGE: 0}
-
-    def finish(subset, assignments) -> SearchReport:
-        partial = PartialColoring(k, assignments)
-        cert = Certificate(g, partial, len(subset), PROVENANCE_EXACT)
-        return SearchReport(
-            sn=len(subset),
-            certificate=cert,
-            subsets_examined=subsets_examined,
-            colorings_examined=colorings_examined,
-            pruned_by=dict(pruned_by),
-            elapsed_seconds=budget.elapsed(),
-        )
-
     eng = _Engine(_EngineGraph(g, k), deadline=budget.deadline)
     orbits = _Orbits(g, budget.deadline)
+    twins = _twin_classes(g)
+    settled: dict = {}  # the memo of _loser_count
     try:
         for size in range(search_lower_bound(k), g.n):
-            orbits.new_size()
+            orbits.counted.clear()
             for subset, pendant_cut, edge_cut in _supports(g.n, size, tables):
                 if subset is None:
                     cut = pendant_cut + edge_cut
@@ -405,15 +427,20 @@ def sn_exact(
                     continue
                 budget.check(subsets_examined, size)
                 subsets_examined += 1
-                if subset in orbits.rep:
-                    colorings_examined += orbits.tried[orbits.rep[subset]]
+                bits = sum(1 << v for v in subset)
+                if bits in orbits.counted:
+                    colorings_examined += orbits.counted[bits]
                     continue
-                tried, win = _evaluate_subset(eng, subset)
+                if any((c & ~bits).bit_count() > 1 for c in twins):
+                    tried, win = _loser_count(g, k, subset, settled, budget.deadline), None
+                else:
+                    tried, win = _evaluate_subset(eng, subset)
                 colorings_examined += tried
                 if win is not None:
-                    return finish(subset, win)
-                orbits.tried[subset] = tried
-                orbits.mark(subset)
+                    cert = Certificate(g, PartialColoring(k, win), size, PROVENANCE_EXACT)
+                    counts = subsets_examined, colorings_examined, dict(pruned_by)
+                    return SearchReport(size, cert, *counts, budget.elapsed())
+                orbits.mark(bits, tried)
     except SearchExpired:
         raise budget.expired(size) from None
     raise AssertionError("unreachable: sn(G) <= n - 1 for every connected graph")

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 
@@ -23,6 +24,7 @@ from sudokugraph import (
     greedy_coloring,
     is_proper,
 )
+from sudokugraph.chromatic import SearchExpired
 
 
 def make(family, **params):
@@ -132,6 +134,9 @@ def test_count_color_partitions():
     assert count_color_partitions(k4, 4) == 1
     p4 = make(Family.PATH, n=4)
     assert count_color_partitions(p4, 2) == 1
+    assert count_color_partitions(g5, 3, deadline=float("inf")) == 5
+    with pytest.raises(SearchExpired):
+        count_color_partitions(g5, 3, deadline=time.perf_counter() - 1)
 
 
 def test_is_uniquely_colorable():

@@ -28,6 +28,7 @@ from sudokugraph import (
     chromatic_number,
     conjecture_scan,
     count_extensions,
+    expected_sn,
     generate,
     is_proper,
     relabel,
@@ -272,12 +273,36 @@ def _report_key(r):
     return (r.sn, r.certificate, r.subsets_examined, r.colorings_examined, r.pruned_by)
 
 
-def test_sn_exact_keeps_no_state_between_searches():
+def test_sn_exact_keeps_no_state_between_searches(monkeypatch):
     a = make(Family.CYCLE_OF_CLIQUES_MINUS, n=2, m=5)
     b = make(Family.WHEEL, n=7)
     alone = {g: _report_key(sn_exact(g)) for g in (a, b)}
-    for g in (a, b, a, b, b, a):
-        assert _report_key(sn_exact(g)) == alone[g]
+    # Each search finds the twin classes anew and counts twin-settled
+    # supports in a memo of its own that starts empty.
+    searches = []
+    twins, count = sn_module._twin_classes, sn_module._loser_count
+
+    def twins_spy(g):
+        searches.append((g, []))
+        return twins(g)
+
+    def count_spy(g, k, subset, memo, deadline):
+        searches[-1][1].append((memo, len(memo)))
+        return count(g, k, subset, memo, deadline)
+
+    with monkeypatch.context() as m:
+        m.setattr(sn_module, "_twin_classes", twins_spy)
+        m.setattr(sn_module, "_loser_count", count_spy)
+        for g in (a, b, a, b, b, a):
+            assert _report_key(sn_exact(g)) == alone[g]
+    assert [g for g, _ in searches] == [a, b, a, b, b, a]
+    memos = []
+    for g, seen in searches:
+        assert bool(seen) == (g is a)
+        if seen:
+            assert seen[0][1] == 0 and all(memo is seen[0][0] for memo, _ in seen)
+            memos.append(seen[0][0])
+    assert len({id(memo) for memo in memos}) == 3
     # Two engines walked in turn answer as each does alone.
     engines = {g: _support_engine(g, chromatic_number(g)[0]) for g in (a, b)}
     for subset in itertools.combinations(range(7), 4):
@@ -492,11 +517,12 @@ def _no_generators(m):
     m.setattr(canon, "automorphism_generators", lambda g, deadline=None: ([], 0))
 
 
-def _reference(monkeypatch, g, prune):
-    """The search with no automorphisms: (subsets walked, outcome under a subset budget).
+def _reference(monkeypatch, g, prune, off=None):
+    """The search with `off` applied: (subsets walked, outcome under a subset budget).
 
-    One full run records every budget check, so the outcome under a smaller
-    budget is read off instead of searched again.
+    `off` turns the orbit skip off unless it is given. One full run records
+    every budget check, so the outcome under a smaller budget is read off
+    instead of searched again.
     """
     checks = []
     inner = sn_module._Budget.check
@@ -506,7 +532,7 @@ def _reference(monkeypatch, g, prune):
         return inner(self, used, proven, count)
 
     with monkeypatch.context() as m:
-        _no_generators(m)
+        (off or _no_generators)(m)
         m.setattr(sn_module._Budget, "check", spy)
         full = sn_exact(g, prune=prune)
 
@@ -520,12 +546,13 @@ def _reference(monkeypatch, g, prune):
 
 
 # Module settings under which the orbit skip must not change any output:
-# as shipped, marking from the first evaluated support, and marking at most
-# one support per size.
+# as shipped, marking from the first evaluated support, marking at most one
+# support per size, and keeping tables for one generator on 9 vertices.
 ORBIT_SETTINGS = {
     "default": {},
     "eager": {"ORBIT_START": 1},
     "one mark": {"ORBIT_START": 1, "ORBIT_LIMIT": 1},
+    "few tables": {"ORBIT_START": 1, "ORBIT_TABLE_BYTES": 10_000},
 }
 
 
@@ -579,7 +606,10 @@ def test_orbit_skip_keeps_output_on_benchmark_graphs(monkeypatch):
 
 
 def test_orbit_skip_evaluates_fewer_supports(monkeypatch):
-    g = make(Family.CYCLE_OF_CLIQUES_MINUS, n=4, m=4)
+    # The 4x4 grid has no closed twins, so every support the orbit skip does
+    # not settle goes to the engine.
+    g = make(Family.SUDOKU_GRID, b=2)
+    assert sn_module._twin_classes(g) == []
     evaluated = []
     for skip in (True, False):
         calls = [0]
@@ -595,6 +625,123 @@ def test_orbit_skip_evaluates_fewer_supports(monkeypatch):
                 _no_generators(m)
             sn_exact(g)
         evaluated.append(calls[0])
-    # 3,816 supports are walked; most are images of earlier losers.
-    assert evaluated[1] == 3816
+    # 625 supports are walked; most are images of earlier losers.
+    assert evaluated[1] == 625
     assert evaluated[0] * 5 < evaluated[1]
+
+
+def test_orbit_tables_map_supports_as_the_generators_do(monkeypatch):
+    rng = random.Random(29)
+    for family, params, _ in BENCHMARK_GRAPHS:
+        g = make(family, **params)
+        gens = canon.automorphism_generators(g)[0]
+        orbits = sn_module._Orbits(g, None)
+        for _ in range(sn_module.ORBIT_START):
+            orbits.mark(1, 0)
+        assert len(orbits.tables) == len(gens)
+        for gamma, tables in zip(gens, orbits.tables):
+            for _ in range(20):
+                support = rng.sample(range(g.n), rng.randint(1, g.n))
+                image = 0
+                for table, shift in zip(tables, range(0, g.n, 8)):
+                    image |= table[sum(1 << v for v in support) >> shift & 255]
+                assert image == sum(1 << gamma[v] for v in support)
+    # Tables past ORBIT_TABLE_BYTES, about 4n(n + 256) bytes per generator,
+    # are dropped.
+    g = make(Family.CYCLE_OF_CLIQUES_MINUS, n=4, m=4)
+    monkeypatch.setattr(sn_module, "ORBIT_TABLE_BYTES", 2 * 4 * g.n * (g.n + 256))
+    orbits = sn_module._Orbits(g, None)
+    for _ in range(sn_module.ORBIT_START):
+        orbits.mark(1, 0)
+    assert len(orbits.tables) == 2 < len(canon.automorphism_generators(g)[0])
+
+
+def _no_twins(m):
+    m.setattr(sn_module, "_twin_classes", lambda g: [])
+
+
+def _plant_twins(rng, g):
+    """g plus one or two new vertices, each a closed twin of a random earlier vertex."""
+    adj = [set(nbrs) for nbrs in g.adj]
+    for _ in range(rng.randint(1, 2)):
+        v = rng.randrange(len(adj))
+        w = len(adj)
+        adj.append(adj[v] | {v})
+        for u in adj[w]:
+            adj[u].add(w)
+    return build(len(adj), [(u, w) for w in range(len(adj)) for u in adj[w] if u < w])
+
+
+def _check_twin_shortcut_identity(monkeypatch, g, prune, budgets=True):
+    """Outputs with and without the twin shortcut agree; returns the supports it settled.
+
+    A spy walks every settled support on an engine of its own and requires
+    the count the shortcut used and no winner.
+    """
+    s, want = _reference(monkeypatch, g, prune, off=_no_twins)
+    eng = _support_engine(g, chromatic_number(g)[0])
+    inner = sn_module._loser_count
+    settled = []
+
+    def spy(graph, k, subset, memo, deadline):
+        tried = inner(graph, k, subset, memo, deadline)
+        assert _evaluate_subset(eng, subset) == (tried, None), (subset, g.edges)
+        settled.append(subset)
+        return tried
+
+    with monkeypatch.context() as m:
+        m.setattr(sn_module, "_loser_count", spy)
+        assert _outcome(g, prune, None) == want(None), (g.edges, prune)
+    for budget in (0, s // 2, s - 1) if budgets else ():
+        assert _outcome(g, prune, budget) == want(budget), (budget, g.edges, prune)
+    return len(settled)
+
+
+def test_twin_shortcut_keeps_output_on_random_graphs(monkeypatch):
+    rng = random.Random(1307)
+    fired = 0
+    for i in range(300):
+        g = random_connected_graph(rng, rng.randint(3, 9), extra=rng.choice([0.1, 0.3, 0.5, 0.8]))
+        if i % 2 and g.n < 9:
+            g = _plant_twins(rng, g)
+        for prune in (True, False):
+            fired += _check_twin_shortcut_identity(monkeypatch, g, prune) > 0
+    # The shortcut settles supports in about a third of the 600 searches.
+    assert fired >= 150
+
+
+def test_twin_shortcut_keeps_output_on_benchmark_graphs(monkeypatch):
+    fired = 0
+    for family, params, unpruned in BENCHMARK_GRAPHS:
+        g = make(family, **params)
+        for prune in (True, False) if unpruned else (True,):
+            fired += _check_twin_shortcut_identity(monkeypatch, g, prune) > 0
+    # The shortcut settles supports in the three cycle-of-cliques-minus
+    # searches with and without pruning, and without pruning on F_6 and the
+    # cycle of cliques, where the lemmas otherwise cut those supports.
+    assert fired == 8
+
+
+def test_twin_shortcut_counts_run_under_the_time_budget(monkeypatch):
+    g = make(Family.CYCLE_OF_CLIQUES_MINUS, n=4, m=5)
+    deadlines = set()
+    inner = sn_module.count_color_partitions
+
+    def spy(sub, k, *, deadline):
+        deadlines.add(deadline)
+        return inner(sub, k, deadline=deadline)
+
+    monkeypatch.setattr(sn_module, "count_color_partitions", spy)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        sn_exact(g, max_seconds=1)
+    assert time.perf_counter() - start < 3
+    assert len(deadlines) == 1 and None not in deadlines
+
+
+@pytest.mark.parametrize("family", [Family.CYCLE_OF_CLIQUES, Family.CYCLE_OF_CLIQUES_MINUS])
+def test_sn_exact_on_five_block_clique_cycles(family):
+    spec = FamilySpec(family, {"n": 3, "m": 5})
+    report = sn_exact(generate(spec))
+    assert report.sn == expected_sn(family.value, spec)
+    assert verify_certificate(report.certificate).ok
