@@ -50,7 +50,6 @@ from .io import (
     graph_to_object,
     parse_coloring,
     parse_graph,
-    serialize_coloring,
     serialize_graph,
 )
 from .sn import (
@@ -126,7 +125,6 @@ __all__ = [
     "parse_coloring",
     "parse_graph",
     "relabel",
-    "serialize_coloring",
     "serialize_graph",
     "sn_exact",
     "theorem_suite",

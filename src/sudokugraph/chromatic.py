@@ -31,6 +31,25 @@ class SearchExpired(Exception):
     """
 
 
+def _fewest_colors(order, color: list[int], lists: list[int], enough: int) -> int:
+    """The first uncolored vertex in order whose list (a color bitmask) is shortest.
+
+    The scan stops at the first list of at most `enough` colors, a length
+    the caller knows no uncolored list can undercut. Returns -1 when every
+    vertex is colored. Both searches branch on it: `_search` over its degree
+    order, the extension engine over range(n).
+    """
+    best, fewest = -1, 1 << 62
+    for v in order:
+        if not color[v]:
+            f = lists[v].bit_count()
+            if f < fewest:
+                best, fewest = v, f
+                if f <= enough:
+                    break
+    return best
+
+
 def _search(
     g: Graph,
     lists: list[int],
@@ -70,17 +89,10 @@ def _search(
         if left:
             nodes += 1
             if nodes > budget:
-                raise BudgetExceededError(f"{what} exceeded {budget} nodes", nodes=nodes)
+                raise BudgetExceededError(f"{what} exceeded {budget} nodes")
             if deadline is not None and time.perf_counter() >= deadline:
                 raise SearchExpired
-            best, fewest = -1, 1 << 62
-            for u in order:
-                if not color[u]:
-                    f = free[u].bit_count()
-                    if f < fewest:
-                        best, fewest = u, f
-                        if not f:
-                            break
+            best = _fewest_colors(order, color, free, 0)
             bits = free[best] & ((2 << top) - 1) if fresh else free[best]
             stack.append([best, bits, len(journal), top])
         else:
@@ -118,6 +130,12 @@ def _search(
     return count, first
 
 
+def _check_budget(budget: int) -> None:
+    # A negative budget would fail at the first node, but only where a search runs.
+    if budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
+
+
 def greedy_clique(g: Graph) -> list[int]:
     """A maximal clique grown greedily by degree (ties: lower index)."""
     if g.n == 0:
@@ -150,6 +168,7 @@ def find_k_coloring(
     g: Graph, k: int, *, budget: int = DEFAULT_NODE_BUDGET, deadline: float | None = None
 ) -> dict[int, int] | None:
     """A proper coloring with colors 1..k, or None when none exists."""
+    _check_budget(budget)
     if g.n == 0:
         return {}
     if k < 1:
@@ -175,6 +194,7 @@ def chromatic_number(
     (a time.perf_counter() value) to the greedy bound and those searches
     alike, which raise SearchExpired once it has passed.
     """
+    _check_budget(budget)
     if g.n == 0:
         raise ValueError("chromatic number needs a nonempty graph")
     if g.m == 0:
@@ -198,6 +218,7 @@ def count_color_partitions(
     in the search in the order 1, 2, 3, ...: one per vertex partition. Past
     the deadline (a time.perf_counter() value) it raises SearchExpired.
     """
+    _check_budget(budget)
     if k < 0 or (cap is not None and cap < 1):
         raise ValueError("need k >= 0 and cap >= 1")
     lists = [(1 << k) - 1] * g.n

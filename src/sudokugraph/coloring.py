@@ -15,15 +15,6 @@ RULE_NEAR_COLOR_DOMINATING = "near-color-dominating"
 RULE_ATTRACTIVE = "attractive"
 RULE_BRANCH = "branch"
 
-TRACE_RULES = frozenset(
-    {
-        RULE_COLOR_DOMINATING,
-        RULE_NEAR_COLOR_DOMINATING,
-        RULE_ATTRACTIVE,
-        RULE_BRANCH,
-    }
-)
-
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -51,25 +42,8 @@ class PartialColoring:
         object.__setattr__(self, "assignments", MappingProxyType(frozen))
 
     @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self.assignments)
-
-    @property
     def colors_used(self) -> frozenset[int]:
         return frozenset(self.assignments.values())
-
-    def color_classes(self) -> dict[int, frozenset[int]]:
-        classes: dict[int, set[int]] = {}
-        for v, c in self.assignments.items():
-            classes.setdefault(c, set()).add(v)
-        return {c: frozenset(vs) for c, vs in sorted(classes.items())}
-
-    def with_assignment(self, vertex: int, color: int) -> "PartialColoring":
-        if vertex in self.assignments:
-            raise ValueError(f"vertex {vertex} is already colored")
-        merged = dict(self.assignments)
-        merged[vertex] = color
-        return PartialColoring(self.k, merged)
 
     def __eq__(self, other):
         if not isinstance(other, PartialColoring):

@@ -42,10 +42,9 @@ class BudgetExceededError(SudokugraphError):
     before the budget expired (every smaller support size was exhausted).
     """
 
-    def __init__(self, message: str, *, lower_bound: int | None = None, nodes: int | None = None):
+    def __init__(self, message: str, *, lower_bound: int | None = None):
         super().__init__(message)
         self.lower_bound = lower_bound
-        self.nodes = nodes
 
 
 class DisconnectedGraphError(SudokugraphError):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 
-from .chromatic import SearchExpired, chromatic_number
+from .chromatic import SearchExpired, _fewest_colors, chromatic_number
 from .coloring import (
     RULE_ATTRACTIVE,
     RULE_BRANCH,
@@ -312,17 +312,6 @@ class _Engine:
                     continue
             return True
 
-    def _mrv(self) -> int:
-        best, best_size = -1, 1 << 62
-        for v in range(self.eg.n):
-            if self.color[v] == 0:
-                size = self.lists[v].bit_count()
-                if size < best_size:
-                    best, best_size = v, size
-                    if size == 2:
-                        break
-        return best
-
     def _short_clique(self, w: int) -> bool:
         """True when a k-clique through w misses a color: no completion exists.
 
@@ -456,7 +445,8 @@ class _Engine:
                     self._record_witness()
                 else:
                     self.nodes += 1
-                    w = self._mrv()
+                    # At a live fixpoint every uncolored list has two colors or more.
+                    w = _fewest_colors(range(self.eg.n), self.color, self.lists, 2)
                     if self._short_clique(w):
                         self.clique_cuts += 1
                         probing = True

@@ -2,7 +2,9 @@
 
 Labeling conventions matter here: the certificate constructions in
 `theorems` address vertices by position, so each generator pins an exact
-vertex numbering and the tests assert it.
+vertex numbering and the tests assert it. Generators whose edge count can
+grow quadratically pass build an iterator, so build's MAX_EDGES check runs
+before the edges are all held.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, combinations
 
 from .errors import InvalidFamilyParamsError
 from .graph import Graph, build
@@ -42,10 +45,6 @@ class FamilySpec:
     family: Family
     params: dict = field(default_factory=dict)
 
-    def describe(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.family.value}({inner})"
-
 
 def _need(params: dict, key: str) -> int:
     if key not in params:
@@ -73,7 +72,7 @@ def cycle(n: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise InvalidFamilyParamsError(f"complete graph needs n >= 1, got {n}")
-    return build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return build(n, combinations(range(n), 2))
 
 
 def complete_multipartite(parts: list[int]) -> Graph:
@@ -83,14 +82,14 @@ def complete_multipartite(parts: list[int]) -> Graph:
     bounds = [0]
     for p in parts:
         bounds.append(bounds[-1] + p)
-    n = bounds[-1]
-    edges = []
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            for u in range(bounds[a], bounds[a + 1]):
-                for v in range(bounds[b], bounds[b + 1]):
-                    edges.append((u, v))
-    return build(n, edges)
+    edges = (
+        (u, v)
+        for a in range(len(parts))
+        for b in range(a + 1, len(parts))
+        for u in range(bounds[a], bounds[a + 1])
+        for v in range(bounds[b], bounds[b + 1])
+    )
+    return build(bounds[-1], edges)
 
 
 def star(n: int) -> Graph:
@@ -140,15 +139,8 @@ def amalgam(m: int, n: int, r: int) -> Graph:
         raise InvalidFamilyParamsError(f"amalgam needs n >= 2, got {n}")
     if not (1 <= r < n):
         raise InvalidFamilyParamsError(f"amalgam needs 1 <= r < n, got r={r}, n={n}")
-    core = list(range(r))
-    edges = [(u, v) for i, u in enumerate(core) for v in core[i + 1 :]]
-    for i in range(m):
-        interior = list(range(r + i * (n - r), r + (i + 1) * (n - r)))
-        block = core + interior
-        for a in range(len(block)):
-            for b in range(a + 1, len(block)):
-                edges.append((block[a], block[b]))
-    return build(r + m * (n - r), edges)
+    blocks = ((*range(r), *range(r + i * (n - r), r + (i + 1) * (n - r))) for i in range(m))
+    return build(r + m * (n - r), (e for block in blocks for e in combinations(block, 2)))
 
 
 def friendship(m: int) -> Graph:
@@ -182,13 +174,8 @@ def lollipop(n: int, m: int) -> Graph:
         raise InvalidFamilyParamsError(f"lollipop needs clique order n >= 3, got {n}")
     if m < 2:
         raise InvalidFamilyParamsError(f"lollipop needs path order m >= 2, got {m}")
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    prev = 0
-    for j in range(2, m + 1):
-        cur = n + j - 2
-        edges.append((prev, cur))
-        prev = cur
-    return build(n + m - 1, edges)
+    tail = (0, *range(n, n + m - 1))
+    return build(n + m - 1, chain(combinations(range(n), 2), zip(tail, tail[1:])))
 
 
 def cycle_of_cliques(n: int, m: int) -> Graph:
@@ -203,13 +190,12 @@ def cycle_of_cliques(n: int, m: int) -> Graph:
     if m < 3:
         raise InvalidFamilyParamsError(f"cycle of cliques needs clique order m >= 3, got {m}")
     rim = 2 * n
-    edges = [(i, (i + 1) % rim) for i in range(rim)]
-    for i in range(n):
-        block = [2 * i, 2 * i + 1] + list(range(rim + i * (m - 2), rim + (i + 1) * (m - 2)))
-        for a in range(len(block)):
-            for b in range(a + 1, len(block)):
-                edges.append((block[a], block[b]))
-    return build(rim + n * (m - 2), edges)
+    ring = ((i, (i + 1) % rim) for i in range(rim))
+    blocks = (
+        (2 * i, 2 * i + 1, *range(rim + i * (m - 2), rim + (i + 1) * (m - 2))) for i in range(n)
+    )
+    cliques = (e for block in blocks for e in combinations(block, 2))
+    return build(rim + n * (m - 2), chain(ring, cliques))
 
 
 def cycle_of_cliques_minus(n: int, m: int) -> Graph:
@@ -280,21 +266,24 @@ def sudoku_grid(b: int) -> Graph:
     if b < 2:
         raise InvalidFamilyParamsError(f"sudoku grid needs box side b >= 2, got {b}")
     side = b * b
-    edges = set()
-    for r in range(side):
-        for c in range(side):
-            v = r * side + c
-            for c2 in range(c + 1, side):
-                edges.add((v, r * side + c2))
-            for r2 in range(r + 1, side):
-                edges.add((v, r2 * side + c))
-            br, bc = r - r % b, c - c % b
-            for r2 in range(br, br + b):
-                for c2 in range(bc, bc + b):
-                    w = r2 * side + c2
-                    if w > v:
-                        edges.add((v, w))
-    return build(side * side, sorted(edges))
+
+    def edges():
+        # A pair in one row or column and one box comes twice; build keeps one.
+        for r in range(side):
+            for c in range(side):
+                v = r * side + c
+                for c2 in range(c + 1, side):
+                    yield v, r * side + c2
+                for r2 in range(r + 1, side):
+                    yield v, r2 * side + c
+                br, bc = r - r % b, c - c % b
+                for r2 in range(br, br + b):
+                    for c2 in range(bc, bc + b):
+                        w = r2 * side + c2
+                        if w > v:
+                            yield v, w
+
+    return build(side * side, edges())
 
 
 # Each family's builder and the integer parameters it takes, in order.

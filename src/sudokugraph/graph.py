@@ -6,8 +6,10 @@ from dataclasses import dataclass, field
 
 from .errors import SelfLoopError, VertexOutOfRangeError
 
-# Hard ceiling on graph order; exact search is desk-scale by design.
+# Hard ceilings on graph order and size; exact search is desk-scale by design.
+# A graph takes about 240 bytes per edge, so MAX_EDGES (K_1000 fits) is 120 MB.
 MAX_VERTICES = 10_000
+MAX_EDGES = 500_000
 
 
 @dataclass(frozen=True)
@@ -33,12 +35,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def __hash__(self):
         return hash((self.n, self.edges))
 
@@ -47,7 +43,9 @@ def build(n: int, edges) -> Graph:
     """Validate and construct a Graph.
 
     Self-loops raise SelfLoopError, endpoints outside range(n) raise
-    VertexOutOfRangeError, duplicate pairs collapse to one edge.
+    VertexOutOfRangeError, duplicate pairs collapse to one edge. edges may be
+    any iterable; it is read lazily, so more than MAX_EDGES distinct pairs
+    raise ValueError before they are all held.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -60,6 +58,8 @@ def build(n: int, edges) -> Graph:
         if not (0 <= u < n) or not (0 <= v < n):
             raise VertexOutOfRangeError(f"edge ({u}, {v}) outside range(0, {n})")
         seen.add((u, v) if u < v else (v, u))
+        if len(seen) > MAX_EDGES:
+            raise ValueError(f"graph size exceeds the configured budget of {MAX_EDGES} edges")
     return Graph(n, tuple(sorted(seen)))
 
 

@@ -7,7 +7,7 @@ from enum import Enum
 
 from .coloring import PartialColoring
 from .errors import ParseError
-from .graph import Graph, build
+from .graph import MAX_VERTICES, Graph, build
 from .sn import Certificate
 
 
@@ -125,6 +125,9 @@ def coloring_from_object(obj) -> PartialColoring:
     k = obj["k"]
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ParseError(f"'k' must be a positive integer, got {k!r}")
+    if k > MAX_VERTICES:
+        # No graph needs more colors than vertices, and the engine holds a list of k + 1 entries.
+        raise ParseError(f"'k' = {k} exceeds the configured budget of {MAX_VERTICES} colors")
     colors = obj["colors"]
     if not isinstance(colors, dict):
         raise ParseError("'colors' must map vertex names to colors")
@@ -168,10 +171,6 @@ def parse_coloring(text) -> PartialColoring:
 
 def coloring_to_object(c: PartialColoring) -> dict:
     return {"k": c.k, "colors": {str(v): c.assignments[v] for v in sorted(c.assignments)}}
-
-
-def serialize_coloring(c: PartialColoring) -> bytes:
-    return (json.dumps(coloring_to_object(c)) + "\n").encode("ascii")
 
 
 def emit_dot(g: Graph, coloring: PartialColoring | None = None) -> bytes:

@@ -21,9 +21,9 @@ PRUNE_UNCOLORED_EDGE = "uncolored-edge"
 # Automorphism generators are computed once this many supports have been
 # evaluated, so searches that end sooner never pay for them.
 ORBIT_START = 16
-# Most supports marked as images of evaluated ones, per support size.
-ORBIT_LIMIT = 1 << 15
-ORBIT_TABLE_BYTES = 1 << 24  # most bytes of generator image tables (see _Orbits)
+# Most bytes that the generator image tables, and the marks of one support
+# size, each take (see _Orbits).
+ORBIT_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -263,6 +263,8 @@ def _check_seconds(max_seconds: float | None) -> None:
 
 class _Budget:
     def __init__(self, max_subsets: int | None, max_seconds: float | None):
+        if max_subsets is not None and max_subsets < 0:
+            raise ValueError(f"max_subsets must be >= 0, got {max_subsets}")
         self.max_subsets = max_subsets
         self.max_seconds = max_seconds
         self.start = time.perf_counter()
@@ -295,8 +297,10 @@ class _Orbits:
     of (s itself included). Generators come from canon.automorphism_generators
     once ORBIT_START supports have lost, and canon is imported only then, so
     short searches skip even loading it. Each becomes a table per byte of a
-    support, from the byte to its image's bitmask; those past
-    ORBIT_TABLE_BYTES (about 4n(n + 256) bytes each) are dropped.
+    support, from the byte to its image's bitmask. Both stay within
+    ORBIT_BYTES: the generators past it, at about 4n(n + 256) bytes each, are
+    dropped, and marking stops at `limit` marks, at about 88 + n/7.5 bytes
+    each: a dict entry, its n-bit key and the key's frontier slot.
     """
 
     def __init__(self, g: Graph, deadline: float | None):
@@ -305,9 +309,10 @@ class _Orbits:
         self.tables: list[list[list[int]]] | None = None
         self.evaluated = 0
         self.counted: dict[int, int] = {}
+        self.limit = int(ORBIT_BYTES / (88 + g.n / 7.5))
 
     def mark(self, support: int, tried: int) -> None:
-        """Mark support's orbit, breadth first over the generators, up to ORBIT_LIMIT."""
+        """Mark support's orbit, breadth first over the generators, up to `limit` marks."""
         self.evaluated += 1
         if self.tables is None:
             if self.evaluated < ORBIT_START:
@@ -316,14 +321,14 @@ class _Orbits:
 
             gens = canon.automorphism_generators(self.g, self.deadline)[0]
             self.tables = []
-            for gamma in gens[: ORBIT_TABLE_BYTES // (4 * self.g.n * (self.g.n + 256))]:
+            for gamma in gens[: ORBIT_BYTES // (4 * self.g.n * (self.g.n + 256))]:
                 self.tables.append(tables := [])
                 for lo in range(0, len(gamma), 8):
                     tables.append(table := [0])
                     for w in gamma[lo : lo + 8]:
                         table += [x | 1 << w for x in table]
-        counted = self.counted
-        if not self.tables or len(counted) >= ORBIT_LIMIT:
+        counted, limit = self.counted, self.limit
+        if not self.tables or len(counted) >= limit:
             return
         counted[support] = tried
         frontier = [support]
@@ -334,7 +339,7 @@ class _Orbits:
                     image |= table[rest & 255]
                     rest >>= 8
                 if image not in counted:
-                    if len(counted) >= ORBIT_LIMIT:
+                    if len(counted) >= limit:
                         return
                     counted[image] = tried
                     frontier.append(image)

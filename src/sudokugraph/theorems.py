@@ -29,9 +29,6 @@ class TheoremCase:
     name: str
     spec: FamilySpec
 
-    def describe(self) -> str:
-        return f"{self.name}[{self.spec.describe()}]"
-
 
 class SuiteScale(Enum):
     FAST = "fast"

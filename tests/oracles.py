@@ -272,7 +272,7 @@ def random_proper_partial(rng, g: Graph, k: int, coverage: float = 0.5) -> Parti
     for v in range(g.n):
         if rng.random() >= coverage:
             continue
-        banned = {assignments[u] for u in g.neighbors(v) if u in assignments}
+        banned = {assignments[u] for u in g.adj[v] if u in assignments}
         options = [c for c in range(1, k + 1) if c not in banned]
         if options:
             assignments[v] = rng.choice(options)

@@ -63,7 +63,7 @@ def test_known_chromatic_numbers():
         chi, witness = chromatic_number(g)
         assert chi == want
         assert witness.k == want
-        assert witness.domain == frozenset(range(g.n))
+        assert frozenset(witness.assignments) == frozenset(range(g.n))
         assert is_proper(g, witness)
 
 
@@ -90,7 +90,7 @@ def test_greedy_clique_is_a_clique():
         assert len(clique) >= 2
         for i, u in enumerate(clique):
             for v in clique[i + 1 :]:
-                assert g.has_edge(u, v)
+                assert v in g.adj[u]
 
 
 def test_greedy_coloring_is_proper_upper_bound():
@@ -179,7 +179,7 @@ def test_chromatic_number_of_long_odd_cycle():
     g = make(Family.CYCLE, n=1201)
     chi, witness = chromatic_number(g)
     assert chi == 3
-    assert witness.domain == frozenset(range(g.n))
+    assert frozenset(witness.assignments) == frozenset(range(g.n))
     assert is_proper(g, witness)
 
 
@@ -214,3 +214,51 @@ def test_public_names_resolve_and_wrappers_are_gone():
     for name in removed:
         assert name not in sudokugraph.__all__
         assert not hasattr(sudokugraph, name)
+    # Accessors no library code used; callers read what is behind each.
+    accessors = {
+        sudokugraph.Graph: ("neighbors", "has_edge"),
+        sudokugraph.PartialColoring: ("domain", "color_classes", "with_assignment"),
+        sudokugraph.FamilySpec: ("describe",),
+        sudokugraph.TheoremCase: ("describe",),
+        sudokugraph.coloring: ("TRACE_RULES",),
+        sudokugraph.io: ("serialize_coloring",),
+        BudgetExceededError("spent"): ("nodes",),
+    }
+    for owner, names in accessors.items():
+        for name in names:
+            assert not hasattr(owner, name), name
+    assert "serialize_coloring" not in sudokugraph.__all__
+
+
+def test_input_checks():
+    empty, k3 = build(0, []), make(Family.COMPLETE, n=3)
+    assert greedy_clique(empty) == []
+    assert find_k_coloring(empty, 3) == {}
+    assert find_k_coloring(k3, 0) is None
+    with pytest.raises(ValueError, match="nonempty"):
+        chromatic_number(empty)
+    for k, cap in ((-1, None), (3, 0)):
+        with pytest.raises(ValueError):
+            count_color_partitions(k3, k, cap)
+    full = ColorListState({v: {1, 2, 3} for v in range(3)})
+    assert count_list_colorings(k3, full, cap=10) == 6
+    for state, cap in (
+        (full, 0),
+        (ColorListState({0: {1}, 1: {2}}), 2),
+        (ColorListState({0: {1}, 1: {2}, 2: {0}}), 2),
+        (ColorListState({0: {1}, 1: {2}, 2: set()}), 2),
+    ):
+        with pytest.raises(ValueError):
+            count_list_colorings(k3, state, cap)
+
+
+def test_negative_node_budget_is_rejected():
+    # On K_3 no exact search runs, so the budget is checked before any search.
+    for g in (make(Family.COMPLETE, n=3), make(Family.CYCLE, n=5)):
+        with pytest.raises(ValueError, match="budget"):
+            chromatic_number(g, budget=-5)
+        with pytest.raises(ValueError, match="budget"):
+            find_k_coloring(g, 3, budget=-1)
+        with pytest.raises(ValueError, match="budget"):
+            count_color_partitions(g, 3, budget=-1)
+        assert count_color_partitions(g, 3, budget=100) >= 1

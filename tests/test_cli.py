@@ -13,7 +13,8 @@ from sudokugraph import cli, extension
 from sudokugraph.cli import main
 from sudokugraph.coloring import ExtensionKind, PartialColoring
 from sudokugraph.extension import count_extensions
-from sudokugraph.generators import sudoku_grid
+from sudokugraph.generators import Family, FamilySpec, generate, sudoku_grid
+from sudokugraph.io import serialize_graph
 
 SOLUTION = "693784512487512936125963874932651487568247391741398625319475268856129743274836159"
 EASY_PUZZLE = "093784512407512936125963874932651487568207391741398625319475268856129743274836150"
@@ -138,11 +139,24 @@ def test_chroma_budget_exhaustion_exits_1(capsys, tmp_path):
         capsys, tmp_path, "cocm.txt",
         ["--family", "cycle-of-cliques-minus", "--n", "3", "--m", "5"],
     )
-    # A budget of 0 or below is a budget, not a request for the default one.
-    for budget in ("5", "0", "-3"):
+    # A budget of 0 is a budget, not a request for the default one.
+    for budget in ("5", "0"):
         code, out, err = run(capsys, ["chroma", "--in", gpath, "--budget-nodes", budget])
         assert code == 1
         assert json.loads(out)["error"] == "budget-exceeded"
+
+
+def test_negative_node_budgets_exit_2(capsys, tmp_path):
+    k3 = write_graph(capsys, tmp_path, "k3.txt", ["--family", "complete", "--n", "3"])
+    c5 = write_graph(capsys, tmp_path, "c5.txt", ["--family", "cycle", "--n", "5"])
+    for argv in (
+        ["chroma", "--in", k3, "--budget-nodes", "-5"],
+        ["chroma", "--in", c5, "--budget-nodes", "-5"],
+        ["sn", "--in", c5, "--budget-nodes", "-1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "must be >= 0" in err
 
 
 def test_chroma_on_long_odd_cycle(capsys, tmp_path):
@@ -242,6 +256,7 @@ def test_sn_budget_exhaustion_reports_lower_bound(capsys, tmp_path):
     assert obj["lower_bound"] == 4
 
 
+@pytest.mark.slow
 def test_sn_time_budget_holds_inside_one_support(capsys, tmp_path):
     # 6,000 vertices: one support's propagation and completion search run far
     # past the budget unless the engine itself watches the clock.
@@ -655,3 +670,37 @@ def test_out_flag_writes_json_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(opath.read_text())["chi"] == 3
+
+
+def test_gen_tree_takes_its_seed(capsys):
+    outs = [
+        run(capsys, ["gen", "--family", "tree", "--n", "9", "--seed", seed])[1]
+        for seed in ("5", "5", "6")
+    ]
+    assert outs[0] == outs[1] != outs[2]
+    assert outs[0] == serialize_graph(generate(FamilySpec(Family.TREE, {"n": 9, "seed": 5}))).decode()
+
+
+def test_gen_stacked_triangulation_without_attachments_is_the_triangle(capsys):
+    code, out, err = run(capsys, ["gen", "--family", "stacked-triangulation"])
+    assert code == 0, err
+    assert out.splitlines() == ["3 3", "0 1", "0 2", "1 2"]
+
+
+def test_verify_odd_cycle_three_exact(capsys):
+    obj = run_json(capsys, ["verify", "--family", "odd-cycle", "--n", "3", "--exact"])
+    assert obj["ok"] and obj["expected_sn"] == 2
+    assert {c["name"] for c in obj["checks"]} >= {"minimal", "formula", "unique-extension"}
+
+
+def test_oversized_inputs_exit_2_before_memory_runs_out(capsys, tmp_path):
+    # K_10000 has 49,995,000 edges; generation stops past MAX_EDGES.
+    code, out, err = run(capsys, ["gen", "--family", "complete", "--n", "10000"])
+    assert (code, out) == (2, "")
+    assert "edges" in err
+    # A palette of a million colors on two vertices.
+    gpath = write_graph(capsys, tmp_path, "p2.txt", ["--family", "path", "--n", "2"])
+    cpath = write_coloring(tmp_path, "big.json", 10**6, {0: 1})
+    code, out, err = run(capsys, ["extend-count", "--in", gpath, "--coloring", cpath])
+    assert (code, out) == (2, "")
+    assert "exceeds" in err

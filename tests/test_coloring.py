@@ -14,7 +14,6 @@ from sudokugraph.coloring import (
     RULE_BRANCH,
     RULE_COLOR_DOMINATING,
     RULE_NEAR_COLOR_DOMINATING,
-    TRACE_RULES,
 )
 
 
@@ -44,9 +43,8 @@ def test_partial_coloring_is_immutable():
 
 def test_partial_coloring_views():
     c = PartialColoring(4, {0: 2, 3: 2, 1: 4})
-    assert c.domain == frozenset({0, 1, 3})
+    assert frozenset(c.assignments) == frozenset({0, 1, 3})
     assert c.colors_used == frozenset({2, 4})
-    assert c.color_classes() == {2: frozenset({0, 3}), 4: frozenset({1})}
 
 
 def test_partial_coloring_equality():
@@ -55,17 +53,6 @@ def test_partial_coloring_equality():
     c = PartialColoring(4, {0: 1, 2: 2})
     assert a == b and hash(a) == hash(b)
     assert a != c
-
-
-def test_with_assignment():
-    a = PartialColoring(3, {0: 1})
-    b = a.with_assignment(2, 3)
-    assert b.assignments == {0: 1, 2: 3}
-    assert a.assignments == {0: 1}
-    with pytest.raises(ValueError):
-        a.with_assignment(0, 2)
-    with pytest.raises(ValueError):
-        a.with_assignment(1, 9)
 
 
 def test_is_proper():
@@ -87,13 +74,13 @@ def test_color_list_state_from_partial():
     assert state.lists[3] == frozenset({1, 2})
 
 
-def test_trace_rules_registry():
-    assert TRACE_RULES == {
-        RULE_COLOR_DOMINATING,
-        RULE_NEAR_COLOR_DOMINATING,
-        RULE_ATTRACTIVE,
-        RULE_BRANCH,
-    }
+def test_trace_rule_labels():
+    assert [RULE_COLOR_DOMINATING, RULE_NEAR_COLOR_DOMINATING, RULE_ATTRACTIVE, RULE_BRANCH] == [
+        "color-dominating",
+        "near-color-dominating",
+        "attractive",
+        "branch",
+    ]
     step = TraceStep(4, 2, RULE_COLOR_DOMINATING)
     assert step.vertex == 4 and step.color == 2
     assert step.rule == "color-dominating"

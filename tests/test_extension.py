@@ -24,7 +24,12 @@ from sudokugraph import (
     propagate,
 )
 from sudokugraph import extension
-from sudokugraph.coloring import RULE_ATTRACTIVE, RULE_NEAR_COLOR_DOMINATING, TRACE_RULES
+from sudokugraph.coloring import (
+    RULE_ATTRACTIVE,
+    RULE_BRANCH,
+    RULE_COLOR_DOMINATING,
+    RULE_NEAR_COLOR_DOMINATING,
+)
 from sudokugraph.generators import sudoku_grid
 
 C13 = generate(FamilySpec(Family.CYCLE, {"n": 13}))
@@ -37,7 +42,7 @@ def test_thirteen_cycle_cascade_is_all_near_color_dominating():
     assert status is PropagationStatus.PROGRESS
     assert len(trace) == 6
     assert all(step.rule == RULE_NEAR_COLOR_DOMINATING for step in trace)
-    assert extended.domain == frozenset(range(13))
+    assert frozenset(extended.assignments) == frozenset(range(13))
     # every even vertex gets 3 except the one next to the color-3 vertex
     want = dict(C13_SUPPORT.assignments)
     want.update({1: 3, 3: 3, 5: 3, 7: 3, 9: 3, 11: 1})
@@ -92,7 +97,7 @@ def test_five_cycle_single_vertex_multiple():
     assert out.witness1 != out.witness2
     for w in (out.witness1, out.witness2):
         full = PartialColoring(3, w)
-        assert full.domain == frozenset(range(5))
+        assert frozenset(full.assignments) == frozenset(range(5))
         assert is_proper(g, full)
         assert w[0] == 1
 
@@ -236,7 +241,7 @@ def test_trace_deviations_kill_all_completions():
             for other in range(1, support.k + 1):
                 if other == step.color:
                     continue
-                flipped = support.with_assignment(step.vertex, other)
+                flipped = PartialColoring(support.k, {**support.assignments, step.vertex: other})
                 if not is_proper(g, flipped):
                     continue
                 assert brute_count_extensions(g, flipped) == 0
@@ -272,7 +277,7 @@ def test_witnesses_are_real_completions():
             if w is None:
                 continue
             full = PartialColoring(c.k, w)
-            assert full.domain == frozenset(range(g.n))
+            assert frozenset(full.assignments) == frozenset(range(g.n))
             assert is_proper(g, full)
             for v, col in c.assignments.items():
                 assert w[v] == col
@@ -398,16 +403,15 @@ def test_clique_cut_branches_less_on_seventeen_clue_puzzle(monkeypatch):
     g, c = _seventeen_clue()
     runs = []
     for empty in (False, True):
-        calls = {"calls": 0, "true": 0}
         with monkeypatch.context() as m:
             if empty:
                 _no_cliques(m)
-            _count_calls(m, "_mrv", calls)
-            runs.append((_outcome(g, c, 2), calls["calls"]))
-    (with_table, mrv_with), (without, mrv_without) = runs
+            # Each node picks one vertex: it branches on it or cuts it.
+            runs.append((_outcome(g, c, 2), _engine_search(g, c, 2)[1].nodes))
+    (with_table, nodes_with), (without, nodes_without) = runs
     assert with_table == without
     assert with_table[0] is ExtensionKind.UNIQUE
-    assert mrv_with < mrv_without
+    assert nodes_with < nodes_without
 
 
 def _all_k_cliques(g, k):
@@ -517,7 +521,8 @@ def test_probe_keeps_counts_witnesses_traces_and_propagation(monkeypatch):
     assert probe_cuts > 0
     assert {min(found, 2) for found, *_ in with_probe} == {0, 1, 2}
     for _, _, _, trace in with_probe:
-        assert all(rule in TRACE_RULES for _, _, rule in trace)
+        rules = {RULE_COLOR_DOMINATING, RULE_NEAR_COLOR_DOMINATING, RULE_ATTRACTIVE, RULE_BRANCH}
+        assert all(rule in rules for _, _, rule in trace)
 
 
 def test_probe_cuts_the_seventeen_clue_search():

@@ -31,9 +31,9 @@ def test_complete_multipartite_parts_are_blocks():
     g = make(Family.COMPLETE_MULTIPARTITE, parts=[2, 3, 1])
     assert g.n == 6
     # consecutive blocks: {0,1}, {2,3,4}, {5}
-    assert not g.has_edge(0, 1)
-    assert not g.has_edge(2, 4)
-    assert g.has_edge(0, 2) and g.has_edge(1, 5) and g.has_edge(4, 5)
+    assert 1 not in g.adj[0]
+    assert 4 not in g.adj[2]
+    assert 2 in g.adj[0] and 5 in g.adj[1] and 5 in g.adj[4]
     assert g.m == 2 * 3 + 2 * 1 + 3 * 1
 
 
@@ -46,6 +46,8 @@ def test_star_and_tree():
     assert t1 == t2
     assert t1 != t3
     assert t1.m == 8 and is_connected(t1)
+    assert make(Family.TREE, n=1).edges == ()
+    assert make(Family.TREE, n=2, seed=3).edges == ((0, 1),)
 
 
 def test_friendship_is_triangle_bouquet():
@@ -59,13 +61,13 @@ def test_amalgam_order_and_core():
     g = make(Family.AMALGAM, m=3, n=4, r=2)
     assert g.n == 2 + 3 * 2
     core = [0, 1]
-    assert g.has_edge(0, 1)
+    assert 1 in g.adj[0]
     for block in ([2, 3], [4, 5], [6, 7]):
         for v in block:
             for u in core + block:
                 if u != v:
-                    assert g.has_edge(u, v)
-    assert not g.has_edge(2, 4) and not g.has_edge(3, 6)
+                    assert v in g.adj[u]
+    assert 4 not in g.adj[2] and 6 not in g.adj[3]
 
 
 def test_tadpole_shape():
@@ -90,7 +92,7 @@ def test_cycle_of_cliques_shape():
         assert g.n == 2 * n + n * (m - 2)
         # rim vertices 0..2n-1 form a cycle, consecutive pairs share a clique
         for i in range(2 * n):
-            assert g.has_edge(i, (i + 1) % (2 * n))
+            assert (i + 1) % (2 * n) in g.adj[i]
 
 
 def test_cycle_of_cliques_minus_is_regular():
@@ -99,14 +101,14 @@ def test_cycle_of_cliques_minus_is_regular():
         assert g.n == 2 * n + n * (m - 2)
         assert all(g.degree(v) == m - 1 for v in range(g.n))
         for i in range(n):
-            assert not g.has_edge(2 * i, 2 * i + 1)
+            assert 2 * i + 1 not in g.adj[2 * i]
 
 
 def test_stacked_triangulation_growth():
     g = make(Family.STACKED_TRIANGULATION, attachments=[(0, 1), (0, 3)])
     assert g.n == 5 and g.m == 3 + 2 + 2
-    assert g.has_edge(3, 0) and g.has_edge(3, 1)
-    assert g.has_edge(4, 0) and g.has_edge(4, 3)
+    assert 0 in g.adj[3] and 1 in g.adj[3]
+    assert 0 in g.adj[4] and 3 in g.adj[4]
 
 
 def test_stacked_triangulation_rejects_non_edge():
@@ -131,10 +133,10 @@ def test_sudoku_grid_structure():
     assert g3.n == 81
     assert all(g3.degree(v) == 20 for v in range(81))
     # same row, same column, same box, and none of the three
-    assert g3.has_edge(0, 8)
-    assert g3.has_edge(0, 72)
-    assert g3.has_edge(0, 10)
-    assert not g3.has_edge(0, 13)
+    assert 8 in g3.adj[0]
+    assert 72 in g3.adj[0]
+    assert 10 in g3.adj[0]
+    assert 13 not in g3.adj[0]
 
 
 def test_even_families_are_bipartite():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from sudokugraph import (
     is_connected,
     relabel,
 )
+import sudokugraph.graph as graph_module
 from sudokugraph.graph import MAX_VERTICES, bipartition
 
 
@@ -33,6 +35,23 @@ def test_build_rejects_out_of_range():
         build(3, [(-1, 2)])
 
 
+def test_build_stops_reading_edges_past_max_edges(monkeypatch):
+    monkeypatch.setattr(graph_module, "MAX_EDGES", 10)
+    read = []
+
+    def edges():
+        for e in itertools.combinations(range(100), 2):
+            read.append(e)
+            yield e
+
+    with pytest.raises(ValueError, match="10 edges"):
+        build(100, edges())
+    assert len(read) == 11
+    # The bound counts distinct edges, and a graph at the bound is built.
+    assert build(3, [(0, 1), (1, 0)] * 20).m == 1
+    assert build(5, itertools.combinations(range(5), 2)).m == 10
+
+
 def test_build_rejects_too_many_vertices():
     with pytest.raises(ValueError):
         build(MAX_VERTICES + 1, [])
@@ -44,9 +63,9 @@ def test_adjacency_and_degree():
     g = build(4, [(0, 1), (0, 2), (0, 3)])
     assert g.degree(0) == 3
     assert g.degree(2) == 1
-    assert set(g.neighbors(0)) == {1, 2, 3}
-    assert g.has_edge(0, 2) and g.has_edge(2, 0)
-    assert not g.has_edge(1, 2)
+    assert g.adj[0] == (1, 2, 3)
+    assert 2 in g.adj[0] and 0 in g.adj[2]
+    assert 2 not in g.adj[1]
 
 
 def test_graph_equality_and_hash():
@@ -99,7 +118,7 @@ def test_relabel_is_isomorphism():
         h = relabel(g, perm)
         assert h.n == g.n and h.m == g.m
         for u, v in g.edges:
-            assert h.has_edge(perm[u], perm[v])
+            assert perm[v] in h.adj[perm[u]]
 
 
 def test_relabel_identity():

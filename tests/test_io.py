@@ -18,9 +18,9 @@ from sudokugraph import (
     graph_to_object,
     parse_coloring,
     parse_graph,
-    serialize_coloring,
     serialize_graph,
 )
+from sudokugraph.graph import MAX_VERTICES
 from sudokugraph.io import certificate_from_object
 
 
@@ -103,7 +103,7 @@ def test_graph_object_round_trip():
 
 def test_coloring_round_trip():
     c = PartialColoring(4, {0: 1, 7: 4, 3: 2})
-    data = serialize_coloring(c)
+    data = (json.dumps(coloring_to_object(c)) + "\n").encode("ascii")
     back = parse_coloring(data)
     assert back == c
     obj = json.loads(data)
@@ -173,3 +173,15 @@ def test_dot_rejects_foreign_vertices():
     g = build(2, [(0, 1)])
     with pytest.raises(ValueError):
         emit_dot(g, PartialColoring(2, {5: 1}))
+
+
+def test_parse_graph_takes_str_and_bytes():
+    text = "3 2\n0 1\n1 2\n"
+    assert parse_graph(text) == parse_graph(text.encode("ascii")) == build(3, [(0, 1), (1, 2)])
+
+
+def test_coloring_palette_is_bounded_by_max_vertices():
+    assert coloring_from_object({"k": MAX_VERTICES, "colors": {"0": MAX_VERTICES}}).k == MAX_VERTICES
+    for k in (MAX_VERTICES + 1, 10**6, 4 * 10**6):
+        with pytest.raises(ParseError, match="exceeds"):
+            coloring_from_object({"k": k, "colors": {}})

@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -58,7 +60,7 @@ def test_canonical_colorings_enumerates_partition_representatives():
     reps = list(canonical_colorings(g, (0, 1, 2), 3))
     assert len(reps) == 4
     for rep in reps:
-        assert rep.domain == frozenset({0, 1, 2})
+        assert frozenset(rep.assignments) == frozenset({0, 1, 2})
         assert len(rep.colors_used) >= 2
         first_colored = min(rep.assignments)
         assert rep.assignments[first_colored] == 1
@@ -451,6 +453,7 @@ def test_is_least_matches_permutation_oracle_on_orderly_walk(monkeypatch):
     assert tested.count(False) > 100
 
 
+@pytest.mark.slow
 def test_is_least_matches_permutation_oracle_on_random_n7():
     rng = random.Random(12)
     verdicts = []
@@ -545,34 +548,87 @@ def _reference(monkeypatch, g, prune, off=None):
     return full.subsets_examined, outcome
 
 
-# Module settings under which the orbit skip must not change any output:
-# as shipped, marking from the first evaluated support, marking at most one
-# support per size, and keeping tables for one generator on 9 vertices.
+def _table_bytes(g):
+    """The bytes _Orbits allows for one generator's image tables."""
+    return 4 * g.n * (g.n + 256)
+
+
+# Module settings under which the orbit skip must not change any output, as
+# functions of the graph and its generators: as shipped; marking from the
+# first evaluated support; room for one generator's tables, so the others are
+# dropped; and room for every generator's tables but only about a hundred
+# marks per table, so marking stops in mid-orbit.
 ORBIT_SETTINGS = {
-    "default": {},
-    "eager": {"ORBIT_START": 1},
-    "one mark": {"ORBIT_START": 1, "ORBIT_LIMIT": 1},
-    "few tables": {"ORBIT_START": 1, "ORBIT_TABLE_BYTES": 10_000},
+    "default": lambda g, gens: {},
+    "eager": lambda g, gens: {"ORBIT_START": 1},
+    "few tables": lambda g, gens: {"ORBIT_START": 1, "ORBIT_BYTES": _table_bytes(g)},
+    "few marks": lambda g, gens: {"ORBIT_START": 1, "ORBIT_BYTES": len(gens) * _table_bytes(g)},
 }
 
 
+def _orbit(gens, support):
+    """The orbit of a support bitmask under the group the permutations gens generate."""
+    orbit, frontier = {support}, [support]
+    for s in frontier:
+        for gamma in gens:
+            image = sum(1 << w for v, w in enumerate(gamma) if s >> v & 1)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+def _spy_cuts(m, gens, cuts):
+    """Count in cuts the searches that drop generators and the marks stopped in mid-orbit."""
+    inner = sn_module._Orbits.mark
+
+    def spy(self, support, tried):
+        before = len(self.counted)
+        inner(self, support, tried)
+        if self.tables is None:
+            return
+        if self.evaluated == sn_module.ORBIT_START and len(self.tables) < len(gens):
+            cuts["dropped"] += 1
+        if before < len(self.counted) == self.limit:
+            kept = gens[: len(self.tables)]
+            cuts["mid-orbit"] += not _orbit(kept, support) <= self.counted.keys()
+
+    m.setattr(sn_module._Orbits, "mark", spy)
+
+
 def _check_orbit_skip_identity(monkeypatch, g, prune, settings, budgets=True):
+    """Outputs under each named setting agree with the search without the skip.
+
+    Returns per setting the count of cuts _spy_cuts saw.
+    """
     s, want = _reference(monkeypatch, g, prune)
+    gens = canon.automorphism_generators(g)[0]
     points = (None, 0, s // 2, s - 1) if budgets else (None,)
+    seen = {}
     for name in settings:
+        seen[name] = cuts = Counter()
         with monkeypatch.context() as m:
-            for attr, value in ORBIT_SETTINGS[name].items():
+            for attr, value in ORBIT_SETTINGS[name](g, gens).items():
                 m.setattr(sn_module, attr, value)
+            _spy_cuts(m, gens, cuts)
             for budget in points:
                 assert _outcome(g, prune, budget) == want(budget), (name, budget, g.edges, prune)
+    return seen
 
 
+@pytest.mark.slow
 def test_orbit_skip_keeps_output_on_random_graphs(monkeypatch):
     rng = random.Random(2014)
+    cuts = {name: Counter() for name in ORBIT_SETTINGS}
     for _ in range(300):
         g = random_connected_graph(rng, rng.randint(3, 9), extra=rng.choice([0.1, 0.3, 0.5, 0.8]))
         for prune in (True, False):
-            _check_orbit_skip_identity(monkeypatch, g, prune, ORBIT_SETTINGS)
+            seen = _check_orbit_skip_identity(monkeypatch, g, prune, ORBIT_SETTINGS)
+            for name in ORBIT_SETTINGS:
+                cuts[name] += seen[name]
+    assert cuts["default"]["dropped"] == cuts["default"]["mid-orbit"] == 0
+    assert cuts["few tables"]["dropped"] > 0
+    assert cuts["few marks"]["mid-orbit"] > 0 and cuts["few marks"]["dropped"] == 0
 
 
 # The 13 graphs of the sn benchmark workloads, and whether to search them
@@ -595,14 +651,18 @@ BENCHMARK_GRAPHS = [
 ]
 
 
+@pytest.mark.slow
 def test_orbit_skip_keeps_output_on_benchmark_graphs(monkeypatch):
+    mid_orbit = 0
     for family, params, unpruned in BENCHMARK_GRAPHS:
         g = make(family, **params)
         for prune in (True, False) if unpruned else (True,):
             _check_orbit_skip_identity(monkeypatch, g, prune, ["default"])
-        # A single mark per size makes the search nearly as slow as no skip,
-        # so it runs once, without budgets.
-        _check_orbit_skip_identity(monkeypatch, g, True, ["one mark"], budgets=False)
+        # Few marks per size make the search nearly as slow as no skip, so it
+        # runs once, without budgets.
+        seen = _check_orbit_skip_identity(monkeypatch, g, True, ["few marks"], budgets=False)
+        mid_orbit += seen["few marks"]["mid-orbit"]
+    assert mid_orbit > 0
 
 
 def test_orbit_skip_evaluates_fewer_supports(monkeypatch):
@@ -646,14 +706,25 @@ def test_orbit_tables_map_supports_as_the_generators_do(monkeypatch):
                 for table, shift in zip(tables, range(0, g.n, 8)):
                     image |= table[sum(1 << v for v in support) >> shift & 255]
                 assert image == sum(1 << gamma[v] for v in support)
-    # Tables past ORBIT_TABLE_BYTES, about 4n(n + 256) bytes per generator,
-    # are dropped.
+    # Tables past ORBIT_BYTES, about 4n(n + 256) bytes per generator, are
+    # dropped, and the marks of one size stay within it too.
     g = make(Family.CYCLE_OF_CLIQUES_MINUS, n=4, m=4)
-    monkeypatch.setattr(sn_module, "ORBIT_TABLE_BYTES", 2 * 4 * g.n * (g.n + 256))
+    monkeypatch.setattr(sn_module, "ORBIT_BYTES", 2 * _table_bytes(g))
     orbits = sn_module._Orbits(g, None)
     for _ in range(sn_module.ORBIT_START):
         orbits.mark(1, 0)
     assert len(orbits.tables) == 2 < len(canon.automorphism_generators(g)[0])
+    assert orbits.limit == 386  # 34,816 bytes at 88 + 16/7.5 bytes a mark
+    for support in itertools.combinations(range(g.n), 8):
+        orbits.mark(sum(1 << v for v in support), 0)
+    assert len(orbits.counted) == orbits.limit
+
+
+def test_orbit_marks_cover_every_support_of_a_twenty_vertex_size():
+    # The marks of the 167,960 supports of size 9 on 20 vertices fit.
+    g = make(Family.CYCLE_OF_CLIQUES_MINUS, n=4, m=5)
+    assert g.n == 20
+    assert sn_module._Orbits(g, None).limit > math.comb(20, 9)
 
 
 def _no_twins(m):
@@ -697,6 +768,7 @@ def _check_twin_shortcut_identity(monkeypatch, g, prune, budgets=True):
     return len(settled)
 
 
+@pytest.mark.slow
 def test_twin_shortcut_keeps_output_on_random_graphs(monkeypatch):
     rng = random.Random(1307)
     fired = 0
@@ -710,6 +782,7 @@ def test_twin_shortcut_keeps_output_on_random_graphs(monkeypatch):
     assert fired >= 150
 
 
+@pytest.mark.slow
 def test_twin_shortcut_keeps_output_on_benchmark_graphs(monkeypatch):
     fired = 0
     for family, params, unpruned in BENCHMARK_GRAPHS:
@@ -745,3 +818,17 @@ def test_sn_exact_on_five_block_clique_cycles(family):
     report = sn_exact(generate(spec))
     assert report.sn == expected_sn(family.value, spec)
     assert verify_certificate(report.certificate).ok
+
+
+def test_no_graph_classes_below_one_vertex():
+    assert list(connected_graphs_up_to_iso(0)) == []
+    assert [g.edges for g in connected_graphs_up_to_iso(1)] == [()]
+
+
+def test_negative_subset_budget_is_rejected():
+    g = make(Family.CYCLE, n=5)
+    with pytest.raises(ValueError, match="max_subsets"):
+        sn_exact(g, max_subsets=-1)
+    # A budget of 0 is a budget: it runs out at the first support.
+    with pytest.raises(BudgetExceededError):
+        sn_exact(g, max_subsets=0)

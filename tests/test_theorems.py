@@ -11,7 +11,6 @@ from sudokugraph import (
     InvalidFamilyParamsError,
     SuiteScale,
     THEOREM_CASES,
-    TheoremCase,
     chromatic_number,
     construct,
     count_extensions,
@@ -43,11 +42,6 @@ def test_case_registry_names_every_family_result():
         "fan",
         "wheel",
     )
-
-
-def test_theorem_case_describe_includes_params():
-    case = TheoremCase("wheel", spec(Family.WHEEL, n=5))
-    assert case.describe() == "wheel[wheel(n=5)]"
 
 
 SPOT_SPECS = [
