@@ -27,15 +27,15 @@ from .generators import Family, FamilySpec, generate, sudoku_grid
 from .graph import Graph
 from .io import (
     GraphFormat,
-    certificate_from_object,
+    certificate_to_object,
     coloring_to_object,
     emit_dot,
-    graph_to_object,
+    parse_certificate,
     parse_coloring,
     parse_graph,
     serialize_graph,
 )
-from .sn import Certificate, conjecture_scan, sn_exact, verify_certificate
+from .sn import conjecture_scan, sn_exact, verify_certificate
 from .theorems import CASES, THEOREM_CASES, expected_sn, verify_theorem
 
 EXIT_OK = 0
@@ -139,16 +139,6 @@ def _witness_obj(witness: dict | None):
     return {str(v): c for v, c in sorted(witness.items())}
 
 
-def _certificate_obj(cert: Certificate) -> dict:
-    return {
-        "graph": graph_to_object(cert.graph),
-        "k": cert.partial.k,
-        "colors": coloring_to_object(cert.partial)["colors"],
-        "claimed_sn": cert.claimed_sn,
-        "provenance": cert.provenance,
-    }
-
-
 def cmd_sn(args) -> int:
     g = _read_graph(args)
     report = sn_exact(
@@ -162,7 +152,7 @@ def cmd_sn(args) -> int:
         args,
         {
             "sn": report.sn,
-            "certificate": _certificate_obj(report.certificate),
+            "certificate": certificate_to_object(report.certificate),
             "subsets_examined": report.subsets_examined,
             "colorings_examined": report.colorings_examined,
             "pruned_by": report.pruned_by,
@@ -174,11 +164,7 @@ def cmd_sn(args) -> int:
 def cmd_verify(args) -> int:
     if args.cert:
         with open(args.cert, "rb") as fh:
-            try:
-                obj = json.loads(fh.read().decode("ascii"))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", pos=exc.pos)
-        cert = certificate_from_object(obj)
+            cert = parse_certificate(fh.read())
         result = verify_certificate(cert, exact=args.exact)
         _emit_json(args, {"ok": result.ok, "checks": result.checks})
         return EXIT_OK if result.ok else EXIT_VERIFY

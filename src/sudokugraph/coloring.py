@@ -7,7 +7,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
 
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 
 # Rule labels used in deduction traces.
 RULE_COLOR_DOMINATING = "color-dominating"
@@ -33,6 +33,9 @@ class PartialColoring:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.k > MAX_VERTICES:
+            # No graph needs more colors than vertices, and the engine holds k + 1 list entries.
+            raise ValueError(f"k = {self.k} exceeds the configured budget of {MAX_VERTICES} colors")
         frozen = dict(self.assignments)
         for v, c in frozen.items():
             if v < 0:

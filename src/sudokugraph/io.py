@@ -5,9 +5,9 @@ from __future__ import annotations
 import json
 from enum import Enum
 
-from .coloring import PartialColoring
-from .errors import ParseError
-from .graph import MAX_VERTICES, Graph, build
+from .coloring import PartialColoring, is_proper
+from .errors import ParseError, SelfLoopError, VertexOutOfRangeError
+from .graph import Graph, build
 from .sn import Certificate
 
 
@@ -25,84 +25,83 @@ def _as_text(data) -> str:
     return data
 
 
+def _load_json(text):
+    try:
+        return json.loads(_as_text(text))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc.msg}", pos=exc.pos)
+
+
 def parse_graph(text, fmt: GraphFormat = GraphFormat.EDGELIST) -> Graph:
     """Parse a graph from bytes or str in the given format."""
-    raw = _as_text(text)
     if fmt is GraphFormat.EDGELIST:
-        return _parse_edgelist(raw)
+        return _parse_edgelist(_as_text(text))
     if fmt is GraphFormat.JSON:
-        return _parse_json_graph(raw)
+        return graph_from_object(_load_json(text))
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def _parse_edgelist(raw: str) -> Graph:
-    lines = raw.splitlines()
-    rows: list[tuple[int, list[str]]] = []
-    for i, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if stripped:
-            rows.append((i, stripped.split()))
-    if not rows:
+    rows = ((i, line.split()) for i, line in enumerate(raw.splitlines(), start=1) if line.strip())
+    first = next(rows, None)
+    if first is None:
         raise ParseError("empty edge list input", line=1)
-    header_line, header = rows[0]
+    lineno, header = first
     if len(header) != 2:
-        raise ParseError("header must be 'n m'", line=header_line)
+        raise ParseError("header must be 'n m'", line=lineno)
     try:
         n, m = int(header[0]), int(header[1])
     except ValueError:
-        raise ParseError("header must hold two integers", line=header_line)
+        raise ParseError("header must hold two integers", line=lineno)
     if n < 0 or m < 0:
-        raise ParseError("header counts must be nonnegative", line=header_line)
-    body = rows[1:]
-    if len(body) != m:
-        raise ParseError(
-            f"expected {m} edge lines, found {len(body)}",
-            line=body[-1][0] if body else header_line,
-        )
-    edges = []
-    for lineno, parts in body:
-        if len(parts) != 2:
-            raise ParseError("edge line must be 'u v'", line=lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("edge endpoints must be integers", line=lineno)
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise ParseError(f"edge ({u}, {v}) outside range(0, {n})", line=lineno)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", line=lineno)
-        edges.append((u, v))
-    return build(n, edges)
+        raise ParseError("header counts must be nonnegative", line=lineno)
 
+    def edges():
+        nonlocal lineno
+        found = 0
+        for lineno, parts in rows:
+            found += 1
+            if len(parts) != 2:
+                raise ParseError("edge line must be 'u v'", line=lineno)
+            try:
+                edge = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError("edge endpoints must be integers", line=lineno)
+            yield edge
+        if found != m:
+            raise ParseError(f"expected {m} edge lines, found {found}", line=lineno)
 
-def _parse_json_graph(raw: str) -> Graph:
+    # build reads one edge line at a time, so it stops the read past MAX_EDGES edges;
+    # its rejections (a self-loop, a vertex or count out of bounds) get the line last read.
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", pos=exc.pos)
-    return graph_from_object(obj)
+        return build(n, edges())
+    except (SelfLoopError, VertexOutOfRangeError, ValueError) as exc:
+        raise ParseError(str(exc), line=lineno)
 
 
 def graph_from_object(obj) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError("graph object needs keys 'n' and 'edges'")
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError(f"'n' must be a nonnegative integer, got {n!r}")
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of pairs")
-    pairs = []
-    for i, e in enumerate(edges):
-        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, int) for x in e):
-            raise ParseError(f"edge {i} must be a pair of integers, got {e!r}")
-        u, v = e
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise ParseError(f"edge {i} = ({u}, {v}) outside range(0, {n})")
-        if u == v:
-            raise ParseError(f"edge {i} is a self-loop at {u}")
-        pairs.append((u, v))
-    return build(n, pairs)
+    where = ""
+
+    def pairs():
+        nonlocal where
+        for i, e in enumerate(edges):
+            where = f" (edge {i})"
+            if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, int) for x in e):
+                raise ParseError(f"edge {i} must be a pair of integers, got {e!r}")
+            yield e
+
+    try:
+        return build(n, pairs())
+    except (SelfLoopError, VertexOutOfRangeError, ValueError) as exc:
+        raise ParseError(f"{exc}{where}")
 
 
 def graph_to_object(g: Graph) -> dict:
@@ -123,11 +122,8 @@ def coloring_from_object(obj) -> PartialColoring:
     if not isinstance(obj, dict) or "k" not in obj or "colors" not in obj:
         raise ParseError("coloring object needs keys 'k' and 'colors'")
     k = obj["k"]
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool):
         raise ParseError(f"'k' must be a positive integer, got {k!r}")
-    if k > MAX_VERTICES:
-        # No graph needs more colors than vertices, and the engine holds a list of k + 1 entries.
-        raise ParseError(f"'k' = {k} exceeds the configured budget of {MAX_VERTICES} colors")
     colors = obj["colors"]
     if not isinstance(colors, dict):
         raise ParseError("'colors' must map vertex names to colors")
@@ -137,10 +133,21 @@ def coloring_from_object(obj) -> PartialColoring:
             v = int(key)
         except (TypeError, ValueError):
             raise ParseError(f"vertex key {key!r} is not an integer")
-        if not isinstance(col, int) or isinstance(col, bool) or not (1 <= col <= k):
+        if not isinstance(col, int) or isinstance(col, bool):
             raise ParseError(f"vertex {v} has color {col!r} outside 1..{k}")
         assignments[v] = col
-    return PartialColoring(k, assignments)
+    try:
+        return PartialColoring(k, assignments)
+    except ValueError as exc:
+        raise ParseError(str(exc))
+
+
+def parse_coloring(text) -> PartialColoring:
+    return coloring_from_object(_load_json(text))
+
+
+def coloring_to_object(c: PartialColoring) -> dict:
+    return {"k": c.k, "colors": {str(v): c.assignments[v] for v in sorted(c.assignments)}}
 
 
 def certificate_from_object(obj) -> Certificate:
@@ -160,25 +167,23 @@ def certificate_from_object(obj) -> Certificate:
     return Certificate(g, partial, claimed, provenance)
 
 
-def parse_coloring(text) -> PartialColoring:
-    raw = _as_text(text)
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", pos=exc.pos)
-    return coloring_from_object(obj)
+def parse_certificate(text) -> Certificate:
+    return certificate_from_object(_load_json(text))
 
 
-def coloring_to_object(c: PartialColoring) -> dict:
-    return {"k": c.k, "colors": {str(v): c.assignments[v] for v in sorted(c.assignments)}}
+def certificate_to_object(cert: Certificate) -> dict:
+    return {
+        "graph": graph_to_object(cert.graph),
+        **coloring_to_object(cert.partial),
+        "claimed_sn": cert.claimed_sn,
+        "provenance": cert.provenance,
+    }
 
 
 def emit_dot(g: Graph, coloring: PartialColoring | None = None) -> bytes:
     """Graphviz source; colored vertices get a fill keyed by their color index."""
     if coloring is not None:
-        for v in coloring.assignments:
-            if not (0 <= v < g.n):
-                raise ValueError(f"colored vertex {v} outside range(0, {g.n})")
+        is_proper(g, coloring)  # for its ValueError on a colored vertex outside range(n)
     lines = ["graph G {", "  node [shape=circle];"]
     assignments = coloring.assignments if coloring is not None else {}
     k = coloring.k if coloring is not None else 1

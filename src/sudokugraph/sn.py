@@ -299,8 +299,10 @@ class _Orbits:
     short searches skip even loading it. Each becomes a table per byte of a
     support, from the byte to its image's bitmask. Both stay within
     ORBIT_BYTES: the generators past it, at about 4n(n + 256) bytes each, are
-    dropped, and marking stops at `limit` marks, at about 88 + n/7.5 bytes
-    each: a dict entry, its n-bit key and the key's frontier slot.
+    dropped (and none is searched for when not one fits, from n = 1,924 at
+    the default bound), and marking stops at `limit` marks, at about
+    88 + n/7.5 bytes each: a dict entry, its n-bit key and the key's
+    frontier slot.
     """
 
     def __init__(self, g: Graph, deadline: float | None):
@@ -317,11 +319,13 @@ class _Orbits:
         if self.tables is None:
             if self.evaluated < ORBIT_START:
                 return
-            from . import canon
-
-            gens = canon.automorphism_generators(self.g, self.deadline)[0]
             self.tables = []
-            for gamma in gens[: ORBIT_BYTES // (4 * self.g.n * (self.g.n + 256))]:
+            fit, gens = ORBIT_BYTES // (4 * self.g.n * (self.g.n + 256)), []
+            if fit:
+                from . import canon
+
+                gens = canon.automorphism_generators(self.g, self.deadline)[0][:fit]
+            for gamma in gens:
                 self.tables.append(tables := [])
                 for lo in range(0, len(gamma), 8):
                     tables.append(table := [0])

@@ -1,19 +1,24 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, "tests")
 from oracles import brute_sudoku_solutions
 
+import sudokugraph
 from sudokugraph import cli, extension
 from sudokugraph.cli import main
 from sudokugraph.coloring import ExtensionKind, PartialColoring
 from sudokugraph.extension import count_extensions
 from sudokugraph.generators import Family, FamilySpec, generate, sudoku_grid
+from sudokugraph.graph import MAX_VERTICES
 from sudokugraph.io import serialize_graph
 
 SOLUTION = "693784512487512936125963874932651487568247391741398625319475268856129743274836159"
@@ -105,6 +110,13 @@ def test_gen_rejects_bad_params(capsys):
     assert code == 2
     code, out, err = run(capsys, ["gen", "--family", "stacked-triangulation", "--attach", "1;2"])
     assert code == 2
+    for argv in (
+        ["--family", "complete-multipartite", "--parts", "1,x"],
+        ["--family", "stacked-triangulation", "--attach", "a,b"],
+    ):
+        code, out, err = run(capsys, ["gen"] + argv)
+        assert (code, out) == (2, ""), argv
+        assert "bad --" in err
 
 
 def test_unknown_family_is_usage_error(capsys):
@@ -401,6 +413,11 @@ def test_verify_malformed_certificate_exits_2(capsys, tmp_path):
     cert_path.write_text("{not json")
     code, out, err = run(capsys, ["verify", "--cert", str(cert_path)])
     assert code == 2
+    for data in (b'{"graph": ', b"[1, 2", '{"provenance": "é"}'.encode("utf-8"), b"\xff"):
+        cert_path.write_bytes(data)
+        code, out, err = run(capsys, ["verify", "--cert", str(cert_path)])
+        assert (code, out) == (2, ""), data
+        assert err.startswith("error: ")
 
 
 def test_solve_json_trace(capsys, tmp_path):
@@ -704,3 +721,44 @@ def test_oversized_inputs_exit_2_before_memory_runs_out(capsys, tmp_path):
     code, out, err = run(capsys, ["extend-count", "--in", gpath, "--coloring", cpath])
     assert (code, out) == (2, "")
     assert "exceeds" in err
+
+
+def test_path_at_the_vertex_limit(capsys, tmp_path):
+    cpath = write_coloring(tmp_path, "one.json", 2, {0: 1})
+    alternating = {str(v): 1 + v % 2 for v in range(MAX_VERTICES)}
+    for fmt in ("edgelist", "json"):
+        gpath = write_graph(
+            capsys, tmp_path, f"p.{fmt}",
+            ["--family", "path", "--n", str(MAX_VERTICES), "--format", fmt],
+        )
+        flags = ["--in", gpath, "--format", fmt, "--coloring", cpath]
+        solved = run_json(capsys, ["solve"] + flags)
+        assert solved["kind"] == "unique" and solved["witness"] == alternating
+        assert len(solved["trace"]) == MAX_VERTICES - 1
+        counted = run_json(capsys, ["extend-count"] + flags)
+        assert (counted["kind"], counted["count"]) == ("unique", 1)
+
+
+def test_entry_point_pipes_bytes_between_processes(capsys, monkeypatch):
+    # python -m sudokugraph, with the package on the path whether or not it is installed.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(sudokugraph.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    command = [sys.executable, "-m", "sudokugraph"]
+    with subprocess.Popen(
+        command + ["gen", "--family", "cycle", "--n", "5"], stdout=subprocess.PIPE, env=env
+    ) as gen:
+        chroma = subprocess.run(
+            command + ["chroma"], stdin=gen.stdout, capture_output=True, env=env, timeout=60
+        )
+    assert (gen.returncode, chroma.returncode, chroma.stderr) == (0, 0, b"")
+    feed_stdin(monkeypatch, serialize_graph(generate(FamilySpec(Family.CYCLE, {"n": 5}))))
+    code, out, err = run(capsys, ["chroma"])
+    assert chroma.stdout == out.encode("ascii")
+    assert json.loads(out)["chi"] == 3
+    bad = subprocess.run(
+        command + ["chroma"], input=b"2 1\n0 5\n", capture_output=True, env=env, timeout=60
+    )
+    assert (bad.returncode, bad.stdout) == (2, b"")
+    assert bad.stderr.startswith(b"error: ")

@@ -15,6 +15,7 @@ from sudokugraph.coloring import (
     RULE_COLOR_DOMINATING,
     RULE_NEAR_COLOR_DOMINATING,
 )
+from sudokugraph.graph import MAX_VERTICES
 
 
 def test_partial_coloring_validation():
@@ -29,6 +30,10 @@ def test_partial_coloring_validation():
         PartialColoring(3, {0: 4})
     with pytest.raises(ValueError):
         PartialColoring(3, {-1: 2})
+    assert PartialColoring(MAX_VERTICES, {0: MAX_VERTICES}).k == MAX_VERTICES
+    for k in (MAX_VERTICES + 1, 4 * 10**6):
+        with pytest.raises(ValueError, match="exceeds the configured budget"):
+            PartialColoring(k, {})
 
 
 def test_partial_coloring_is_immutable():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -20,8 +21,10 @@ from sudokugraph import (
     parse_graph,
     serialize_graph,
 )
+import sudokugraph.graph as graph_module
 from sudokugraph.graph import MAX_VERTICES
-from sudokugraph.io import certificate_from_object
+from sudokugraph.io import certificate_from_object, certificate_to_object, parse_certificate
+from sudokugraph.sn import sn_exact
 
 
 def test_edgelist_round_trip():
@@ -72,6 +75,18 @@ def test_edgelist_errors_carry_line_numbers():
         parse_graph(b"x y\n", GraphFormat.EDGELIST)
     with pytest.raises(ParseError):
         parse_graph(b"2 1\n0 0\n", GraphFormat.EDGELIST)
+    for data, line in (
+        (b"-1 0\n", 1),
+        (b"\n3 -2\n", 2),
+        (b"3 1\n0 1 2\n", 2),
+        (b"3 2\n0 1\n2\n", 3),
+        (b"3 1\n0 x\n", 2),
+        (b"3 2\n0 1\n\n1 2.5\n", 4),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_graph(data, GraphFormat.EDGELIST)
+        assert err.value.line == line, data
+        assert f"(line {line})" in str(err.value)
 
 
 def test_json_graph_errors():
@@ -89,6 +104,9 @@ def test_json_graph_errors():
         parse_graph(b'{"n": "2", "edges": []}', GraphFormat.JSON)
     with pytest.raises(ParseError):
         parse_graph(b'{"n": 2, "edges": [[0, 0]]}', GraphFormat.JSON)
+    for edges in ("5", '{"0": 1}', '"01"', "null"):
+        with pytest.raises(ParseError, match="'edges' must be a list"):
+            parse_graph(f'{{"n": 2, "edges": {edges}}}'.encode("ascii"), GraphFormat.JSON)
 
 
 def test_non_ascii_rejected():
@@ -125,6 +143,12 @@ def test_coloring_object_validation():
         coloring_from_object({"k": 2, "colors": [1, 2]})
     roundtrip = coloring_to_object(PartialColoring(2, {1: 2}))
     assert roundtrip == {"k": 2, "colors": {"1": 2}}
+    for data in (b"{", b'{"k": 2, "colors": {"0": 1}', b"", "é".encode("utf-8")):
+        with pytest.raises(ParseError):
+            parse_coloring(data)
+    with pytest.raises(ParseError) as err:
+        parse_coloring(b'{"k": 2 "colors": {}}')
+    assert err.value.pos == 8
 
 
 def test_certificate_object_validation():
@@ -185,3 +209,76 @@ def test_coloring_palette_is_bounded_by_max_vertices():
     for k in (MAX_VERTICES + 1, 10**6, 4 * 10**6):
         with pytest.raises(ParseError, match="exceeds"):
             coloring_from_object({"k": k, "colors": {}})
+
+
+def test_graph_bounds_are_build_s_with_the_place_they_were_read():
+    for data, line, message in (
+        (b"3 1\n0 3\n", 2, r"outside range\(0, 3\)"),
+        (b"3 2\n0 1\n\n-1 2\n", 4, r"outside range\(0, 3\)"),
+        (b"3 2\n0 1\n2 2\n", 3, "self-loop at vertex 2"),
+        (f"{MAX_VERTICES + 1} 0\n".encode("ascii"), 1, "exceeds the configured budget"),
+    ):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_graph(data, GraphFormat.EDGELIST)
+        assert err.value.line == line, data
+    for obj, message in (
+        ({"n": 3, "edges": [[0, 1], [1, 3]]}, "edge (1, 3) outside range(0, 3) (edge 1)"),
+        ({"n": 3, "edges": [[0, 1], [1, 2], [2, 2]]}, "self-loop at vertex 2 (edge 2)"),
+        ({"n": -1, "edges": []}, "vertex count must be nonnegative, got -1"),
+        (
+            {"n": MAX_VERTICES + 1, "edges": []},
+            f"graph order {MAX_VERTICES + 1} exceeds the configured budget of {MAX_VERTICES}",
+        ),
+    ):
+        with pytest.raises(ParseError) as err:
+            graph_from_object(obj)
+        assert str(err.value) == message
+
+
+def test_edges_are_read_one_at_a_time(monkeypatch):
+    monkeypatch.setattr(graph_module, "MAX_EDGES", 10)
+    pairs = list(itertools.combinations(range(11), 2))[:50]
+    text = "11 50\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    with pytest.raises(ParseError, match="10 edges") as err:
+        parse_graph(text, GraphFormat.EDGELIST)
+    # The header is line 1, so the eleventh distinct edge is on line 12.
+    assert err.value.line == 12
+    # A repeated edge line is not a new edge.
+    text = "11 50\n" + "0 1\n" * 40 + "".join(f"{u} {v}\n" for u, v in pairs[1:11])
+    with pytest.raises(ParseError) as err:
+        parse_graph(text, GraphFormat.EDGELIST)
+    assert err.value.line == 51
+    with pytest.raises(ParseError, match=r"10 edges \(edge 10\)$"):
+        graph_from_object({"n": 11, "edges": [list(e) for e in pairs]})
+
+
+def test_an_edge_line_is_checked_before_the_edge_count():
+    with pytest.raises(ParseError, match="edge line must be") as err:
+        parse_graph(b"3 5\n0 1\n1 2 0\n", GraphFormat.EDGELIST)
+    assert err.value.line == 3
+    with pytest.raises(ParseError, match="expected 5 edge lines, found 2") as err:
+        parse_graph(b"3 5\n0 1\n1 2\n\n", GraphFormat.EDGELIST)
+    assert err.value.line == 3
+
+
+def test_coloring_bounds_are_partial_coloring_s():
+    for obj, message in (
+        ({"k": 0, "colors": {}}, "k must be >= 1"),
+        ({"k": 2, "colors": {"0": 3}}, "outside 1..2"),
+        ({"k": 2, "colors": {"-1": 1}}, "nonnegative"),
+        ({"k": 2, "colors": {"0": True}}, "outside 1..2"),
+        ({"k": True, "colors": {}}, "positive integer"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            coloring_from_object(obj)
+
+
+def test_certificate_round_trip():
+    cert = sn_exact(generate(FamilySpec(Family.WHEEL, {"n": 5}))).certificate
+    obj = certificate_to_object(cert)
+    assert list(obj) == ["graph", "k", "colors", "claimed_sn", "provenance"]
+    assert certificate_from_object(obj) == cert
+    assert parse_certificate(json.dumps(obj).encode("ascii")) == cert
+    for data in (b"{", b"", "\u00e9".encode("utf-8")):
+        with pytest.raises(ParseError):
+            parse_certificate(data)

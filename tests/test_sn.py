@@ -727,6 +727,34 @@ def test_orbit_marks_cover_every_support_of_a_twenty_vertex_size():
     assert sn_module._Orbits(g, None).limit > math.comb(20, 9)
 
 
+def test_no_generator_search_when_no_table_fits(monkeypatch):
+    inner = canon.automorphism_generators
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(canon, "automorphism_generators", spy)
+    g = make(Family.SUDOKU_GRID, b=2)
+    want = _report_key(sn_exact(g))
+    monkeypatch.setattr(sn_module, "ORBIT_START", 0)
+    for room, searched in ((_table_bytes(g) - 1, 0), (_table_bytes(g), 1)):
+        monkeypatch.setattr(sn_module, "ORBIT_BYTES", room)
+        calls.clear()
+        assert _report_key(sn_exact(g)) == want
+        assert len(calls) == searched
+    # At the shipped bound no table fits from 1,924 vertices on.
+    monkeypatch.undo()
+    monkeypatch.setattr(canon, "automorphism_generators", spy)
+    for n, searched in ((1923, 1), (1924, 0)):
+        calls.clear()
+        orbits = sn_module._Orbits(make(Family.CYCLE, n=n), None)
+        for _ in range(sn_module.ORBIT_START):
+            orbits.mark(1, 0)
+        assert len(calls) == searched and len(orbits.tables) == searched
+
+
 def _no_twins(m):
     m.setattr(sn_module, "_twin_classes", lambda g: [])
 
