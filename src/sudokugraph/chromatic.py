@@ -59,15 +59,18 @@ def _search(
     budget: int = DEFAULT_NODE_BUDGET,
     fresh: bool = False,
     deadline: float | None = None,
+    accept=None,
     what: str,
 ) -> tuple[int, list[int] | None]:
     """Count proper colorings with color[v] in lists[v], saturating at cap.
 
     Returns the count (cap None counts all) and the first coloring found,
-    as a list indexed by vertex. Preset vertices keep their colors, which
-    must be proper. Each branching vertex is one node; more than budget
-    nodes raise BudgetExceededError naming `what`, and a node reached past
-    the deadline (a time.perf_counter() value) raises SearchExpired.
+    as a list indexed by vertex. With accept set, only the colorings it
+    returns true for are counted (and can be first). Preset vertices keep
+    their colors, which must be proper. Each branching vertex is one node;
+    more than budget nodes raise BudgetExceededError naming `what`, and a
+    node reached past the deadline (a time.perf_counter() value) raises
+    SearchExpired.
     """
     adj = g.adj
     order = sorted(range(g.n), key=lambda v: -len(adj[v]))  # stable: ties by index
@@ -95,7 +98,7 @@ def _search(
             best = _fewest_colors(order, color, free, 0)
             bits = free[best] & ((2 << top) - 1) if fresh else free[best]
             stack.append([best, bits, len(journal), top])
-        else:
+        elif accept is None or accept(color):
             count += 1
             if first is None:
                 first = color[:]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from enum import Enum
 
 from .coloring import PartialColoring, is_proper
@@ -41,8 +42,27 @@ def parse_graph(text, fmt: GraphFormat = GraphFormat.EDGELIST) -> Graph:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+# A line boundary of str.splitlines, "\r\n" whole; and the characters per block of _lines.
+_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_BLOCK = 1 << 16
+
+
+def _lines(raw: str):
+    """The lines of raw.splitlines(), a block at a time, so no list of all of them is built.
+
+    Each block ends just after the first line boundary at least _BLOCK
+    characters in, or at the end of raw, so the blocks' lines are raw's.
+    """
+    start = 0
+    while start < len(raw):
+        cut = _BREAK.search(raw, start + _BLOCK)
+        end = cut.end() if cut else len(raw)
+        yield from raw[start:end].splitlines()
+        start = end
+
+
 def _parse_edgelist(raw: str) -> Graph:
-    rows = ((i, line.split()) for i, line in enumerate(raw.splitlines(), start=1) if line.strip())
+    rows = ((i, line.split()) for i, line in enumerate(_lines(raw), start=1) if line.strip())
     first = next(rows, None)
     if first is None:
         raise ParseError("empty edge list input", line=1)

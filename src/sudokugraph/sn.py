@@ -5,9 +5,10 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb, isnan
 
-from .chromatic import SearchExpired, chromatic_number, count_color_partitions
+from .chromatic import SearchExpired, _search, chromatic_number, count_color_partitions
 from .coloring import ExtensionKind, PartialColoring, is_proper
 from .errors import BudgetExceededError, DisconnectedGraphError
 from .extension import _Engine, _EngineGraph, count_extensions
@@ -617,40 +618,90 @@ def connected_graphs_up_to_iso(n: int):
             stack.append([child, b, child_nbr])
 
 
-def conjecture_scan(max_n: int, *, max_seconds: float | None = None) -> ScanReport:
-    """Compute sn for every connected graph class up to max_n vertices.
+def _is_extremal(g: Graph, k: int, deadline: float | None = None) -> bool:
+    """True when sn(G) = n - 1, for connected g with chromatic number k.
 
-    Reports the classes hitting the extreme value n-1 and flags any that are
+    Winning is monotone: if S wins with unique completion f, every T ⊇ S wins
+    with f|T, as each completion of f|T completes f|S. So sn(G) <= n - 2
+    exactly when some k-coloring f and pair {u, v} make f on V - {u, v}
+    extend uniquely, and the completions on {u, v} have a closed form. With
+    L_x the colors of [k] missing from f(N(x) - {u, v}), they number
+    |L_u|·|L_v| when u, v are not adjacent, and |L_u|·|L_v| - |L_u ∩ L_v|
+    when they are. For a nonadjacent pair it is 1 only when u and v are both
+    color-dominating (N(x) sees every color but f(x)). The count is the same
+    under every renaming of colors, so one coloring per vertex partition is
+    tried, and g is extremal when none has a pair with one completion. Past
+    the deadline (a time.perf_counter() value) it raises SearchExpired.
+    """
+    n, adj, full = g.n, g.adj, (1 << k) - 1
+
+    def settles(color: list[int]) -> bool:
+        bit = [1 << c - 1 for c in color]
+        seen = [0] * n  # the colors on N(x)
+        twice = [0] * n  # the colors on two or more vertices of N(x)
+        for x in range(n):
+            s = t = 0
+            for w in adj[x]:
+                t |= s & bit[w]
+                s |= bit[w]
+            seen[x], twice[x] = s, t
+        dominating = [x for x in range(n) if seen[x].bit_count() == k - 1]
+        if any(v not in adj[u] for u, v in combinations(dominating, 2)):
+            return True
+        for u, v in g.edges:
+            # v's color leaves L_u's complement unless another neighbor of u has it.
+            lu = full & ~seen[u] | bit[v] & ~twice[u]
+            lv = full & ~seen[v] | bit[u] & ~twice[v]
+            if lu.bit_count() * lv.bit_count() - (lu & lv).bit_count() == 1:
+                return True
+        return False
+
+    found, _ = _search(
+        g, [full] * n, cap=1, fresh=True, deadline=deadline, accept=settles,
+        what="pair test",
+    )
+    return not found
+
+
+def conjecture_scan(max_n: int, *, max_seconds: float | None = None) -> ScanReport:
+    """Test sn(G) = n - 1 for every connected graph class up to max_n vertices.
+
+    Reports the classes hitting this extreme value and flags any that are
     not complete. Single-vertex graphs fall outside the definition (chi = 1)
-    and are skipped; K_2 is reported but marked degenerate (chi < 3).
+    and are skipped; K_2 is reported but marked degenerate (chi < 3). Each
+    class is decided by _is_extremal, which looks at one support size only,
+    not by sn_exact. The time budget is checked between classes and inside
+    each class's chromatic number and pair test.
     """
     if not (2 <= max_n <= 7):
         raise ValueError(f"scan supports 2 <= max_n <= 7, got {max_n}")
     _check_seconds(max_seconds)
-    start = time.perf_counter()
+    deadline = None if max_seconds is None else time.perf_counter() + max_seconds
     classes_scanned: dict[int, int] = {}
     extremal: list[dict] = []
     for n in range(2, max_n + 1):
         count = 0
         for g in connected_graphs_up_to_iso(n):
-            if max_seconds is not None and time.perf_counter() - start >= max_seconds:
+            count += 1
+            try:
+                if deadline is not None and time.perf_counter() >= deadline:
+                    raise SearchExpired
+                k, _ = chromatic_number(g, deadline=deadline)
+                if not _is_extremal(g, k, deadline):
+                    continue
+            except SearchExpired:
                 raise BudgetExceededError(
                     f"time budget {max_seconds}s exhausted during scan at n={n}"
-                )
-            count += 1
-            report = sn_exact(g)
-            if report.sn == n - 1:
-                chi = report.certificate.partial.k
-                complete = g.m == n * (n - 1) // 2
-                extremal.append(
-                    {
-                        "n": n,
-                        "edges": [list(e) for e in g.edges],
-                        "sn": report.sn,
-                        "complete": complete,
-                        "degenerate": chi < 3,
-                    }
-                )
+                ) from None
+            extremal.append(
+                {
+                    "n": n,
+                    "edges": [list(e) for e in g.edges],
+                    "sn": n - 1,
+                    "complete": g.m == n * (n - 1) // 2,
+                    "degenerate": k < 3,
+                }
+            )
         classes_scanned[n] = count
     counterexamples = [row for row in extremal if not row["complete"]]
     return ScanReport(

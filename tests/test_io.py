@@ -22,6 +22,7 @@ from sudokugraph import (
     serialize_graph,
 )
 import sudokugraph.graph as graph_module
+import sudokugraph.io as io_module
 from sudokugraph.graph import MAX_VERTICES
 from sudokugraph.io import certificate_from_object, certificate_to_object, parse_certificate
 from sudokugraph.sn import sn_exact
@@ -87,6 +88,35 @@ def test_edgelist_errors_carry_line_numbers():
             parse_graph(data, GraphFormat.EDGELIST)
         assert err.value.line == line, data
         assert f"(line {line})" in str(err.value)
+
+
+# Every line boundary of str.splitlines; the last three are not ASCII, so only str input has them.
+LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_edgelist_lines_break_where_splitlines_does(monkeypatch, block, brk):
+    # Small blocks put a block's end next to, and inside, every boundary.
+    monkeypatch.setattr(io_module, "_BLOCK", block)
+    good = brk.join(["3 2", "0 1", "", " ", "1 2"]) + brk
+    inputs = [good, good.encode("ascii")] if brk.isascii() else [good]
+    for data in inputs:
+        assert parse_graph(data, GraphFormat.EDGELIST) == build(3, [(0, 1), (1, 2)])
+    bad = brk.join(["3 2", "0 1", "", "1 x", ""])
+    with pytest.raises(ParseError, match="integers") as err:
+        parse_graph(bad, GraphFormat.EDGELIST)
+    assert err.value.line == bad.splitlines().index("1 x") + 1
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+def test_edgelist_lines_match_splitlines_on_mixed_breaks(monkeypatch, block):
+    monkeypatch.setattr(io_module, "_BLOCK", block)
+    rng = random.Random(block)
+    pieces = LINE_BREAKS + ("\r\r", "\n\r", "", " ", "0", "1 2")
+    for _ in range(2000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        assert list(io_module._lines(text)) == text.splitlines(), repr(text)
 
 
 def test_json_graph_errors():

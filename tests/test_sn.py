@@ -39,6 +39,7 @@ from sudokugraph import (
 )
 import sudokugraph.canon as canon
 import sudokugraph.sn as sn_module
+from sudokugraph.chromatic import SearchExpired
 from sudokugraph.extension import _Engine, _EngineGraph
 from sudokugraph.sn import (
     PRUNE_PENDANT,
@@ -405,6 +406,80 @@ def test_conjecture_scan_budget():
         conjecture_scan(6, max_seconds=0.0)
 
 
+@pytest.mark.parametrize("stage", ["chromatic_number", "_is_extremal"])
+def test_conjecture_scan_budget_stops_inside_a_class(monkeypatch, stage):
+    # The clock passes the deadline as the first class (K_2) starts this
+    # stage, which must stop on it; the check between classes would only see
+    # it at n = 3.
+    now = 0.0
+    monkeypatch.setattr(time, "perf_counter", lambda: now)
+    real = getattr(sn_module, stage)
+    stopped = []
+
+    def late(*args, **kwargs):
+        nonlocal now
+        now = 100.0
+        try:
+            return real(*args, **kwargs)
+        except SearchExpired:
+            stopped.append(stage)
+            raise
+
+    monkeypatch.setattr(sn_module, stage, late)
+    with pytest.raises(BudgetExceededError, match=r"^time budget 1\.0s exhausted during scan at n=2$"):
+        conjecture_scan(4, max_seconds=1.0)
+    assert stopped == [stage]
+
+
+def _pair_test(g):
+    return sn_module._is_extremal(g, chromatic_number(g)[0])
+
+
+def test_pair_test_matches_sn_exact_on_every_class_up_to_6():
+    classes = extremal = 0
+    for n in range(2, 7):
+        for g in connected_graphs_up_to_iso(n):
+            expect = sn_exact(g).sn == n - 1
+            assert _pair_test(g) == expect, g.edges
+            classes += 1
+            extremal += expect
+    assert (classes, extremal) == (142, 5)  # K_2 .. K_6
+
+
+def test_pair_test_matches_sn_exact_on_random_graphs():
+    rng = random.Random(16)
+    extremal = 0
+    for _ in range(320):
+        n = rng.randint(2, 8)
+        g = random_connected_graph(rng, n, extra=rng.choice((0.2, 0.5, 0.9)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = relabel(g, perm)
+        expect = sn_exact(g).sn == n - 1
+        assert _pair_test(g) == expect, g.edges
+        extremal += expect
+    assert extremal >= 20
+
+
+def test_pair_test_counts_adjacent_pairs():
+    # The paw: triangle 0-1-2 plus the edge 0-3. Only adjacent pairs leave
+    # one completion: with f(2) = 3 and f(3) = 2, the uncolored edge 0-1 must
+    # take 1 and 2 in that order.
+    paw = build(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    assert sn_exact(paw).sn == 2
+    assert not _pair_test(paw)
+
+
+def test_conjecture_scan_does_not_run_sn_exact(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("conjecture_scan called sn_exact")
+
+    monkeypatch.setattr(sn_module, "sn_exact", refuse)
+    report = conjecture_scan(6)
+    assert report.classes_scanned == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+    assert [row["n"] for row in report.extremal] == [2, 3, 4, 5, 6]
+
+
 # OEIS A001349: connected graphs on n vertices up to isomorphism.
 A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 
@@ -477,12 +552,13 @@ def test_orderly_generator_is_lazy(monkeypatch):
     first = next(connected_graphs_up_to_iso(7))
     assert first.n == 7
     assert first.edges == tuple((0, v) for v in range(1, 7))
-    # The budget is checked between classes. Listing all of n = 7 takes
-    # well under it, so this part cannot tell a lazy generator from an
-    # eager one; the call count below can.
+    # Listing all of n = 7 takes well under the budget, so this part cannot
+    # tell a lazy generator from an eager one; the call count below can.
+    # The whole scan to 7 takes about 0.35 s of CPU, so a budget it cannot
+    # meet must be far smaller.
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
-        conjecture_scan(7, max_seconds=0.5)
+        conjecture_scan(7, max_seconds=0.02)
     assert time.perf_counter() - start < 2.5
     # The first n = 8 class (the star) comes after a small part of the walk.
     calls = 0
