@@ -26,6 +26,7 @@ from .coloring import (
 )
 from .errors import (
     BudgetExceededError,
+    Clock,
     DisconnectedGraphError,
     ImproperGivensError,
     InvalidFamilyParamsError,
@@ -77,6 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "Certificate",
+    "Clock",
     "ColorListState",
     "DisconnectedGraphError",
     "ExtensionKind",

@@ -1,7 +1,7 @@
 """Automorphism generators of a graph by individualization-refinement.
 
 automorphism_generators(g) returns permutations that generate Aut(g), or a
-subgroup of it when its work bound or deadline runs out first. The method is
+subgroup of it when its work bound or its clock runs out first. The method is
 the search tree of McKay, "Practical graph isomorphism", Congr. Numer. 30
 (1981), and McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic
 Comput. 60 (2014), without canonical labeling, without a stabilizer chain and
@@ -33,15 +33,14 @@ without pruning the tree by the automorphisms found:
 Work is counted in steps: one per splitter vertex and adjacency entry
 scanned, per vertex moved between cells, per list entry copied and per edge
 end checked. The search stops before the steps would exceed AUT_STEPS * (n + 2m),
-or once time.perf_counter() passes the deadline, and returns the generators
-found so far. Those generate a subgroup of Aut(g), which is all a caller that
+or once its clock's deadline has passed, and returns the generators found so
+far. Those generate a subgroup of Aut(g), which is all a caller that
 skips work on symmetric images needs.
 """
 
 from __future__ import annotations
 
-import time
-
+from .errors import Clock
 from .graph import Graph
 
 # Work bound: steps per vertex and per edge end, so one graph costs at most
@@ -50,7 +49,7 @@ AUT_STEPS = 128
 
 
 class _Stop(Exception):
-    """The work bound or the deadline ran out."""
+    """The work bound or the clock ran out: the search ends with what it has."""
 
 
 class _Partition:
@@ -92,7 +91,7 @@ class _Partition:
 
 
 class _Refiner:
-    def __init__(self, g: Graph, deadline: float | None):
+    def __init__(self, g: Graph, clock: Clock | None):
         self.n = g.n
         self.adj = g.adj
         self.deg = [len(a) for a in g.adj]
@@ -100,12 +99,12 @@ class _Refiner:
         self.size = g.n + 2 * g.m
         self.limit = AUT_STEPS * self.size
         self.steps = 0
-        self.deadline = deadline
+        self.deadline = None if clock is None else clock.deadline
 
     def charge(self, cost: int) -> None:
         if self.steps + cost > self.limit:
             raise _Stop
-        if self.deadline is not None and time.perf_counter() >= self.deadline:
+        if self.deadline is not None and Clock.now() >= self.deadline:
             raise _Stop
         self.steps += cost
 
@@ -218,16 +217,16 @@ def _find(parent: list[int], v: int) -> int:
 
 
 def automorphism_generators(
-    g: Graph, deadline: float | None = None
+    g: Graph, clock: Clock | None = None
 ) -> tuple[list[tuple[int, ...]], int]:
-    """Generators of Aut(g), or of a subgroup once the work bound or deadline runs out.
+    """Generators of Aut(g), or of a subgroup once the work bound or clock runs out.
 
     Returns (generators, steps spent). Each generator is a tuple gamma with
-    gamma[v] the image of vertex v; none is the identity. `deadline` is a
-    time.perf_counter() value.
+    gamma[v] the image of vertex v; none is the identity. Running out of
+    time raises nothing: the caller's clock stops its own work.
     """
     n = g.n
-    ref = _Refiner(g, deadline)
+    ref = _Refiner(g, clock)
     gens: list[tuple[int, ...]] = []
     try:
         root = _Partition(list(range(n)), list(range(n)), [0] * n, [n] * (n + 1), 1 if n else 0)

@@ -10,25 +10,21 @@ graph", CACM 22(4), 1979). With `fresh` set, a vertex may take at most one
 color above the highest in use, so colorings that differ only by renaming
 colors are visited once: with nothing preset, exactly one per vertex
 partition. Deterministic by construction.
+
+Two budgets bound a search. The node budget (`budget=`) caps each search
+on its own; more nodes raise BudgetExceededError naming the search. A clock
+(`clock=`, an errors.Clock) is one time budget that the caller shares with
+its other searches: a node reached past its deadline raises the clock's
+BudgetExceededError, which names what the caller has proven so far.
 """
 
 from __future__ import annotations
 
-import time
-
 from .coloring import ColorListState, PartialColoring
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, Clock
 from .graph import Graph
 
 DEFAULT_NODE_BUDGET = 50_000_000
-
-
-class SearchExpired(Exception):
-    """A search given a deadline found time.perf_counter() past it.
-
-    Raised from inside a coloring, propagation or completion search, which is
-    left unfinished: an extension engine must not be used again after it.
-    """
 
 
 def _fewest_colors(order, color: list[int], lists: list[int], enough: int) -> int:
@@ -58,7 +54,7 @@ def _search(
     cap: int | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
     fresh: bool = False,
-    deadline: float | None = None,
+    clock: Clock | None = None,
     accept=None,
     what: str,
 ) -> tuple[int, list[int] | None]:
@@ -69,8 +65,7 @@ def _search(
     returns true for are counted (and can be first). Preset vertices keep
     their colors, which must be proper. Each branching vertex is one node;
     more than budget nodes raise BudgetExceededError naming `what`, and a
-    node reached past the deadline (a time.perf_counter() value) raises
-    SearchExpired.
+    node reached past the clock's deadline raises the clock's error.
     """
     adj = g.adj
     order = sorted(range(g.n), key=lambda v: -len(adj[v]))  # stable: ties by index
@@ -88,13 +83,14 @@ def _search(
     stack: list[list[int]] = []  # [vertex, untried colors, journal mark, top before]
     count = nodes = 0
     first = None
+    deadline = None if clock is None else clock.deadline
     while True:
         if left:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(f"{what} exceeded {budget} nodes")
-            if deadline is not None and time.perf_counter() >= deadline:
-                raise SearchExpired
+            if deadline is not None and Clock.now() >= deadline:
+                clock.expire()
             best = _fewest_colors(order, color, free, 0)
             bits = free[best] & ((2 << top) - 1) if fresh else free[best]
             stack.append([best, bits, len(journal), top])
@@ -151,7 +147,7 @@ def greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
-def greedy_coloring(g: Graph, *, deadline: float | None = None) -> dict[int, int]:
+def greedy_coloring(g: Graph, *, clock: Clock | None = None) -> dict[int, int]:
     """DSATUR greedy: always color the most saturated uncolored vertex next.
 
     Ties go to higher degree, then lower index; each vertex takes its lowest
@@ -161,14 +157,14 @@ def greedy_coloring(g: Graph, *, deadline: float | None = None) -> dict[int, int
     """
     width = max(map(len, g.adj), default=0) + 1
     _, first = _search(
-        g, [(1 << width) - 1] * g.n, cap=1, budget=g.n, fresh=True, deadline=deadline,
+        g, [(1 << width) - 1] * g.n, cap=1, budget=g.n, fresh=True, clock=clock,
         what="greedy coloring",
     )
     return dict(enumerate(first))
 
 
 def find_k_coloring(
-    g: Graph, k: int, *, budget: int = DEFAULT_NODE_BUDGET, deadline: float | None = None
+    g: Graph, k: int, *, budget: int = DEFAULT_NODE_BUDGET, clock: Clock | None = None
 ) -> dict[int, int] | None:
     """A proper coloring with colors 1..k, or None when none exists."""
     _check_budget(budget)
@@ -183,29 +179,28 @@ def find_k_coloring(
     preset = {v: i + 1 for i, v in enumerate(clique)}
     _, first = _search(
         g, [(1 << k) - 1] * g.n, preset=preset, cap=1, budget=budget, fresh=True,
-        deadline=deadline, what="k-coloring search",
+        clock=clock, what="k-coloring search",
     )
     return None if first is None else dict(enumerate(first))
 
 
 def chromatic_number(
-    g: Graph, *, budget: int = DEFAULT_NODE_BUDGET, deadline: float | None = None
+    g: Graph, *, budget: int = DEFAULT_NODE_BUDGET, clock: Clock | None = None
 ) -> tuple[int, PartialColoring]:
     """Exact chromatic number with a witness coloring.
 
-    The node budget applies to each exact k-coloring search; the deadline
-    (a time.perf_counter() value) to the greedy bound and those searches
-    alike, which raise SearchExpired once it has passed.
+    The node budget applies to each exact k-coloring search; the clock to
+    the greedy bound and those searches alike.
     """
     _check_budget(budget)
     if g.n == 0:
         raise ValueError("chromatic number needs a nonempty graph")
     if g.m == 0:
         return 1, PartialColoring(1, {v: 1 for v in range(g.n)})
-    greedy = greedy_coloring(g, deadline=deadline)
+    greedy = greedy_coloring(g, clock=clock)
     ub = max(greedy.values())
     for k in range(max(len(greedy_clique(g)), 2), ub):
-        witness = find_k_coloring(g, k, budget=budget, deadline=deadline)
+        witness = find_k_coloring(g, k, budget=budget, clock=clock)
         if witness is not None:
             return k, PartialColoring(k, witness)
     return ub, PartialColoring(ub, greedy)
@@ -213,19 +208,18 @@ def chromatic_number(
 
 def count_color_partitions(
     g: Graph, k: int, cap: int | None = None, *, budget: int = DEFAULT_NODE_BUDGET,
-    deadline: float | None = None,
+    clock: Clock | None = None,
 ) -> int:
     """Number of proper colorings with <= k colors counted up to color permutation.
 
     cap None means count exactly. Counts the colorings whose colors appear
-    in the search in the order 1, 2, 3, ...: one per vertex partition. Past
-    the deadline (a time.perf_counter() value) it raises SearchExpired.
+    in the search in the order 1, 2, 3, ...: one per vertex partition.
     """
     _check_budget(budget)
     if k < 0 or (cap is not None and cap < 1):
         raise ValueError("need k >= 0 and cap >= 1")
     lists = [(1 << k) - 1] * g.n
-    return _search(g, lists, cap=cap, budget=budget, fresh=True, deadline=deadline,
+    return _search(g, lists, cap=cap, budget=budget, fresh=True, clock=clock,
                    what="partition count")[0]
 
 

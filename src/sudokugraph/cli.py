@@ -113,8 +113,7 @@ def cmd_gen(args) -> int:
 
 def cmd_chroma(args) -> int:
     g = _read_graph(args)
-    budget = DEFAULT_NODE_BUDGET if args.budget_nodes is None else args.budget_nodes
-    chi, witness = chromatic_number(g, budget=budget)
+    chi, witness = chromatic_number(g, budget=args.budget_nodes)
     _emit_json(args, {"chi": chi, "coloring": coloring_to_object(witness)["colors"]})
     return EXIT_OK
 
@@ -355,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("chroma", help="exact chromatic number with witness")
     _add_io_flags(p)
-    p.add_argument("--budget-nodes", type=int, default=None)
+    p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_chroma)
 
     p = add_parser("extend-count", help="count completions of a partial coloring")

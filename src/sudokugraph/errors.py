@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one clock for time budgets."""
+
+import time
+from math import isnan
 
 
 class SudokugraphError(Exception):
@@ -36,15 +39,53 @@ class InvalidFamilyParamsError(SudokugraphError):
 
 
 class BudgetExceededError(SudokugraphError):
-    """A configured node, subset, or wall-clock budget ran out.
+    """A node, subset or time budget ran out.
 
-    For Sudoku-number searches, `lower_bound` is the largest bound proven
-    before the budget expired (every smaller support size was exhausted).
+    The node budget bounds each chi search alone, the subset budget the
+    supports of one sn search, and the time budget, one Clock, every search
+    of one call. For Sudoku-number searches, `lower_bound` is the largest
+    bound proven before the budget ran out (every smaller support size was
+    exhausted).
     """
 
     def __init__(self, message: str, *, lower_bound: int | None = None):
         super().__init__(message)
         self.lower_bound = lower_bound
+
+
+class Clock:
+    """One time budget for every search of one call, and what its owner has proven.
+
+    `deadline` is a Clock.now() value, or None without a budget. A search
+    given the clock compares Clock.now() with it and calls expire() once it
+    has passed. The owner keeps `proven`, the message's tail, and
+    `lower_bound` current: "; sn >= s" and s in sn_exact, " during scan at
+    n=N" in conjecture_scan.
+    """
+
+    now = staticmethod(time.perf_counter)
+
+    def __init__(self, max_seconds: float | None = None):
+        # Every comparison with NaN is false, so a NaN budget would never run out.
+        if max_seconds is not None and isnan(max_seconds):
+            raise ValueError("max_seconds must be a number, got nan")
+        self.max_seconds = max_seconds
+        self.start = self.now()
+        self.deadline = None if max_seconds is None else self.start + max_seconds
+        self.proven, self.lower_bound = "", None
+
+    def expire(self):
+        """Raise the BudgetExceededError that names what the owner has proven."""
+        raise BudgetExceededError(
+            f"time budget {self.max_seconds}s exhausted{self.proven}", lower_bound=self.lower_bound
+        )
+
+    def check(self) -> None:
+        if self.deadline is not None and self.now() >= self.deadline:
+            self.expire()
+
+    def elapsed(self) -> float:
+        return self.now() - self.start
 
 
 class DisconnectedGraphError(SudokugraphError):

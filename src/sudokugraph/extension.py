@@ -23,9 +23,7 @@ order, so counts, witnesses and traces are those of the search without cuts.
 
 from __future__ import annotations
 
-import time
-
-from .chromatic import SearchExpired, _fewest_colors, chromatic_number
+from .chromatic import _fewest_colors, chromatic_number
 from .coloring import (
     RULE_ATTRACTIVE,
     RULE_BRANCH,
@@ -38,6 +36,7 @@ from .coloring import (
     TraceStep,
     is_proper,
 )
+from .errors import Clock
 from .graph import Graph, induced_subgraph
 
 # Above this closed-neighborhood size the attractive rule is skipped; plain
@@ -160,9 +159,10 @@ class _Engine:
     Root assignments are journaled as _PLACE and then forgotten, so undo never
     goes above the root. A caller that reuses one engine for many searches
     starts from an empty root and moves with place() and rewind(). Given a
-    deadline (a time.perf_counter() value), propagation checks the clock
-    before each attractive step, the search before each branch and the probe
-    before it starts; each raises SearchExpired once the deadline has passed.
+    clock, propagation checks it before each attractive step, the search
+    before each branch and the probe before it starts; each raises the
+    clock's error once its deadline has passed, and the engine must not be
+    used after that.
 
     The counters add up over the engine's life: nodes (live nodes the search
     branched from or cut), clique_cuts, probes, probe_cuts, search_work
@@ -171,9 +171,10 @@ class _Engine:
     neighbor visits of the probes' own assignments).
     """
 
-    def __init__(self, eg: _EngineGraph, assignments=None, deadline: float | None = None):
+    def __init__(self, eg: _EngineGraph, assignments=None, clock: Clock | None = None):
         self.eg = eg
-        self.deadline = deadline
+        self.clock = clock
+        self.deadline = None if clock is None else clock.deadline
         self.full = eg.full
         self.adj = eg.adj
         self.attr_eligible = eg.attr_eligible
@@ -306,8 +307,8 @@ class _Engine:
             if self.attr_eligible and self.uncolored:
                 # One attractive step scans every eligible vertex, and one
                 # propagation can take n of them.
-                if self.deadline is not None and time.perf_counter() >= self.deadline:
-                    raise SearchExpired
+                if self.deadline is not None and Clock.now() >= self.deadline:
+                    self.clock.expire()
                 if self._attractive_step():
                     continue
             return True
@@ -343,8 +344,8 @@ class _Engine:
         so the state, the path and the singleton queue are as before, and its
         work is moved from search_work to probe_work.
         """
-        if self.deadline is not None and time.perf_counter() >= self.deadline:
-            raise SearchExpired
+        if self.deadline is not None and Clock.now() >= self.deadline:
+            self.clock.expire()
         self.probes += 1
         cliques, at = self.eg.cliques, self.eg.cliques_at()
         color, lists, full, journal = self.color, self.lists, self.full, self.journal
@@ -467,8 +468,8 @@ class _Engine:
                 w, bits, mark = frame
                 self._undo(mark)
                 if bits and self.count < cap:
-                    if deadline is not None and time.perf_counter() >= deadline:
-                        raise SearchExpired
+                    if deadline is not None and Clock.now() >= deadline:
+                        self.clock.expire()
                     bit = bits & (-bits)
                     frame[1] = bits ^ bit
                     self._assign(w, bit.bit_length(), RULE_BRANCH)

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb, isnan
+from math import comb
 
-from .chromatic import SearchExpired, _search, chromatic_number, count_color_partitions
+from .chromatic import _search, chromatic_number, count_color_partitions
 from .coloring import ExtensionKind, PartialColoring, is_proper
-from .errors import BudgetExceededError, DisconnectedGraphError
+from .errors import BudgetExceededError, Clock, DisconnectedGraphError
 from .extension import _Engine, _EngineGraph, count_extensions
 from .graph import Graph, build, is_connected
 
@@ -176,13 +175,13 @@ def _twin_classes(g: Graph) -> list[int]:
     return [c for c in classes.values() if c & (c - 1)]
 
 
-def _loser_count(g: Graph, k: int, subset, memo: dict, deadline: float | None) -> int:
+def _loser_count(g: Graph, k: int, subset, memo: dict, clock: Clock | None) -> int:
     """_evaluate_subset's count for a loser: partitions of G[S] into max(k-1, 1)..k sets."""
     pattern = _pattern(g.adj, subset)
     if pattern not in memo:
         sub = build(len(subset), [(j, i) for i, row in enumerate(pattern) for j in row])
         fewer = search_lower_bound(k) - 1
-        high, low = (count_color_partitions(sub, c, deadline=deadline) for c in (k, fewer))
+        high, low = (count_color_partitions(sub, c, clock=clock) for c in (k, fewer))
         memo[pattern] = high - low
     return memo[pattern]
 
@@ -256,41 +255,6 @@ def _evaluate_subset(eng: _Engine, subset):
     return tried, None
 
 
-def _check_seconds(max_seconds: float | None) -> None:
-    # Every comparison with NaN is false, so a NaN budget would never run out.
-    if max_seconds is not None and isnan(max_seconds):
-        raise ValueError("max_seconds must be a number, got nan")
-
-
-class _Budget:
-    def __init__(self, max_subsets: int | None, max_seconds: float | None):
-        if max_subsets is not None and max_subsets < 0:
-            raise ValueError(f"max_subsets must be >= 0, got {max_subsets}")
-        self.max_subsets = max_subsets
-        self.max_seconds = max_seconds
-        self.start = time.perf_counter()
-        self.deadline = None if max_seconds is None else self.start + max_seconds
-
-    def check(self, subsets_used: int, proven: int, count: int = 1) -> None:
-        """Raise unless `count` more subsets fit after `subsets_used`."""
-        if self.max_subsets is not None and subsets_used + count > self.max_subsets:
-            raise BudgetExceededError(
-                f"subset budget {self.max_subsets} exhausted; sn >= {proven}",
-                lower_bound=proven,
-            )
-        if self.deadline is not None and time.perf_counter() >= self.deadline:
-            raise self.expired(proven)
-
-    def expired(self, proven: int) -> BudgetExceededError:
-        return BudgetExceededError(
-            f"time budget {self.max_seconds}s exhausted; sn >= {proven}",
-            lower_bound=proven,
-        )
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start
-
-
 class _Orbits:
     """Supports of one size that are images of a losing support under Aut(G).
 
@@ -306,9 +270,9 @@ class _Orbits:
     frontier slot.
     """
 
-    def __init__(self, g: Graph, deadline: float | None):
+    def __init__(self, g: Graph, clock: Clock | None):
         self.g = g
-        self.deadline = deadline
+        self.clock = clock
         self.tables: list[list[list[int]]] | None = None
         self.evaluated = 0
         self.counted: dict[int, int] = {}
@@ -325,7 +289,7 @@ class _Orbits:
             if fit:
                 from . import canon
 
-                gens = canon.automorphism_generators(self.g, self.deadline)[0][:fit]
+                gens = canon.automorphism_generators(self.g, self.clock)[0][:fit]
             for gamma in gens:
                 self.tables.append(tables := [])
                 for lo in range(0, len(gamma), 8):
@@ -401,58 +365,62 @@ def sn_exact(
       budgets, so subsets_examined, pruned_by and the budget stops do not
       change.
 
-    The time budget starts before the chromatic number, which runs under its
-    deadline, and is also checked inside each support's engine work or count,
-    so neither a long chi search nor one long completion can overrun it.
+    One clock holds the time budget. It starts before the chromatic number
+    and is checked inside it, at every support and cut block, and inside
+    each support's engine work or count, so neither a long chi search nor
+    one long completion can overrun it. The subset budget is checked at the
+    same points, before the time. Either stop reports sn >= the current
+    support size (1 during chi, as every connected graph on >= 2 vertices
+    needs a nonempty support) as its lower_bound.
     """
-    _check_seconds(max_seconds)
+    clock = Clock(max_seconds)
     if g.n < 2:
         raise ValueError("Sudoku numbers need at least 2 vertices (chi >= 2)")
-    budget = _Budget(max_subsets, max_seconds)
+    if max_subsets is not None and max_subsets < 0:
+        raise ValueError(f"max_subsets must be >= 0, got {max_subsets}")
     if not is_connected(g):
         raise DisconnectedGraphError("Sudoku numbers are defined for connected graphs")
-    try:
-        k, _ = chromatic_number(g, deadline=budget.deadline)
-    except SearchExpired:
-        # Every connected graph on >= 2 vertices needs a nonempty support.
-        raise budget.expired(1) from None
+    clock.proven, clock.lower_bound = "; sn >= 1", 1
+    k, _ = chromatic_number(g, clock=clock)
     tables = _suffix_tables(g, k, prune and k >= 3)
     subsets_examined = 0
     colorings_examined = 0
     pruned_by = {PRUNE_PENDANT: 0, PRUNE_UNCOLORED_EDGE: 0}
-    eng = _Engine(_EngineGraph(g, k), deadline=budget.deadline)
-    orbits = _Orbits(g, budget.deadline)
+    eng = _Engine(_EngineGraph(g, k), clock=clock)
+    orbits = _Orbits(g, clock)
     twins = _twin_classes(g)
     settled: dict = {}  # the memo of _loser_count
-    try:
-        for size in range(search_lower_bound(k), g.n):
-            orbits.counted.clear()
-            for subset, pendant_cut, edge_cut in _supports(g.n, size, tables):
-                if subset is None:
-                    cut = pendant_cut + edge_cut
-                    budget.check(subsets_examined, size, cut)
-                    subsets_examined += cut
-                    pruned_by[PRUNE_PENDANT] += pendant_cut
-                    pruned_by[PRUNE_UNCOLORED_EDGE] += edge_cut
-                    continue
-                budget.check(subsets_examined, size)
-                subsets_examined += 1
-                bits = sum(1 << v for v in subset)
-                if bits in orbits.counted:
-                    colorings_examined += orbits.counted[bits]
-                    continue
-                if any((c & ~bits).bit_count() > 1 for c in twins):
-                    tried, win = _loser_count(g, k, subset, settled, budget.deadline), None
-                else:
-                    tried, win = _evaluate_subset(eng, subset)
-                colorings_examined += tried
-                if win is not None:
-                    cert = Certificate(g, PartialColoring(k, win), size, PROVENANCE_EXACT)
-                    counts = subsets_examined, colorings_examined, dict(pruned_by)
-                    return SearchReport(size, cert, *counts, budget.elapsed())
-                orbits.mark(bits, tried)
-    except SearchExpired:
-        raise budget.expired(size) from None
+    deadline = clock.deadline
+    for size in range(search_lower_bound(k), g.n):
+        clock.proven, clock.lower_bound = f"; sn >= {size}", size
+        orbits.counted.clear()
+        for subset, pendant_cut, edge_cut in _supports(g.n, size, tables):
+            spent = subsets_examined + (1 if subset is not None else pendant_cut + edge_cut)
+            if max_subsets is not None and spent > max_subsets:
+                raise BudgetExceededError(
+                    f"subset budget {max_subsets} exhausted{clock.proven}", lower_bound=size
+                )
+            if deadline is not None and Clock.now() >= deadline:
+                clock.expire()
+            subsets_examined = spent
+            if subset is None:
+                pruned_by[PRUNE_PENDANT] += pendant_cut
+                pruned_by[PRUNE_UNCOLORED_EDGE] += edge_cut
+                continue
+            bits = sum(1 << v for v in subset)
+            if bits in orbits.counted:
+                colorings_examined += orbits.counted[bits]
+                continue
+            if any((c & ~bits).bit_count() > 1 for c in twins):
+                tried, win = _loser_count(g, k, subset, settled, clock), None
+            else:
+                tried, win = _evaluate_subset(eng, subset)
+            colorings_examined += tried
+            if win is not None:
+                cert = Certificate(g, PartialColoring(k, win), size, PROVENANCE_EXACT)
+                counts = subsets_examined, colorings_examined, dict(pruned_by)
+                return SearchReport(size, cert, *counts, clock.elapsed())
+            orbits.mark(bits, tried)
     raise AssertionError("unreachable: sn(G) <= n - 1 for every connected graph")
 
 
@@ -618,7 +586,7 @@ def connected_graphs_up_to_iso(n: int):
             stack.append([child, b, child_nbr])
 
 
-def _is_extremal(g: Graph, k: int, deadline: float | None = None) -> bool:
+def _is_extremal(g: Graph, k: int, clock: Clock | None = None) -> bool:
     """True when sn(G) = n - 1, for connected g with chromatic number k.
 
     Winning is monotone: if S wins with unique completion f, every T ⊇ S wins
@@ -630,8 +598,7 @@ def _is_extremal(g: Graph, k: int, deadline: float | None = None) -> bool:
     when they are. For a nonadjacent pair it is 1 only when u and v are both
     color-dominating (N(x) sees every color but f(x)). The count is the same
     under every renaming of colors, so one coloring per vertex partition is
-    tried, and g is extremal when none has a pair with one completion. Past
-    the deadline (a time.perf_counter() value) it raises SearchExpired.
+    tried, and g is extremal when none has a pair with one completion.
     """
     n, adj, full = g.n, g.adj, (1 << k) - 1
 
@@ -657,7 +624,7 @@ def _is_extremal(g: Graph, k: int, deadline: float | None = None) -> bool:
         return False
 
     found, _ = _search(
-        g, [full] * n, cap=1, fresh=True, deadline=deadline, accept=settles,
+        g, [full] * n, cap=1, fresh=True, clock=clock, accept=settles,
         what="pair test",
     )
     return not found
@@ -675,24 +642,18 @@ def conjecture_scan(max_n: int, *, max_seconds: float | None = None) -> ScanRepo
     """
     if not (2 <= max_n <= 7):
         raise ValueError(f"scan supports 2 <= max_n <= 7, got {max_n}")
-    _check_seconds(max_seconds)
-    deadline = None if max_seconds is None else time.perf_counter() + max_seconds
+    clock = Clock(max_seconds)
     classes_scanned: dict[int, int] = {}
     extremal: list[dict] = []
     for n in range(2, max_n + 1):
+        clock.proven = f" during scan at n={n}"
         count = 0
         for g in connected_graphs_up_to_iso(n):
             count += 1
-            try:
-                if deadline is not None and time.perf_counter() >= deadline:
-                    raise SearchExpired
-                k, _ = chromatic_number(g, deadline=deadline)
-                if not _is_extremal(g, k, deadline):
-                    continue
-            except SearchExpired:
-                raise BudgetExceededError(
-                    f"time budget {max_seconds}s exhausted during scan at n={n}"
-                ) from None
+            clock.check()
+            k, _ = chromatic_number(g, clock=clock)
+            if not _is_extremal(g, k, clock):
+                continue
             extremal.append(
                 {
                     "n": n,

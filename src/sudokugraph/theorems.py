@@ -9,14 +9,13 @@ re-proves.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from .chromatic import chromatic_number
 from .coloring import PartialColoring
-from .errors import InvalidFamilyParamsError
+from .errors import Clock, InvalidFamilyParamsError
 from .generators import Family, FamilySpec, family_args, generate
 from .graph import Graph, is_connected, bipartition
 from .sn import Certificate, VerificationResult, verify_certificate
@@ -409,7 +408,7 @@ def theorem_suite(scale: SuiteScale = SuiteScale.FAST) -> SuiteReport:
     cases = _fast_cases() if scale is SuiteScale.FAST else _exact_cases()
     rows = []
     for case in cases:
-        started = time.perf_counter()
+        clock = Clock()
         result = verify_theorem(case.name, case.spec, exact=scale is SuiteScale.EXACT)
         rows.append(
             {
@@ -417,7 +416,7 @@ def theorem_suite(scale: SuiteScale = SuiteScale.FAST) -> SuiteReport:
                 "params": dict(case.spec.params),
                 "ok": result.ok,
                 "claimed_sn": expected_sn(case.name, case.spec),
-                "elapsed_seconds": time.perf_counter() - started,
+                "elapsed_seconds": clock.elapsed(),
                 "failed_checks": [c["name"] for c in result.checks if not c["ok"]],
             }
         )

@@ -1,6 +1,7 @@
 import random
+import re
 import sys
-import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from oracles import brute_chromatic, brute_count_extensions, random_connected_gr
 import sudokugraph
 from sudokugraph import (
     BudgetExceededError,
+    Clock,
     ColorListState,
     PartialColoring,
     Family,
@@ -22,9 +24,9 @@ from sudokugraph import (
     generate,
     greedy_clique,
     greedy_coloring,
+    SudokugraphError,
     is_proper,
 )
-from sudokugraph.chromatic import SearchExpired
 
 
 def make(family, **params):
@@ -134,9 +136,41 @@ def test_count_color_partitions():
     assert count_color_partitions(k4, 4) == 1
     p4 = make(Family.PATH, n=4)
     assert count_color_partitions(p4, 2) == 1
-    assert count_color_partitions(g5, 3, deadline=float("inf")) == 5
-    with pytest.raises(SearchExpired):
-        count_color_partitions(g5, 3, deadline=time.perf_counter() - 1)
+    assert count_color_partitions(g5, 3, clock=Clock(float("inf"))) == 5
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda g, clock: chromatic_number(g, clock=clock),
+        lambda g, clock: greedy_coloring(g, clock=clock),
+        lambda g, clock: find_k_coloring(g, 3, clock=clock),
+        lambda g, clock: count_color_partitions(g, 3, clock=clock),
+    ],
+    ids=["chromatic_number", "greedy_coloring", "find_k_coloring", "count_color_partitions"],
+)
+def test_public_searches_stop_on_the_clock_with_a_package_error(search):
+    clock = Clock(-1)
+    clock.proven = " at the test's bound"
+    with pytest.raises(BudgetExceededError) as err:
+        search(make(Family.CYCLE, n=9), clock)
+    assert isinstance(err.value, SudokugraphError)
+    assert str(err.value) == "time budget -1s exhausted at the test's bound"
+    assert err.value.lower_bound is None
+
+
+def test_only_the_clock_reads_the_time():
+    # Every time budget is one errors.Clock: no other module reads the time,
+    # and none defines an exception of its own to stop a search with, except
+    # canon._Stop, the work-bound signal automorphism_generators catches.
+    stops = []
+    for path in sorted(Path(sudokugraph.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name != "errors.py":
+            assert not re.search(r"\bimport time\b|\bfrom time\b|perf_counter", text), path.name
+            for name in re.findall(r"^class (\w+)\(\w*(?:Exception|Error)\)", text, re.M):
+                stops.append((path.name, name))
+    assert stops == [("canon.py", "_Stop")]
 
 
 def test_is_uniquely_colorable():

@@ -9,6 +9,8 @@ sys.path.insert(0, "tests")
 from oracles import brute_count_extensions, random_connected_graph, random_proper_partial
 
 from sudokugraph import (
+    BudgetExceededError,
+    Clock,
     ColorListState,
     ExtensionKind,
     Family,
@@ -458,18 +460,23 @@ def test_k_clique_enumerator_stops_at_its_bound():
     assert out.kind is ExtensionKind.MULTIPLE
 
 
-def test_engine_deadline_stops_search_and_propagation():
-    g, c = _seventeen_clue()
-    eg = extension._EngineGraph(g, 9)
-    assert extension._Engine(eg, c.assignments).search(2) == 1
-    with pytest.raises(extension.SearchExpired):
-        extension._Engine(eg, c.assignments, deadline=time.perf_counter()).search(2)
-    # Placing one color starts attractive steps, which check the clock too.
-    coc = generate(FamilySpec(Family.CYCLE_OF_CLIQUES, {"n": 3, "m": 4}))
-    eg = extension._EngineGraph(coc, 4)
-    assert extension._Engine(eg).place(0, 1)
-    with pytest.raises(extension.SearchExpired):
-        extension._Engine(eg, deadline=time.perf_counter()).place(0, 1)
+@pytest.mark.parametrize("layer", ["search", "propagation"])
+def test_engine_clock_stops_search_and_propagation(layer):
+    if layer == "search":
+        g, c = _seventeen_clue()
+        eg, roots = extension._EngineGraph(g, 9), c.assignments
+        run = lambda eng: eng.search(2) == 1
+    else:
+        # Placing one color starts attractive steps, which check the clock too.
+        coc = generate(FamilySpec(Family.CYCLE_OF_CLIQUES, {"n": 3, "m": 4}))
+        eg, roots = extension._EngineGraph(coc, 4), None
+        run = lambda eng: eng.place(0, 1)
+    assert run(extension._Engine(eg, roots))
+    clock = Clock(0)
+    clock.proven, clock.lower_bound = "; sn >= 7", 7
+    with pytest.raises(BudgetExceededError, match=r"^time budget 0s exhausted; sn >= 7$") as err:
+        run(extension._Engine(eg, roots, clock))
+    assert err.value.lower_bound == 7
 
 
 def _engine_search(g, c, cap):
@@ -584,26 +591,22 @@ def test_probe_work_stays_within_the_search_work(monkeypatch):
     assert probes > 0
 
 
-def test_probe_checks_the_deadline(monkeypatch):
+def test_probe_checks_the_clock(monkeypatch):
     inner = extension._Engine._probe
     raised = []
 
     def expire_then_probe(self):
-        self.deadline = time.perf_counter() - 1.0
+        self.deadline = Clock.now() - 1.0
         try:
             return inner(self)
-        except extension.SearchExpired:
+        except BudgetExceededError:
             raised.append(self.probes)
             raise
 
     monkeypatch.setattr(extension._Engine, "_probe", expire_then_probe)
     g, c = _seventeen_clue()
-    eng = extension._Engine(
-        extension._EngineGraph(g, 9),
-        c.assignments,
-        deadline=time.perf_counter() + 3600.0,
-    )
-    with pytest.raises(extension.SearchExpired):
+    eng = extension._Engine(extension._EngineGraph(g, 9), c.assignments, Clock(3600.0))
+    with pytest.raises(BudgetExceededError, match="^time budget 3600.0s exhausted$"):
         eng.search(2)
     # Raised before the probe counted itself.
     assert raised == [0]

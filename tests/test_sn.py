@@ -21,6 +21,7 @@ from oracles import (
 from sudokugraph import (
     BudgetExceededError,
     Certificate,
+    Clock,
     DisconnectedGraphError,
     Family,
     FamilySpec,
@@ -39,7 +40,6 @@ from sudokugraph import (
 )
 import sudokugraph.canon as canon
 import sudokugraph.sn as sn_module
-from sudokugraph.chromatic import SearchExpired
 from sudokugraph.extension import _Engine, _EngineGraph
 from sudokugraph.sn import (
     PRUNE_PENDANT,
@@ -289,9 +289,9 @@ def test_sn_exact_keeps_no_state_between_searches(monkeypatch):
         searches.append((g, []))
         return twins(g)
 
-    def count_spy(g, k, subset, memo, deadline):
+    def count_spy(g, k, subset, memo, clock):
         searches[-1][1].append((memo, len(memo)))
-        return count(g, k, subset, memo, deadline)
+        return count(g, k, subset, memo, clock)
 
     with monkeypatch.context() as m:
         m.setattr(sn_module, "_twin_classes", twins_spy)
@@ -406,29 +406,37 @@ def test_conjecture_scan_budget():
         conjecture_scan(6, max_seconds=0.0)
 
 
-@pytest.mark.parametrize("stage", ["chromatic_number", "_is_extremal"])
+SCAN_STAGES = ["connected_graphs_up_to_iso", "chromatic_number", "_is_extremal"]
+
+
+@pytest.mark.parametrize("stage", SCAN_STAGES)
 def test_conjecture_scan_budget_stops_inside_a_class(monkeypatch, stage):
-    # The clock passes the deadline as the first class (K_2) starts this
-    # stage, which must stop on it; the check between classes would only see
-    # it at n = 3.
+    # The clock passes the deadline as the first class (K_2) reaches this
+    # stage: as the classes of n = 2 are listed, or as its chromatic number
+    # or pair test starts. The check between classes, or the search, must
+    # stop on it, before the next stage starts; a check only between classes
+    # would see it at n = 3.
     now = 0.0
-    monkeypatch.setattr(time, "perf_counter", lambda: now)
-    real = getattr(sn_module, stage)
-    stopped = []
+    monkeypatch.setattr(Clock, "now", staticmethod(lambda: now))
+    entered = []
 
-    def late(*args, **kwargs):
-        nonlocal now
-        now = 100.0
-        try:
+    def late(name):
+        real = getattr(sn_module, name)
+
+        def wrapper(*args, **kwargs):
+            nonlocal now
+            entered.append(name)
+            if name == stage:
+                now = 100.0
             return real(*args, **kwargs)
-        except SearchExpired:
-            stopped.append(stage)
-            raise
 
-    monkeypatch.setattr(sn_module, stage, late)
+        return wrapper
+
+    for name in SCAN_STAGES:
+        monkeypatch.setattr(sn_module, name, late(name))
     with pytest.raises(BudgetExceededError, match=r"^time budget 1\.0s exhausted during scan at n=2$"):
         conjecture_scan(4, max_seconds=1.0)
-    assert stopped == [stage]
+    assert entered == SCAN_STAGES[: SCAN_STAGES.index(stage) + 1]
 
 
 def _pair_test(g):
@@ -593,26 +601,30 @@ def _outcome(g, prune, budget):
 
 
 def _no_generators(m):
-    m.setattr(canon, "automorphism_generators", lambda g, deadline=None: ([], 0))
+    m.setattr(canon, "automorphism_generators", lambda g, clock=None: ([], 0))
 
 
 def _reference(monkeypatch, g, prune, off=None):
     """The search with `off` applied: (subsets walked, outcome under a subset budget).
 
     `off` turns the orbit skip off unless it is given. One full run records
-    every budget check, so the outcome under a smaller budget is read off
-    instead of searched again.
+    every subset budget check, so the outcome under a smaller budget is read
+    off instead of searched again. sn_exact checks each support and each cut
+    block once, as _supports yields it, so a spy on _supports sees every
+    check: the subsets spent after it and the support size it proves.
     """
     checks = []
-    inner = sn_module._Budget.check
+    inner = sn_module._supports
 
-    def spy(self, used, proven, count=1):
-        checks.append((used + count, proven))
-        return inner(self, used, proven, count)
+    def spy(n, size, tables):
+        for subset, pendant_cut, edge_cut in inner(n, size, tables):
+            spent = checks[-1][0] if checks else 0
+            checks.append((spent + (1 if subset is not None else pendant_cut + edge_cut), size))
+            yield subset, pendant_cut, edge_cut
 
     with monkeypatch.context() as m:
         (off or _no_generators)(m)
-        m.setattr(sn_module._Budget, "check", spy)
+        m.setattr(sn_module, "_supports", spy)
         full = sn_exact(g, prune=prune)
 
     def outcome(budget):
@@ -858,8 +870,8 @@ def _check_twin_shortcut_identity(monkeypatch, g, prune, budgets=True):
     inner = sn_module._loser_count
     settled = []
 
-    def spy(graph, k, subset, memo, deadline):
-        tried = inner(graph, k, subset, memo, deadline)
+    def spy(graph, k, subset, memo, clock):
+        tried = inner(graph, k, subset, memo, clock)
         assert _evaluate_subset(eng, subset) == (tried, None), (subset, g.edges)
         settled.append(subset)
         return tried
@@ -901,19 +913,19 @@ def test_twin_shortcut_keeps_output_on_benchmark_graphs(monkeypatch):
 
 def test_twin_shortcut_counts_run_under_the_time_budget(monkeypatch):
     g = make(Family.CYCLE_OF_CLIQUES_MINUS, n=4, m=5)
-    deadlines = set()
+    clocks = set()
     inner = sn_module.count_color_partitions
 
-    def spy(sub, k, *, deadline):
-        deadlines.add(deadline)
-        return inner(sub, k, deadline=deadline)
+    def spy(sub, k, *, clock):
+        clocks.add(clock)
+        return inner(sub, k, clock=clock)
 
     monkeypatch.setattr(sn_module, "count_color_partitions", spy)
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
         sn_exact(g, max_seconds=1)
     assert time.perf_counter() - start < 3
-    assert len(deadlines) == 1 and None not in deadlines
+    assert len(clocks) == 1 and None not in clocks
 
 
 @pytest.mark.parametrize("family", [Family.CYCLE_OF_CLIQUES, Family.CYCLE_OF_CLIQUES_MINUS])
