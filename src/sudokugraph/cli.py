@@ -249,8 +249,11 @@ def parse_puzzle(text: str) -> dict[int, int]:
 
 @functools.cache
 def _sudoku_tables() -> _EngineGraph:
-    """The 9x9 grid's engine tables for 9 colors, shared by every puzzle (see extension._count)."""
-    return _EngineGraph(sudoku_grid(3), 9)
+    """The 9x9 grid's engine tables for 9 colors, shared by every puzzle (see extension._count).
+
+    The command prints no trace, so the tables leave the attractive rule off.
+    """
+    return _EngineGraph(sudoku_grid(3), 9, attractive=False)
 
 
 def cmd_sudoku(args) -> int:

@@ -108,9 +108,18 @@ def _k_cliques(g: Graph, k: int) -> tuple[list[tuple[int, ...]], int]:
 
 
 class _EngineGraph:
-    """The per-graph part of the engine, shared by every search on (g, k)."""
+    """The per-graph part of the engine, shared by every search on (g, k).
 
-    def __init__(self, g: Graph, k: int):
+    attractive says whether propagation applies the attractive rule. Every
+    attractive deduction holds in every completion, so the capped count is
+    the same either way; only the trace and the order in which completions
+    are found can differ. Callers that report traces (propagate,
+    count_extensions) keep the rule on. Callers that read only the count or
+    a unique completion (sn_exact, the sudoku command) turn it off, which
+    saves a scan of the eligible vertices at each propagation fixpoint.
+    """
+
+    def __init__(self, g: Graph, k: int, *, attractive: bool):
         self.g = g
         self.n = g.n
         self.k = k
@@ -119,12 +128,12 @@ class _EngineGraph:
         self._chi_memo: dict[int, bool] = {}
         self.cliques: tuple[tuple[int, ...], ...] = ()
         self._cliques_at: tuple[tuple[int, ...], ...] | None = None
-        if k <= DEFAULT_ATTRACTIVE_LIMIT:
+        if attractive and k <= DEFAULT_ATTRACTIVE_LIMIT:
             self.attr_eligible = tuple(
                 w for w in range(g.n) if g.degree(w) + 1 <= DEFAULT_ATTRACTIVE_LIMIT
             )
         else:
-            # chi(N[w]) <= |N[w]| <= limit < k, so the rule can never fire.
+            # Off, or chi(N[w]) <= |N[w]| <= limit < k, so it can never fire.
             self.attr_eligible = ()
 
     def cliques_at(self) -> tuple[tuple[int, ...], ...]:
@@ -159,10 +168,10 @@ class _Engine:
     Root assignments are journaled as _PLACE and then forgotten, so undo never
     goes above the root. A caller that reuses one engine for many searches
     starts from an empty root and moves with place() and rewind(). Given a
-    clock, propagation checks it before each attractive step, the search
-    before each branch and the probe before it starts; each raises the
-    clock's error once its deadline has passed, and the engine must not be
-    used after that.
+    clock, propagation checks it before each attractive step (so only when
+    the tables keep the rule), the search before each branch and the probe
+    before it starts; each raises the clock's error once its deadline has
+    passed, and the engine must not be used after that.
 
     The counters add up over the engine's life: nodes (live nodes the search
     branched from or cut), clique_cuts, probes, probe_cuts, search_work
@@ -497,7 +506,7 @@ def propagate(
     deductions need chi(N[w]) = k, tested exactly on the closed neighborhood.
     """
     _check_inputs(g, c)
-    eng = _Engine(_EngineGraph(g, c.k), c.assignments)
+    eng = _Engine(_EngineGraph(g, c.k, attractive=True), c.assignments)
     alive = eng._propagate()
     extended = dict(c.assignments)
     for v, col, _ in eng.path:
@@ -522,7 +531,7 @@ def count_extensions(g: Graph, c: PartialColoring, cap: int = 2) -> ExtensionOut
     if cap < 2:
         raise ValueError(f"cap must be >= 2, got {cap}")
     _check_inputs(g, c)
-    return _count(_EngineGraph(g, c.k), c, cap)
+    return _count(_EngineGraph(g, c.k, attractive=True), c, cap)
 
 
 def _count(eg: _EngineGraph, c: PartialColoring, cap: int) -> ExtensionOutcome:

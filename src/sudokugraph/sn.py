@@ -199,7 +199,9 @@ def _evaluate_subset(eng: _Engine, subset):
     (it dies, or it has already given the vertex another color or taken the
     color off its list) has no proper completion, so every coloring below it
     is counted as tried without engine work. A live leaf runs the completion
-    search capped at 2. The engine is back at its empty root on return.
+    search capped at 2, and only its count is read, so the engine's tables
+    may leave the attractive rule off (sn_exact's do). The engine is back at
+    its empty root on return.
 
     Returns (colorings_tried, winning_assignments or None).
     """
@@ -338,7 +340,9 @@ def sn_exact(
     the colorings below it are skipped but still counted in
     colorings_examined, exactly as if each had been tried and found not
     extendable. Only live complete colorings run the completion search,
-    capped at 2.
+    capped at 2. Only whether that count is 1 is read, so the search runs
+    count-only: its engine tables leave the attractive rule off, which
+    propagate and count_extensions keep for their traces.
 
     A support that leaves two closed twins (N[u] == N[v]) uncolored loses
     under every coloring, as swapping their colors in a completion gives
@@ -386,7 +390,7 @@ def sn_exact(
     subsets_examined = 0
     colorings_examined = 0
     pruned_by = {PRUNE_PENDANT: 0, PRUNE_UNCOLORED_EDGE: 0}
-    eng = _Engine(_EngineGraph(g, k), clock=clock)
+    eng = _Engine(_EngineGraph(g, k, attractive=False), clock=clock)
     orbits = _Orbits(g, clock)
     twins = _twin_classes(g)
     settled: dict = {}  # the memo of _loser_count

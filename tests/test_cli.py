@@ -238,6 +238,11 @@ def test_sn_reports_certificate(capsys, tmp_path):
     [
         (["--family", "cycle", "--n", "13"], "tests/data/sn_cycle13.json"),
         (["--family", "tadpole", "--n", "9", "--m", "6"], "tests/data/sn_tadpole_9_6.json"),
+        # Dense: a traced engine would fire the attractive rule here.
+        (
+            ["--family", "cycle-of-cliques", "--n", "3", "--m", "4"],
+            "tests/data/sn_cycle_of_cliques_3_4.json",
+        ),
     ],
 )
 def test_sn_output_matches_golden_file(capsys, tmp_path, gen_argv, golden):

@@ -181,17 +181,20 @@ def test_two_attractive_colors_is_a_dead_end():
     assert out.kind is ExtensionKind.NOT_EXTENDABLE
 
 
-def test_attractive_on_off_agree_on_kind(monkeypatch):
+def test_attractive_on_off_agree_on_kind():
+    # The rule removes no completion: capped counts, and a unique
+    # completion, are the same on tables that leave it off.
     rng = random.Random(99)
     for _ in range(80):
         g = random_connected_graph(rng, rng.randint(2, 7), extra=0.4)
         chi, _ = chromatic_number(g)
         c = random_proper_partial(rng, g, chi)
-        with_rule = count_extensions(g, c)
-        with monkeypatch.context() as m:
-            m.setattr(extension, "DEFAULT_ATTRACTIVE_LIMIT", 0)
-            without = count_extensions(g, c)
-        assert with_rule.kind is without.kind
+        for cap in (2, 5):
+            with_rule = count_extensions(g, c, cap)
+            without = extension._count(extension._EngineGraph(g, chi, attractive=False), c, cap)
+            assert (with_rule.kind, with_rule.count) == (without.kind, without.count)
+            if with_rule.kind is ExtensionKind.UNIQUE:
+                assert with_rule.witness1 == without.witness1
 
 
 def test_complete_support_counts_once():
@@ -464,12 +467,12 @@ def test_k_clique_enumerator_stops_at_its_bound():
 def test_engine_clock_stops_search_and_propagation(layer):
     if layer == "search":
         g, c = _seventeen_clue()
-        eg, roots = extension._EngineGraph(g, 9), c.assignments
+        eg, roots = extension._EngineGraph(g, 9, attractive=False), c.assignments
         run = lambda eng: eng.search(2) == 1
     else:
         # Placing one color starts attractive steps, which check the clock too.
         coc = generate(FamilySpec(Family.CYCLE_OF_CLIQUES, {"n": 3, "m": 4}))
-        eg, roots = extension._EngineGraph(coc, 4), None
+        eg, roots = extension._EngineGraph(coc, 4, attractive=True), None
         run = lambda eng: eng.place(0, 1)
     assert run(extension._Engine(eg, roots))
     clock = Clock(0)
@@ -480,7 +483,7 @@ def test_engine_clock_stops_search_and_propagation(layer):
 
 
 def _engine_search(g, c, cap):
-    eng = extension._Engine(extension._EngineGraph(g, c.k), c.assignments)
+    eng = extension._Engine(extension._EngineGraph(g, c.k, attractive=True), c.assignments)
     found = eng.search(cap)
     return (found, eng.witness1, eng.witness2, eng.trace), eng
 
@@ -580,7 +583,7 @@ def test_probe_work_stays_within_the_search_work(monkeypatch):
     probes = 0
     for g, c in _cost_cases():
         for cap in (2, 5):
-            eng = extension._Engine(extension._EngineGraph(g, c.k), c.assignments)
+            eng = extension._Engine(extension._EngineGraph(g, c.k, attractive=True), c.assignments)
             search0, probe0 = eng.search_work, eng.probe_work
             sizes.clear()
             eng.search(cap)
@@ -605,7 +608,9 @@ def test_probe_checks_the_clock(monkeypatch):
 
     monkeypatch.setattr(extension._Engine, "_probe", expire_then_probe)
     g, c = _seventeen_clue()
-    eng = extension._Engine(extension._EngineGraph(g, 9), c.assignments, Clock(3600.0))
+    eng = extension._Engine(
+        extension._EngineGraph(g, 9, attractive=False), c.assignments, Clock(3600.0)
+    )
     with pytest.raises(BudgetExceededError, match="^time budget 3600.0s exhausted$"):
         eng.search(2)
     # Raised before the probe counted itself.

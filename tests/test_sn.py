@@ -248,16 +248,18 @@ def _canonical_loop(g, k, subset):
 
 
 def _support_engine(g, k):
-    # An empty engine as sn_exact builds it, reused by every support walk.
-    return _Engine(_EngineGraph(g, k))
+    # An empty engine as sn_exact builds it, count-only (no attractive rule),
+    # reused by every support walk.
+    return _Engine(_EngineGraph(g, k, attractive=False))
 
 
 def test_support_walk_matches_canonical_coloring_loop():
-    # One engine per graph walks every support the generator yields, in its
-    # order, and must agree with the loop on each; bipartite graphs included.
+    # One count-only engine per graph walks every support the generator
+    # yields, in its order, and must agree on each with the loop, whose
+    # count_extensions keeps the attractive rule; bipartite graphs included.
     rng = random.Random(94)
     bipartite = 0
-    for _ in range(36):
+    for _ in range(100):
         g = random_connected_graph(rng, rng.randint(3, 9), extra=rng.choice([0.0, 0.15, 0.35, 0.6]))
         k, _ = chromatic_number(g)
         bipartite += k == 2
@@ -934,6 +936,26 @@ def test_sn_exact_on_five_block_clique_cycles(family):
     report = sn_exact(generate(spec))
     assert report.sn == expected_sn(family.value, spec)
     assert verify_certificate(report.certificate).ok
+
+
+@pytest.mark.parametrize(
+    "case, family, params",
+    [
+        ("cycle-of-cliques", Family.CYCLE_OF_CLIQUES, {"n": 3, "m": 4}),
+        ("wheel", Family.WHEEL, {"n": 11}),
+        ("odd-cycle", Family.CYCLE, {"n": 17}),
+    ],
+    ids=["cycle-of-cliques-3-4", "wheel-11", "cycle-17"],
+)
+def test_sn_exact_never_runs_the_attractive_rule(monkeypatch, case, family, params):
+    # sn_exact reads only capped counts, so its searches run count-only.
+    def never(*args):
+        raise AssertionError("attractive rule used inside sn_exact")
+
+    monkeypatch.setattr(_Engine, "_attractive_step", never)
+    monkeypatch.setattr(_EngineGraph, "chi_closed_neighborhood_is_k", never)
+    spec = FamilySpec(family, params)
+    assert sn_exact(generate(spec)).sn == expected_sn(case, spec)
 
 
 def test_no_graph_classes_below_one_vertex():
