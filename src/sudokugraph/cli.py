@@ -15,6 +15,7 @@ from .chromatic import DEFAULT_NODE_BUDGET, chromatic_number
 from .coloring import ExtensionKind, PartialColoring, is_proper
 from .errors import (
     BudgetExceededError,
+    Clock,
     DisconnectedGraphError,
     ImproperGivensError,
     InvalidFamilyParamsError,
@@ -121,7 +122,7 @@ def cmd_chroma(args) -> int:
 def cmd_extend_count(args) -> int:
     g = _read_graph(args)
     c = _read_coloring(args)
-    outcome = count_extensions(g, c, args.cap)
+    outcome = count_extensions(g, c, args.cap, clock=Clock(args.budget_seconds))
     obj = {
         "kind": outcome.kind.value,
         "count": outcome.count,
@@ -200,7 +201,7 @@ def _verify_spec(case: str, args) -> FamilySpec:
 def cmd_solve(args) -> int:
     g = _read_graph(args)
     c = _read_coloring(args)
-    outcome = count_extensions(g, c, 2)
+    outcome = count_extensions(g, c, 2, clock=Clock(args.budget_seconds))
     trace = [
         {"vertex": step.vertex, "color": step.color, "rule": step.rule}
         for step in outcome.trace
@@ -251,9 +252,9 @@ def parse_puzzle(text: str) -> dict[int, int]:
 def _sudoku_tables() -> _EngineGraph:
     """The 9x9 grid's engine tables for 9 colors, shared by every puzzle (see extension._count).
 
-    The command prints no trace, so the tables leave the attractive rule off.
+    The command prints no trace, so the tables are count-only (see extension._EngineGraph).
     """
-    return _EngineGraph(sudoku_grid(3), 9, attractive=False)
+    return _EngineGraph(sudoku_grid(3), 9, traced=False)
 
 
 def cmd_sudoku(args) -> int:
@@ -275,7 +276,7 @@ def cmd_sudoku(args) -> int:
     c = PartialColoring(9, givens)
     if not is_proper(eg.g, c):
         raise ImproperGivensError("two equal givens share a row, column, or box")
-    outcome = _count(eg, c, 2)
+    outcome = _count(eg, c, 2, clock=Clock(args.budget_seconds))
     if outcome.kind is ExtensionKind.UNIQUE:
         solutions = "1"
         grid = "".join(str(outcome.witness1[v]) for v in range(eg.n))
@@ -328,6 +329,12 @@ def _add_family_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=0)
 
 
+def _add_budget_flag(sub) -> None:
+    sub.add_argument(
+        "--budget-seconds", type=float, default=None, help="time budget; exit 1 when it runs out"
+    )
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on the first call and then reused.
@@ -363,13 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("extend-count", help="count completions of a partial coloring")
     _add_io_flags(p, coloring=True)
     p.add_argument("--cap", type=int, default=2, help="saturating count cap (>= 2)")
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_extend_count)
 
     p = add_parser("sn", help="exact Sudoku number with certificate")
     _add_io_flags(p)
     p.add_argument("--no-prune", action="store_true", help="disable subset pruning")
     p.add_argument("--budget-nodes", type=int, default=None, help="max subsets examined")
-    p.add_argument("--budget-seconds", type=float, default=None)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_sn)
 
     p = add_parser("verify", help="verify a theorem case or a certificate file")
@@ -382,16 +390,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("solve", help="propagation trace plus unique extension")
     _add_io_flags(p, coloring=True)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_solve)
 
     p = add_parser("sudoku", help="classify a 9x9 puzzle: 0, 1, or 2+ solutions")
     p.add_argument("--puzzle", default=None, help="81-character puzzle string")
     p.add_argument("--in", dest="infile", default=None, help="puzzle file")
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_sudoku)
 
     p = add_parser("conjecture-scan", help="scan all small connected graphs for sn = n-1")
     p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--budget-seconds", type=float, default=None)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_conjecture_scan)
     return parser
 

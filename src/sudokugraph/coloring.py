@@ -113,13 +113,17 @@ class PropagationStatus(Enum):
 
 
 def is_proper(g: Graph, c: PartialColoring) -> bool:
-    """No edge with both ends colored alike; vertices outside range(n) are rejected."""
-    for v in c.assignments:
+    """No edge with both ends colored alike; vertices outside range(n) are rejected.
+
+    Only the edges at colored vertices are looked at, through g.adj.
+    """
+    a = c.assignments
+    for v in a:
         if not (0 <= v < g.n):
             raise ValueError(f"colored vertex {v} outside range(0, {g.n})")
-    a = c.assignments
-    for u, v in g.edges:
-        cu = a.get(u)
-        if cu is not None and cu == a.get(v):
-            return False
+    adj = g.adj
+    for v, col in a.items():
+        for u in adj[v]:
+            if u in a and a[u] == col:
+                return False
     return True

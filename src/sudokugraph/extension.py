@@ -3,22 +3,31 @@
 Internally colors 1..k live in bitmasks (bit i-1 is color i). The search
 keeps an undo journal so branching never copies state.
 
-The search drops nodes with no completion by two cuts. Both rest on one fact:
-a proper k-coloring uses all k colors on every k-clique.
+Two deductions rest on one fact: a proper k-coloring uses all k colors on
+every k-clique.
 
 - The k-clique cut: a node where some k-clique through the branch vertex has
   a color on none of its colored members and on none of its uncolored
   members' lists is dead.
-- The hidden-single probe: a shadow look-ahead that runs propagation plus
-  hidden singles (a color with no colored member and a single candidate
-  member in a k-clique must go there) to a fixpoint, drops the node if that
-  reaches a contradiction, and undoes everything it deduced either way.
+- Hidden singles: a color with no colored member and a single candidate
+  member in a k-clique must go there, and with no candidate member the node
+  is dead.
+
+How a search uses hidden singles depends on its tables. On traced tables
+(propagate, count_extensions) they run only in a shadow probe, which drops
+the node if they reach a contradiction and undoes everything they deduced,
+so they are no propagation rule there: propagate() never applies them and
+they add no trace step. On count-only tables (sn_exact, the sudoku command),
+whose callers read no trace, a search keeps them as a propagation rule from
+its first dead end or clique cut on; each is journaled and undone with its
+branch. Either way a deduction holds in every completion, so the capped
+count and a unique completion are those of the search without them.
 
 The cliques come from a bitmask enumerator run once per graph under a work
-bound linear in n + m; any subset of them keeps both cuts sound. Neither is a
-propagation rule: propagate() never applies them, and they add no trace step.
-A dropped node has no completion and the other nodes keep their depth-first
-order, so counts, witnesses and traces are those of the search without cuts.
+bound linear in n + m; any subset of them keeps both deductions sound. On
+traced tables a dropped node has no completion and the other nodes keep
+their depth-first order, so counts, witnesses and traces are those of the
+search without cuts.
 """
 
 from __future__ import annotations
@@ -53,9 +62,9 @@ _REMOVE = 1
 # placed by a caller): undone like _ASSIGN but never on the deduction path.
 _PLACE = 2
 
-# Rule of a probe's hidden-single assignment. The probe undoes it before
-# returning, so no trace ever holds it.
-_RULE_PROBE = "probe"
+# Rule of a hidden-single assignment. The probe undoes it before returning,
+# and only count-only tables, which report no trace, keep it.
+_RULE_HIDDEN_SINGLE = "hidden-single"
 
 
 def _k_cliques(g: Graph, k: int) -> tuple[list[tuple[int, ...]], int]:
@@ -110,25 +119,29 @@ def _k_cliques(g: Graph, k: int) -> tuple[list[tuple[int, ...]], int]:
 class _EngineGraph:
     """The per-graph part of the engine, shared by every search on (g, k).
 
-    attractive says whether propagation applies the attractive rule. Every
-    attractive deduction holds in every completion, so the capped count is
-    the same either way; only the trace and the order in which completions
-    are found can differ. Callers that report traces (propagate,
-    count_extensions) keep the rule on. Callers that read only the count or
-    a unique completion (sn_exact, the sudoku command) turn it off, which
-    saves a scan of the eligible vertices at each propagation fixpoint.
+    traced says whether the searches on these tables report traces, and so
+    which rules they run. Traced tables (propagate, count_extensions) apply
+    the attractive rule in propagation and run hidden singles only in the
+    shadow probe. Count-only tables (sn_exact, the sudoku command), whose
+    callers read only the count or a unique completion, never apply the
+    attractive rule, which saves a scan of the eligible vertices at each
+    propagation fixpoint, and keep hidden singles from a search's first dead
+    end on (see _Engine.search). Every deduction of either rule holds in
+    every completion, so the capped count and a unique completion are the
+    same either way; the witnesses of a MULTIPLE outcome can differ.
     """
 
-    def __init__(self, g: Graph, k: int, *, attractive: bool):
+    def __init__(self, g: Graph, k: int, *, traced: bool):
         self.g = g
         self.n = g.n
         self.k = k
         self.full = (1 << k) - 1
         self.adj = g.adj
+        self.traced = traced
         self._chi_memo: dict[int, bool] = {}
         self.cliques: tuple[tuple[int, ...], ...] = ()
         self._cliques_at: tuple[tuple[int, ...], ...] | None = None
-        if attractive and k <= DEFAULT_ATTRACTIVE_LIMIT:
+        if traced and k <= DEFAULT_ATTRACTIVE_LIMIT:
             self.attr_eligible = tuple(
                 w for w in range(g.n) if g.degree(w) + 1 <= DEFAULT_ATTRACTIVE_LIMIT
             )
@@ -168,16 +181,18 @@ class _Engine:
     Root assignments are journaled as _PLACE and then forgotten, so undo never
     goes above the root. A caller that reuses one engine for many searches
     starts from an empty root and moves with place() and rewind(). Given a
-    clock, propagation checks it before each attractive step (so only when
-    the tables keep the rule), the search before each branch and the probe
-    before it starts; each raises the clock's error once its deadline has
-    passed, and the engine must not be used after that.
+    clock, propagation checks it before each attractive step (so only on
+    traced tables), the search at its start and before each branch, and the
+    hidden-single sweep, probe or kept, before it starts; each raises the
+    clock's error once its deadline has passed, and the engine must not be
+    used after that.
 
     The counters add up over the engine's life: nodes (live nodes the search
-    branched from or cut), clique_cuts, probes, probe_cuts, search_work
-    (neighbor visits of every assignment made outside a probe, root and
-    placed colors included) and probe_work (clique-member visits plus
-    neighbor visits of the probes' own assignments).
+    branched from or cut), clique_cuts, probes, probe_cuts, sweeps (kept
+    hidden-single sweeps), search_work (neighbor visits of every assignment
+    made outside a probe, root and placed colors included, plus the
+    clique-member visits of kept sweeps) and probe_work (clique-member visits
+    plus neighbor visits of the probes' own assignments).
     """
 
     def __init__(self, eg: _EngineGraph, assignments=None, clock: Clock | None = None):
@@ -203,6 +218,7 @@ class _Engine:
         self.clique_cuts = 0
         self.probes = 0
         self.probe_cuts = 0
+        self.sweeps = 0
         self.search_work = 0
         self.probe_work = 0
         if assignments:
@@ -341,66 +357,76 @@ class _Engine:
                 return True
         return False
 
-    def _probe(self) -> bool:
-        """Shadow look-ahead at a live fixpoint. False means no completion exists.
+    def _hidden_singles(self) -> bool:
+        """Apply hidden singles, with _propagate after each, to a fixpoint. False means dead end.
 
-        Runs hidden singles over the k-cliques, with _propagate after each, to
-        a fixpoint or a contradiction. In a k-clique, a color on no colored
-        member must go to an uncolored member; with one candidate member it
-        must go there, and with none the node is dead. The cliques are swept
-        once, then rescanned only from a worklist of the cliques through
-        vertices journaled since the last scan. Everything deduced is undone,
-        so the state, the path and the singleton queue are as before, and its
-        work is moved from search_work to probe_work.
+        In a k-clique, a color on no colored member must go to an uncolored
+        member; with one candidate member it must go there, and with none the
+        node is dead. Each single is journaled as an assignment. The worklist
+        starts with every clique, and each single adds the cliques through the
+        vertices it journaled. Call it at a propagated fixpoint. Its
+        clique-member visits are added to search_work.
         """
         if self.deadline is not None and Clock.now() >= self.deadline:
             self.clock.expire()
-        self.probes += 1
         cliques, at = self.eg.cliques, self.eg.cliques_at()
         color, lists, full, journal = self.color, self.lists, self.full, self.journal
-        mark = seen = len(journal)
-        work = self.search_work
-        visits = 0
         queued = bytearray(b"\x01") * len(cliques)
         todo = list(range(len(cliques)))
+        since = len(journal)
+        visits = 0
         alive = True
-        while todo:
-            i = todo.pop()
-            queued[i] = 0
-            clique = cliques[i]
-            visits += len(clique)
-            placed = once = twice = 0
-            for u in clique:
-                cu = color[u]
-                if cu:
-                    placed |= 1 << (cu - 1)
-                else:
-                    lu = lists[u]
-                    twice |= once & lu
-                    once |= lu
-            if placed | once != full:
-                alive = False
-                break
-            single = once & ~twice
-            if not single:
-                continue
-            bit = single & -single
-            for u in clique:
-                if color[u] == 0 and lists[u] & bit:
-                    break
-            self._assign(u, bit.bit_length(), _RULE_PROBE)
-            if not self._propagate():
-                alive = False
-                break
-            for _, v, _ in journal[seen:]:
+        while alive:
+            for _, v, _ in journal[since:]:
                 for j in at[v]:
                     if not queued[j]:
                         queued[j] = 1
                         todo.append(j)
-            seen = len(journal)
+            since = len(journal)
+            while todo:
+                i = todo.pop()
+                queued[i] = 0
+                clique = cliques[i]
+                visits += len(clique)
+                placed = once = twice = 0
+                for u in clique:
+                    cu = color[u]
+                    if cu:
+                        placed |= 1 << (cu - 1)
+                    else:
+                        lu = lists[u]
+                        twice |= once & lu
+                        once |= lu
+                if placed | once != full:
+                    alive = False
+                    break
+                single = once & ~twice
+                if single:
+                    bit = single & -single
+                    for u in clique:
+                        if color[u] == 0 and lists[u] & bit:
+                            break
+                    self._assign(u, bit.bit_length(), _RULE_HIDDEN_SINGLE)
+                    alive = self._propagate()
+                    break
+            else:
+                break
+        self.search_work += visits
+        return alive
+
+    def _probe(self) -> bool:
+        """Shadow look-ahead at a live fixpoint: mark, sweep, undo. False means no completion exists.
+
+        Everything the sweep (_hidden_singles) deduced is undone, so the
+        state, the path and the singleton queue are as before, and its work is
+        moved from search_work to probe_work.
+        """
+        mark, work = len(self.journal), self.search_work
+        alive = self._hidden_singles()
+        self.probes += 1
         self._undo(mark)
         self.squeue.clear()
-        self.probe_work += self.search_work - work + visits
+        self.probe_work += self.search_work - work
         self.search_work = work
         return alive
 
@@ -408,7 +434,8 @@ class _Engine:
         self.count += 1
         if self.count == 1:
             self.witness1 = self.color[:]
-            self.trace = tuple(self.path)
+            if self.eg.traced:
+                self.trace = tuple(self.path)
         elif self.count == 2:
             self.witness2 = self.color[:]
 
@@ -416,38 +443,53 @@ class _Engine:
         """Count completions of the current state, saturating at cap.
 
         Depth-first on an explicit stack of [vertex, untried colors, journal
-        mark] frames, one per branching vertex: propagate, then branch on the
-        uncolored vertex w with the fewest colors, lowest color first, until
-        cap completions are found. The state is restored on return.
+        mark] frames, one per branching vertex: propagate, then branch
+        on the uncolored vertex w with the fewest colors, lowest color first,
+        until cap completions are found. The state is restored on return. On
+        count-only tables no trace is recorded.
 
-        Before branching on w, a node is dropped when a k-clique through w
-        misses a color (_short_clique) or when the probe reaches a
-        contradiction (_probe). Both are sound: a dropped node's subtree
-        holds no completion. The probe keeps nothing it deduced, and a
-        dropped node only removes a subtree while the other branches keep
-        their depth-first order. So propagation, counts, witnesses and traces
-        are those of the search without the cuts. With k <= 2 no cliques are
-        kept, as neither cut could fire: at a live fixpoint every uncolored
-        list has at least two of the k colors, so it is full, and a colored
-        neighbor would have left it a singleton.
+        Until this search meets its first dead end or drops a node because a
+        k-clique through w misses a color (_short_clique), the two kinds of
+        tables search alike. From then on:
 
-        Two fixed rules bound the probe's cost. It starts only after this
-        search has met its first dead end, so searches that find their
-        completions without one never probe. And a probe starts only while
-        the probe work of this search is at most its search work, so the
-        probes' work never passes the search's own by more than one probe.
+        - On traced tables, a node is also dropped when the shadow probe
+          reaches a contradiction (_probe). A dropped node's subtree holds no
+          completion, the probe keeps nothing it deduced, and the other
+          branches keep their depth-first order. So propagation, counts,
+          witnesses and traces are those of the search without the cuts. A
+          probe starts only while the probe work of this search is at most
+          its search work, so the probes' work never passes the search's own
+          by more than one probe.
+        - On count-only tables, hidden singles become a propagation rule: each
+          propagation after a branch is followed by a sweep (_hidden_singles)
+          whose deductions are undone with the branch. Each sweep starts from
+          every clique; starting only from the cliques through the vertices
+          journaled since the branch measured no faster on the puzzles
+          workload. A swept state has no short clique and nothing for a probe
+          to find, so neither runs. Every hidden single
+          holds in every completion, so counts and a unique completion are
+          those of the search without them.
+
+        Searches that find their completions without a dead end never probe
+        or sweep. With k <= 2 no cliques are kept, as neither could fire: at
+        a live fixpoint every uncolored list has at least two of the k
+        colors, so it is full, and a colored neighbor would have left it a
+        singleton.
         """
         self.count = 0
         self.witness1 = self.witness2 = None
         self.trace = ()
+        deadline = self.deadline
+        if deadline is not None and Clock.now() >= deadline:
+            self.clock.expire()
         if self.dead:
             return 0
         root = len(self.journal)
-        deadline = self.deadline
+        sweep = not self.eg.traced
         # Probe work minus search work before this search: the budget.
         slack = self.probe_work - self.search_work
-        probing = False
-        stack: list[list[int]] = []
+        armed = False
+        stack: list[list] = []
         alive = self._propagate()
         while True:
             if alive:
@@ -457,11 +499,12 @@ class _Engine:
                     self.nodes += 1
                     # At a live fixpoint every uncolored list has two colors or more.
                     w = _fewest_colors(range(self.eg.n), self.color, self.lists, 2)
-                    if self._short_clique(w):
+                    if not (armed and sweep) and self._short_clique(w):
                         self.clique_cuts += 1
-                        probing = True
+                        armed = True
                     elif (
-                        probing
+                        armed
+                        and not sweep
                         and self.probe_work - self.search_work <= slack
                         and not self._probe()
                     ):
@@ -470,8 +513,8 @@ class _Engine:
                         stack.append([w, self.lists[w], len(self.journal)])
             else:
                 # Below the root the clique table is built; with no cliques
-                # the probe could never fire.
-                probing = bool(self.eg.cliques)
+                # neither the probe nor the sweep could fire.
+                armed = bool(self.eg.cliques)
             while stack:
                 frame = stack[-1]
                 w, bits, mark = frame
@@ -483,6 +526,9 @@ class _Engine:
                     frame[1] = bits ^ bit
                     self._assign(w, bit.bit_length(), RULE_BRANCH)
                     alive = self._propagate()
+                    if alive and armed and sweep:
+                        self.sweeps += 1
+                        alive = self._hidden_singles()
                     break
                 stack.pop()
             else:
@@ -506,7 +552,7 @@ def propagate(
     deductions need chi(N[w]) = k, tested exactly on the closed neighborhood.
     """
     _check_inputs(g, c)
-    eng = _Engine(_EngineGraph(g, c.k, attractive=True), c.assignments)
+    eng = _Engine(_EngineGraph(g, c.k, traced=True), c.assignments)
     alive = eng._propagate()
     extended = dict(c.assignments)
     for v, col, _ in eng.path:
@@ -521,20 +567,26 @@ def propagate(
     return PartialColoring(c.k, extended), trace, status
 
 
-def count_extensions(g: Graph, c: PartialColoring, cap: int = 2) -> ExtensionOutcome:
+def count_extensions(
+    g: Graph, c: PartialColoring, cap: int = 2, clock: Clock | None = None
+) -> ExtensionOutcome:
     """Count completions of c to proper k-colorings of g, saturating at cap.
 
     cap >= 2 so that unique and multiple outcomes stay distinguishable.
     Each call builds its own engine tables for (g, c.k), the k-clique list
     among them: no table outlives the call, so nothing is kept per graph.
+    Given a clock, the search raises its BudgetExceededError once the
+    deadline has passed (see _Engine).
     """
     if cap < 2:
         raise ValueError(f"cap must be >= 2, got {cap}")
     _check_inputs(g, c)
-    return _count(_EngineGraph(g, c.k, attractive=True), c, cap)
+    return _count(_EngineGraph(g, c.k, traced=True), c, cap, clock)
 
 
-def _count(eg: _EngineGraph, c: PartialColoring, cap: int) -> ExtensionOutcome:
+def _count(
+    eg: _EngineGraph, c: PartialColoring, cap: int, clock: Clock | None = None
+) -> ExtensionOutcome:
     """count_extensions of c on the tables eg of (g, c.k), without its input checks.
 
     The caller has checked that cap >= 2 and that c is proper on eg.g. A
@@ -543,8 +595,14 @@ def _count(eg: _EngineGraph, c: PartialColoring, cap: int) -> ExtensionOutcome:
     which builds the cliques, it reads them only at a dead end of the root,
     where it stops either way (see search). So one eg shared by many searches
     gives each the outcome fresh tables would.
+
+    On count-only tables the outcome's trace is always (): the search copies
+    no path into it and no TraceStep is built, so no kept hidden single can
+    reach it.
+    Their MULTIPLE witnesses are two completions, not necessarily the ones
+    traced tables would find.
     """
-    eng = _Engine(eg, c.assignments)
+    eng = _Engine(eg, c.assignments, clock)
     found = eng.search(cap)
     if found == 0:
         return ExtensionOutcome(ExtensionKind.NOT_EXTENDABLE, count=0)

@@ -200,7 +200,7 @@ def _evaluate_subset(eng: _Engine, subset):
     color off its list) has no proper completion, so every coloring below it
     is counted as tried without engine work. A live leaf runs the completion
     search capped at 2, and only its count is read, so the engine's tables
-    may leave the attractive rule off (sn_exact's do). The engine is back at
+    may be count-only (sn_exact's are). The engine is back at
     its empty root on return.
 
     Returns (colorings_tried, winning_assignments or None).
@@ -341,8 +341,9 @@ def sn_exact(
     colorings_examined, exactly as if each had been tried and found not
     extendable. Only live complete colorings run the completion search,
     capped at 2. Only whether that count is 1 is read, so the search runs
-    count-only: its engine tables leave the attractive rule off, which
-    propagate and count_extensions keep for their traces.
+    on count-only tables: no attractive rule, and hidden singles kept from
+    a search's first dead end on, while propagate and count_extensions,
+    whose traces are output, keep the attractive rule and only probe.
 
     A support that leaves two closed twins (N[u] == N[v]) uncolored loses
     under every coloring, as swapping their colors in a completion gives
@@ -390,7 +391,7 @@ def sn_exact(
     subsets_examined = 0
     colorings_examined = 0
     pruned_by = {PRUNE_PENDANT: 0, PRUNE_UNCOLORED_EDGE: 0}
-    eng = _Engine(_EngineGraph(g, k, attractive=False), clock=clock)
+    eng = _Engine(_EngineGraph(g, k, traced=False), clock=clock)
     orbits = _Orbits(g, clock)
     twins = _twin_classes(g)
     settled: dict = {}  # the memo of _loser_count

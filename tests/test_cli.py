@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, "tests")
-from oracles import brute_sudoku_solutions
+from oracles import brute_sudoku_solutions, random_proper_partial
 
 import sudokugraph
 from sudokugraph import cli, extension
@@ -299,6 +299,54 @@ def test_sn_time_budget_covers_the_chromatic_number(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["error"] == "budget-exceeded"
     assert obj["lower_bound"] == 1
+
+
+def _sparse_clique_cycle_input(capsys, tmp_path):
+    # Without a budget, extend-count on this input ran for more than 30 s.
+    argv = ["--family", "cycle-of-cliques-minus", "--n", "300", "--m", "5"]
+    gpath = write_graph(capsys, tmp_path, "cocm300.txt", argv)
+    g = generate(FamilySpec(Family.CYCLE_OF_CLIQUES_MINUS, {"n": 300, "m": 5}))
+    c = random_proper_partial(random.Random(4), g, 4, coverage=0.01)
+    return gpath, write_coloring(tmp_path, "sparse.json", 4, c.assignments)
+
+
+@pytest.mark.parametrize("command", ["extend-count", "solve"])
+def test_count_commands_stop_on_their_time_budget(capsys, tmp_path, command):
+    gpath, cpath = _sparse_clique_cycle_input(capsys, tmp_path)
+    start = time.perf_counter()
+    argv = [command, "--in", gpath, "--coloring", cpath, "--budget-seconds", "0.5"]
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 15
+    assert code == 1
+    assert json.loads(out) == {"error": "budget-exceeded", "detail": "time budget 0.5s exhausted"}
+
+
+def test_sudoku_stops_on_its_time_budget(capsys):
+    # EASY_PUZZLE is solved by propagation alone, without a branch.
+    for puzzle in (EASY_PUZZLE, UNSOLVABLE_PUZZLE, "0" * 81):
+        code, out, err = run(capsys, ["sudoku", "--puzzle", puzzle, "--budget-seconds", "0"])
+        assert code == 1
+        want = {"error": "budget-exceeded", "detail": "time budget 0.0s exhausted"}
+        assert json.loads(out) == want
+
+
+def test_time_budget_keeps_the_output_of_a_finished_run(capsys, tmp_path):
+    c13 = write_graph(capsys, tmp_path, "c13.txt", ["--family", "cycle", "--n", "13"])
+    support = write_coloring(tmp_path, "sup.json", 3, {0: 1, 4: 1, 8: 1, 2: 2, 6: 2, 10: 2, 12: 3})
+    empty = write_coloring(tmp_path, "empty.json", 3, {})
+    for argv in (
+        ["extend-count", "--in", c13, "--coloring", support],
+        ["extend-count", "--in", c13, "--coloring", empty, "--cap", "7"],
+        ["solve", "--in", c13, "--coloring", support],
+        ["solve", "--pretty", "--in", c13, "--coloring", support],
+        ["sudoku", "--in", "tests/data/puzzle_17clue.txt"],
+        ["sudoku", "--pretty", "--puzzle", UNSOLVABLE_PUZZLE],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        assert run(capsys, argv + ["--budget-seconds", "3600"]) == (code, out, err)
+        code, out, err = run(capsys, argv + ["--budget-seconds", "nan"])
+        assert (code, out) == (2, "") and "nan" in err
 
 
 def test_sn_disconnected_graph_exits_2(capsys, monkeypatch):
@@ -591,6 +639,16 @@ def test_sudoku_on_shared_tables_matches_fresh_count_extensions(capsys):
         assert code == 0, err
         assert out == _fresh_sudoku_stdout(board)
         assert json.loads(out)["solutions"] == kind
+
+
+def test_sudoku_tables_report_no_trace():
+    # The command's shared tables are count-only: their kept hidden singles
+    # never reach an outcome, whose trace stays empty.
+    with open("tests/data/puzzle_17clue.txt", encoding="ascii") as fh:
+        givens = cli.parse_puzzle(fh.read())
+    out = extension._count(cli._sudoku_tables(), PartialColoring(9, givens), 2)
+    assert out.kind is ExtensionKind.UNIQUE and out.trace == ()
+    assert "".join(str(out.witness1[v]) for v in range(81)) == SOLUTION
 
 
 def test_sudoku_enumerates_the_grid_cliques_once_per_process(capsys, monkeypatch):

@@ -1,4 +1,10 @@
+import random
+import sys
+
 import pytest
+
+sys.path.insert(0, "tests")
+from oracles import random_connected_graph, random_proper_partial
 
 from sudokugraph import (
     ColorListState,
@@ -68,6 +74,34 @@ def test_is_proper():
     assert is_proper(g, PartialColoring(2, {}))
     with pytest.raises(ValueError):
         is_proper(g, PartialColoring(2, {7: 1}))
+
+
+def _edge_loop_is_proper(g, c):
+    a = c.assignments
+    return all(a.get(u) is None or a.get(u) != a.get(v) for u, v in g.edges)
+
+
+def test_is_proper_matches_an_edge_loop_on_random_partials():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(400):
+        g = random_connected_graph(rng, rng.randint(2, 12), extra=rng.choice([0.1, 0.5]))
+        k = rng.randint(1, 5)
+        coverage = rng.choice([0.0, 0.3, 0.7, 1.0])
+        if rng.random() < 0.5:
+            c = random_proper_partial(rng, g, k, coverage)
+        else:
+            picks = {v: rng.randint(1, k) for v in range(g.n) if rng.random() < coverage}
+            c = PartialColoring(k, picks)
+        got = is_proper(g, c)
+        assert got == _edge_loop_is_proper(g, c)
+        seen.add((got, len(c.assignments) == g.n))
+    # Proper and improper, partial and full colorings all occur.
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    # The range check comes first, also when an edge is improper.
+    g = build(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        is_proper(g, PartialColoring(2, {0: 1, 1: 1, 3: 2}))
 
 
 def test_color_list_state_from_partial():

@@ -191,7 +191,7 @@ def test_attractive_on_off_agree_on_kind():
         c = random_proper_partial(rng, g, chi)
         for cap in (2, 5):
             with_rule = count_extensions(g, c, cap)
-            without = extension._count(extension._EngineGraph(g, chi, attractive=False), c, cap)
+            without = extension._count(extension._EngineGraph(g, chi, traced=False), c, cap)
             assert (with_rule.kind, with_rule.count) == (without.kind, without.count)
             if with_rule.kind is ExtensionKind.UNIQUE:
                 assert with_rule.witness1 == without.witness1
@@ -467,12 +467,12 @@ def test_k_clique_enumerator_stops_at_its_bound():
 def test_engine_clock_stops_search_and_propagation(layer):
     if layer == "search":
         g, c = _seventeen_clue()
-        eg, roots = extension._EngineGraph(g, 9, attractive=False), c.assignments
+        eg, roots = extension._EngineGraph(g, 9, traced=False), c.assignments
         run = lambda eng: eng.search(2) == 1
     else:
         # Placing one color starts attractive steps, which check the clock too.
         coc = generate(FamilySpec(Family.CYCLE_OF_CLIQUES, {"n": 3, "m": 4}))
-        eg, roots = extension._EngineGraph(coc, 4, attractive=True), None
+        eg, roots = extension._EngineGraph(coc, 4, traced=True), None
         run = lambda eng: eng.place(0, 1)
     assert run(extension._Engine(eg, roots))
     clock = Clock(0)
@@ -482,8 +482,8 @@ def test_engine_clock_stops_search_and_propagation(layer):
     assert err.value.lower_bound == 7
 
 
-def _engine_search(g, c, cap):
-    eng = extension._Engine(extension._EngineGraph(g, c.k, attractive=True), c.assignments)
+def _engine_search(g, c, cap, traced=True):
+    eng = extension._Engine(extension._EngineGraph(g, c.k, traced=traced), c.assignments)
     found = eng.search(cap)
     return (found, eng.witness1, eng.witness2, eng.trace), eng
 
@@ -543,14 +543,42 @@ def test_probe_cuts_the_seventeen_clue_search():
     # 671 nodes without the probe.
     assert eng.nodes < 100
     assert count_extensions(g, c).kind is ExtensionKind.UNIQUE
+    # Kept hidden singles search less than the probe: 6 nodes against 75.
+    (found_kept, witness, *_), kept = _engine_search(g, c, 2, traced=False)
+    assert (found_kept, witness) == (found, eng.witness1)
+    assert kept.sweeps > 0 and kept.probes == 0
+    assert kept.nodes < eng.nodes // 4
 
 
-def test_probe_waits_for_the_first_dead_end():
+def test_probe_and_sweep_wait_for_the_first_dead_end():
     # Empty grids find two completions without meeting a dead end.
     for b in (2, 3):
-        (found, *_), eng = _engine_search(sudoku_grid(b), PartialColoring(b * b, {}), 2)
-        assert found == 2 and eng.nodes > 0
-        assert eng.clique_cuts == eng.probes == 0
+        for traced in (True, False):
+            grid, empty = sudoku_grid(b), PartialColoring(b * b, {})
+            (found, *_), eng = _engine_search(grid, empty, 2, traced)
+            assert found == 2 and eng.nodes > 0
+            assert eng.clique_cuts == eng.probes == eng.sweeps == 0
+
+
+def test_kept_hidden_singles_keep_kinds_counts_and_unique_completions(monkeypatch):
+    # Every hidden single holds in every completion, so count-only tables
+    # find what count_extensions finds, and no hidden single reaches a trace.
+    cases = [(g, c) for g, c, _ in itertools.chain(_grid_cases(), _clique_cut_cases())]
+    sweeps = {"calls": 0, "true": 0}
+    for g, c in cases:
+        eg = extension._EngineGraph(g, c.k, traced=False)
+        for cap in (2, 3, 5):
+            traced = count_extensions(g, c, cap)
+            with monkeypatch.context() as m:
+                _count_calls(m, "_hidden_singles", sweeps)
+                kept = extension._count(eg, c, cap)
+            assert (kept.kind, kept.count) == (traced.kind, traced.count)
+            if traced.kind is ExtensionKind.UNIQUE:
+                assert kept.witness1 == traced.witness1
+            assert kept.trace == ()
+            assert all(step.rule != extension._RULE_HIDDEN_SINGLE for step in traced.trace)
+    # The sweep fired, and cut some nodes.
+    assert sweeps["true"] > 0 and sweeps["calls"] > sweeps["true"]
 
 
 def _cost_cases():
@@ -583,7 +611,7 @@ def test_probe_work_stays_within_the_search_work(monkeypatch):
     probes = 0
     for g, c in _cost_cases():
         for cap in (2, 5):
-            eng = extension._Engine(extension._EngineGraph(g, c.k, attractive=True), c.assignments)
+            eng = extension._Engine(extension._EngineGraph(g, c.k, traced=True), c.assignments)
             search0, probe0 = eng.search_work, eng.probe_work
             sizes.clear()
             eng.search(cap)
@@ -608,10 +636,42 @@ def test_probe_checks_the_clock(monkeypatch):
 
     monkeypatch.setattr(extension._Engine, "_probe", expire_then_probe)
     g, c = _seventeen_clue()
+    # Traced tables probe; count-only tables sweep instead.
     eng = extension._Engine(
-        extension._EngineGraph(g, 9, attractive=False), c.assignments, Clock(3600.0)
+        extension._EngineGraph(g, 9, traced=True), c.assignments, Clock(3600.0)
     )
     with pytest.raises(BudgetExceededError, match="^time budget 3600.0s exhausted$"):
         eng.search(2)
     # Raised before the probe counted itself.
     assert raised == [0]
+
+
+def test_kept_sweep_checks_the_clock(monkeypatch):
+    inner = extension._Engine._hidden_singles
+    raised = []
+
+    def expire_then_sweep(self):
+        self.deadline = Clock.now() - 1.0
+        try:
+            return inner(self)
+        except BudgetExceededError:
+            raised.append((self.sweeps, self.probes))
+            raise
+
+    g, c = _seventeen_clue()
+    eg = extension._EngineGraph(g, 9, traced=False)
+    with monkeypatch.context() as m:
+        m.setattr(extension._Engine, "_hidden_singles", expire_then_sweep)
+        eng = extension._Engine(eg, c.assignments, Clock(3600.0))
+        with pytest.raises(BudgetExceededError, match="^time budget 3600.0s exhausted$"):
+            eng.search(2)
+    # Raised in the first kept sweep.
+    assert raised == [(1, 0)]
+    # A puzzle that propagation alone solves never branches or sweeps, and
+    # still stops on a spent clock.
+    solution = count_extensions(g, c).witness1
+    easy = PartialColoring(9, {v: col for v, col in solution.items() if v % 3})
+    eng = extension._Engine(eg, easy.assignments)
+    assert eng.search(2) == 1 and eng.nodes == eng.sweeps == 0
+    with pytest.raises(BudgetExceededError, match="^time budget 0s exhausted$"):
+        extension._Engine(eg, easy.assignments, Clock(0)).search(2)

@@ -250,7 +250,7 @@ def _canonical_loop(g, k, subset):
 def _support_engine(g, k):
     # An empty engine as sn_exact builds it, count-only (no attractive rule),
     # reused by every support walk.
-    return _Engine(_EngineGraph(g, k, attractive=False))
+    return _Engine(_EngineGraph(g, k, traced=False))
 
 
 def test_support_walk_matches_canonical_coloring_loop():
