@@ -162,10 +162,11 @@ def cmd_sn(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    clock = Clock(args.budget_seconds)
     if args.cert:
         with open(args.cert, "rb") as fh:
             cert = parse_certificate(fh.read())
-        result = verify_certificate(cert, exact=args.exact)
+        result = verify_certificate(cert, exact=args.exact, clock=clock)
         _emit_json(args, {"ok": result.ok, "checks": result.checks})
         return EXIT_OK if result.ok else EXIT_VERIFY
     if not args.family:
@@ -176,7 +177,7 @@ def cmd_verify(args) -> int:
             f"unknown case {case!r}; choose from {', '.join(THEOREM_CASES)}"
         )
     spec = _verify_spec(case, args)
-    result = verify_theorem(case, spec, exact=args.exact)
+    result = verify_theorem(case, spec, exact=args.exact, clock=clock)
     _emit_json(
         args,
         {
@@ -386,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", default=None, help="certificate JSON file to verify")
     p.add_argument("--exact", action="store_true", help="re-prove minimality by full search")
     _add_family_flags(p)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = add_parser("solve", help="propagation trace plus unique extension")

@@ -189,10 +189,12 @@ class _Engine:
 
     The counters add up over the engine's life: nodes (live nodes the search
     branched from or cut), clique_cuts, probes, probe_cuts, sweeps (kept
-    hidden-single sweeps), search_work (neighbor visits of every assignment
-    made outside a probe, root and placed colors included, plus the
-    clique-member visits of kept sweeps) and probe_work (clique-member visits
-    plus neighbor visits of the probes' own assignments).
+    hidden-single sweeps), walk_cuts (support-walk prefixes that
+    sn._evaluate_subset cut at a vertex free to change color), search_work
+    (neighbor visits of every assignment made outside a probe, root and
+    placed colors included, plus the clique-member visits of kept sweeps)
+    and probe_work (clique-member visits plus neighbor visits of the
+    probes' own assignments).
     """
 
     def __init__(self, eg: _EngineGraph, assignments=None, clock: Clock | None = None):
@@ -219,6 +221,7 @@ class _Engine:
         self.probes = 0
         self.probe_cuts = 0
         self.sweeps = 0
+        self.walk_cuts = 0
         self.search_work = 0
         self.probe_work = 0
         if assignments:

@@ -203,6 +203,23 @@ def _evaluate_subset(eng: _Engine, subset):
     may be count-only (sn_exact's are). The engine is back at
     its empty root on return.
 
+    A live prefix is cut the same way, with no completion search below it,
+    when a neighbour w of the vertex just placed is uncolored, outside S,
+    and has every neighbour colored. No unique extension lies below it, as
+    outside S the unique extension is color-dominating (Section 2 of the
+    paper). At a propagated fixpoint an uncolored vertex has two or more
+    colors on its list, as a single one would have been placed, and its
+    list loses a color only when a neighbour takes it: lists[w] is exactly
+    the colors missing from w's colored neighbours. No later placement or
+    deduction recolors N(w), so every completion below can move w between
+    two of them. The cut changes neither the count returned nor the
+    winner, and eng.walk_cuts counts it.
+
+    A leaf below a cut or dead prefix runs no search, which is where a live
+    leaf reads the clock, so it checks the engine's deadline itself and
+    raises the clock's error once it has passed: a walk whose prefixes are
+    all cut can be long.
+
     Returns (colorings_tried, winning_assignments or None).
     """
     k = eng.eg.k
@@ -210,7 +227,9 @@ def _evaluate_subset(eng: _Engine, subset):
     t = len(verts)
     need = k - 1 if k >= 3 else 1
     earlier = _pattern(eng.adj, verts)
-    color, lists = eng.color, eng.lists
+    adj, color, lists = eng.adj, eng.color, eng.lists
+    inside = sum(1 << v for v in verts)
+    deadline = eng.deadline
     colors = [0] * t
     used = [0] * (t + 1)  # used[i]: highest color on positions < i
     marks = [0] * (t + 1)  # marks[i]: journal length with positions < i placed; -1 if dead
@@ -220,7 +239,10 @@ def _evaluate_subset(eng: _Engine, subset):
     while i >= 0:
         if i == t:
             tried += 1
-            if marks[t] >= 0 and eng.search(2) == 1:
+            if marks[t] < 0:
+                if deadline is not None and Clock.now() >= deadline:
+                    eng.clock.expire()
+            elif eng.search(2) == 1:
                 eng.rewind(root)
                 return tried, {verts[j]: colors[j] for j in range(t)}
             i -= 1
@@ -250,6 +272,12 @@ def _evaluate_subset(eng: _Engine, subset):
                 alive = color[v] == c
             else:
                 alive = bool(lists[v] >> (c - 1) & 1) and eng.place(v, c)
+            if alive:
+                for w in adj[v]:
+                    if not color[w] and not inside >> w & 1 and all(map(color.__getitem__, adj[w])):
+                        eng.walk_cuts += 1
+                        alive = False
+                        break
             mark = len(eng.journal) if alive else -1
         marks[i + 1] = mark
         i += 1
@@ -322,6 +350,7 @@ def sn_exact(
     prune: bool = True,
     max_subsets: int | None = None,
     max_seconds: float | None = None,
+    clock: Clock | None = None,
 ) -> SearchReport:
     """Exact Sudoku number by exhaustive search.
 
@@ -339,10 +368,13 @@ def sn_exact(
     placement; a prefix whose propagation dies has no proper completion, so
     the colorings below it are skipped but still counted in
     colorings_examined, exactly as if each had been tried and found not
-    extendable. Only live complete colorings run the completion search,
-    capped at 2. Only whether that count is 1 is read, so the search runs
-    on count-only tables: no attractive rule, and hidden singles kept from
-    a search's first dead end on, while propagate and count_extensions,
+    extendable. So are the colorings below a prefix that leaves a vertex
+    outside the support, all of whose neighbours are colored, free to take
+    two colors: none of them extends uniquely (see _evaluate_subset). Only
+    the remaining complete colorings run the completion search, capped at
+    2. Only whether that count is 1 is read, so the search runs on
+    count-only tables: no attractive rule, and hidden singles kept from a
+    search's first dead end on, while propagate and count_extensions,
     whose traces are output, keep the attractive rule and only probe.
 
     A support that leaves two closed twins (N[u] == N[v]) uncolored loses
@@ -371,14 +403,22 @@ def sn_exact(
       change.
 
     One clock holds the time budget. It starts before the chromatic number
-    and is checked inside it, at every support and cut block, and inside
-    each support's engine work or count, so neither a long chi search nor
-    one long completion can overrun it. The subset budget is checked at the
-    same points, before the time. Either stop reports sn >= the current
-    support size (1 during chi, as every connected graph on >= 2 vertices
-    needs a nonempty support) as its lower_bound.
+    and is checked inside it, at every support and cut block, inside each
+    support's engine work or count, and at each leaf of a walk that runs no
+    search there, so neither a long chi search, nor one long completion,
+    nor a long walk of skipped colorings can overrun it. The subset budget
+    is checked at the supports and cut blocks, before the time. Either stop
+    reports sn >= the current support size (1 during chi, as every
+    connected graph on >= 2 vertices needs a nonempty support) as its
+    lower_bound. A caller that shares one budget among several searches
+    passes its clock instead of max_seconds; elapsed_seconds still counts
+    from this call.
     """
-    clock = Clock(max_seconds)
+    start = Clock.now()
+    if clock is None:
+        clock = Clock(max_seconds)
+    elif max_seconds is not None:
+        raise ValueError("pass max_seconds or clock, not both")
     if g.n < 2:
         raise ValueError("Sudoku numbers need at least 2 vertices (chi >= 2)")
     if max_subsets is not None and max_subsets < 0:
@@ -424,17 +464,21 @@ def sn_exact(
             if win is not None:
                 cert = Certificate(g, PartialColoring(k, win), size, PROVENANCE_EXACT)
                 counts = subsets_examined, colorings_examined, dict(pruned_by)
-                return SearchReport(size, cert, *counts, clock.elapsed())
+                return SearchReport(size, cert, *counts, Clock.now() - start)
             orbits.mark(bits, tried)
     raise AssertionError("unreachable: sn(G) <= n - 1 for every connected graph")
 
 
-def verify_certificate(cert: Certificate, *, exact: bool = False) -> VerificationResult:
+def verify_certificate(
+    cert: Certificate, *, exact: bool = False, clock: Clock | None = None
+) -> VerificationResult:
     """Re-check everything a certificate claims.
 
     Always: connectivity, support size, properness, unique extension, and the
     color-count observation (a unique extension forces >= k-1 support colors).
-    With exact=True, re-run the full search and confirm minimality.
+    With exact=True, re-run the full search and confirm minimality. Given a
+    clock, the completion count and the search run under its budget and
+    raise its BudgetExceededError once the deadline has passed.
     """
     g = cert.graph
     c = cert.partial
@@ -448,7 +492,7 @@ def verify_certificate(cert: Certificate, *, exact: bool = False) -> Verificatio
     proper = is_proper(g, c)
     result.add("proper", proper, "no monochromatic edge" if proper else "conflict found")
     if proper:
-        outcome = count_extensions(g, c, 2)
+        outcome = count_extensions(g, c, 2, clock)
         result.add(
             "unique-extension",
             outcome.kind is ExtensionKind.UNIQUE,
@@ -462,7 +506,7 @@ def verify_certificate(cert: Certificate, *, exact: bool = False) -> Verificatio
                 f"{used} colors on the support, k={c.k}",
             )
     if exact and result.ok:
-        report = sn_exact(g)
+        report = sn_exact(g, clock=clock)
         result.add(
             "minimal",
             report.sn == cert.claimed_sn,

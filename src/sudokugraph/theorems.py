@@ -284,14 +284,17 @@ def construct(name: str, spec: FamilySpec) -> Certificate:
     return Certificate(g, PartialColoring(k, colors), len(colors), f"family:{name}")
 
 
-def verify_theorem(name: str, spec: FamilySpec, *, exact: bool = False) -> VerificationResult:
+def verify_theorem(
+    name: str, spec: FamilySpec, *, exact: bool = False, clock: Clock | None = None
+) -> VerificationResult:
     """Construct a case and re-prove it: chromatic number, formula, uniqueness.
 
-    With exact=True the full search additionally confirms minimality.
+    With exact=True the full search additionally confirms minimality. Given a
+    clock, every search runs under its one budget (see verify_certificate).
     """
     cert = construct(name, spec)
-    result = verify_certificate(cert, exact=exact)
-    chi, _ = chromatic_number(cert.graph)
+    result = verify_certificate(cert, exact=exact, clock=clock)
+    chi, _ = chromatic_number(cert.graph, clock=clock)
     result.add(
         "chromatic",
         chi == cert.partial.k,

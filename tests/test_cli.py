@@ -330,11 +330,45 @@ def test_sudoku_stops_on_its_time_budget(capsys):
         assert json.loads(out) == want
 
 
+def _cycle13_certificate(tmp_path):
+    path = tmp_path / "cert13.json"
+    with open("tests/data/sn_cycle13.json", encoding="ascii") as fh:
+        path.write_text(json.dumps(json.load(fh)["certificate"]))
+    return str(path)
+
+
+def test_verify_stops_on_its_time_budget(capsys, tmp_path):
+    # Without a budget this run takes about 10 s, nearly all in chi(C_9999).
+    start = time.perf_counter()
+    argv = ["verify", "--family", "odd-cycle", "--n", "9999", "--budget-seconds", "1"]
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 15
+    assert code == 1
+    assert json.loads(out) == {"error": "budget-exceeded", "detail": "time budget 1.0s exhausted"}
+    # The exact search shares the clock and reports the bound it proved
+    # (sn = 12 here takes about a minute).
+    start = time.perf_counter()
+    argv = ["verify", "--family", "cycle-of-cliques", "--n", "4", "--m", "5", "--exact"]
+    code, out, err = run(capsys, argv + ["--budget-seconds", "1"])
+    assert time.perf_counter() - start < 15
+    obj = json.loads(out)
+    assert code == 1 and 4 <= obj["lower_bound"] < 12
+    assert obj["detail"] == f"time budget 1.0s exhausted; sn >= {obj['lower_bound']}"
+    # The completion count, the first search of a certificate check, stops too.
+    argv = ["verify", "--cert", _cycle13_certificate(tmp_path), "--exact", "--budget-seconds", "0"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert json.loads(out) == {"error": "budget-exceeded", "detail": "time budget 0.0s exhausted"}
+
+
 def test_time_budget_keeps_the_output_of_a_finished_run(capsys, tmp_path):
     c13 = write_graph(capsys, tmp_path, "c13.txt", ["--family", "cycle", "--n", "13"])
     support = write_coloring(tmp_path, "sup.json", 3, {0: 1, 4: 1, 8: 1, 2: 2, 6: 2, 10: 2, 12: 3})
     empty = write_coloring(tmp_path, "empty.json", 3, {})
     for argv in (
+        ["verify", "--family", "odd-cycle", "--n", "99"],
+        ["verify", "--family", "wheel", "--n", "7", "--exact"],
+        ["verify", "--cert", _cycle13_certificate(tmp_path), "--exact"],
         ["extend-count", "--in", c13, "--coloring", support],
         ["extend-count", "--in", c13, "--coloring", empty, "--cap", "7"],
         ["solve", "--in", c13, "--coloring", support],

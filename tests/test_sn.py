@@ -253,25 +253,99 @@ def _support_engine(g, k):
     return _Engine(_EngineGraph(g, k, traced=False))
 
 
+def _walk_every_support(g):
+    # One count-only engine walks every support the generator yields, in its
+    # order, and must agree on each with the loop, whose count_extensions
+    # keeps the attractive rule. Returns (k, the walk's cut prefixes).
+    k, _ = chromatic_number(g)
+    eng = _support_engine(g, k)
+    tables = _suffix_tables(g, k, k >= 3)
+    for size in range(search_lower_bound(k), g.n):
+        for subset, _, _ in _supports(g.n, size, tables):
+            if subset is not None:
+                assert _evaluate_subset(eng, subset) == _canonical_loop(g, k, subset)
+    assert not eng.journal and not any(eng.color)
+    assert eng.lists == [(1 << k) - 1] * g.n
+    return k, eng.walk_cuts
+
+
 def test_support_walk_matches_canonical_coloring_loop():
-    # One count-only engine per graph walks every support the generator
-    # yields, in its order, and must agree on each with the loop, whose
-    # count_extensions keeps the attractive rule; bipartite graphs included.
     rng = random.Random(94)
-    bipartite = 0
+    bipartite = cut = 0
     for _ in range(100):
         g = random_connected_graph(rng, rng.randint(3, 9), extra=rng.choice([0.0, 0.15, 0.35, 0.6]))
-        k, _ = chromatic_number(g)
+        k, cuts = _walk_every_support(g)
         bipartite += k == 2
-        eng = _support_engine(g, k)
-        tables = _suffix_tables(g, k, k >= 3)
-        for size in range(search_lower_bound(k), g.n):
-            for subset, _, _ in _supports(g.n, size, tables):
-                if subset is not None:
-                    assert _evaluate_subset(eng, subset) == _canonical_loop(g, k, subset)
-        assert not eng.journal and not any(eng.color)
-        assert eng.lists == [(1 << k) - 1] * g.n
-    assert bipartite >= 5
+        cut += cuts > 0
+    assert bipartite >= 5 and cut >= 20
+    # Low-degree families, where a vertex outside S is often left free to
+    # change color. The even wheels are covered by triangles (k = 3), so a
+    # vertex whose neighbours are all colored has one color left on them.
+    families = [make(Family.CYCLE, n=n) for n in (5, 7, 9, 11)]
+    families += [make(Family.TADPOLE, n=n, m=m) for n, m in ((3, 3), (5, 2), (5, 4), (7, 3))]
+    families += [make(Family.WHEEL, n=n) for n in (5, 7, 9)]
+    for g in families:
+        assert _walk_every_support(g)[1] > 0
+    for n in (6, 8):
+        assert _walk_every_support(make(Family.WHEEL, n=n))[1] == 0
+
+
+def _count_searches(monkeypatch):
+    searches = []
+    inner = _Engine.search
+
+    def spy(self, cap):
+        searches.append(self)
+        return inner(self, cap)
+
+    monkeypatch.setattr(_Engine, "search", spy)
+    return searches
+
+
+def test_sn_exact_cuts_the_winning_walk_of_c19(monkeypatch):
+    # Every support but the winner is cut by the lemmas, and the winner's
+    # walk leaves a rim vertex free to change color on all but one live
+    # prefix: 821 live leaves each ran a completion search before the cut.
+    searches = _count_searches(monkeypatch)
+    report = sn_exact(make(Family.CYCLE, n=19))
+    assert len(searches) <= 5
+    support = dict.fromkeys((0, 3, 7, 11, 15), 1) | dict.fromkeys((1, 5, 9, 13, 17), 2)
+    assert (report.sn, report.certificate.partial.assignments) == (10, support)
+    assert report.subsets_examined == 277_646
+    assert report.colorings_examined == 821
+    assert report.pruned_by == {PRUNE_PENDANT: 0, PRUNE_UNCOLORED_EDGE: 277_645}
+
+
+def test_support_walk_checks_the_clock_at_cut_leaves(monkeypatch):
+    # The clock runs out just after the first cut of C_19's winning walk.
+    # The walk must stop at its next leaf; without its own check it would
+    # walk every cut leaf and stop only at the winner's completion search.
+    now = [0.0]
+    monkeypatch.setattr(Clock, "now", staticmethod(lambda: now[0]))
+    place = _Engine.place
+
+    def place_spy(self, v, col):
+        if self.walk_cuts:
+            now[0] = 2.0
+        return place(self, v, col)
+
+    monkeypatch.setattr(_Engine, "place", place_spy)
+    searches = _count_searches(monkeypatch)
+    with pytest.raises(BudgetExceededError) as err:
+        sn_exact(make(Family.CYCLE, n=19), max_seconds=1.0)
+    assert err.value.lower_bound == 10
+    assert now[0] == 2.0 and searches == []
+
+
+def test_sn_exact_shares_a_callers_clock():
+    g = make(Family.CYCLE, n=9)
+    clock = Clock(3600)
+    assert _report_key(sn_exact(g, clock=clock)) == _report_key(sn_exact(g))
+    assert clock.lower_bound == 5
+    with pytest.raises(BudgetExceededError):
+        sn_exact(g, clock=Clock(0))
+    with pytest.raises(ValueError, match="not both"):
+        sn_exact(g, max_seconds=1, clock=clock)
 
 
 def _report_key(r):

@@ -4,7 +4,10 @@ import pytest
 
 sys.path.insert(0, "tests")
 
+import sudokugraph.theorems as theorems
 from sudokugraph import (
+    BudgetExceededError,
+    Clock,
     ExtensionKind,
     Family,
     FamilySpec,
@@ -205,3 +208,17 @@ def test_suite_report_ok_tracks_rows():
     report = theorem_suite(SuiteScale.EXACT)
     report.rows[0]["ok"] = False
     assert not report.ok
+
+
+def test_verify_theorem_runs_every_search_on_one_clock(monkeypatch):
+    case = spec(Family.WHEEL, n=7)
+    clock = Clock(3600)
+    want = verify_theorem("wheel", case, exact=True).checks
+    assert verify_theorem("wheel", case, exact=True, clock=clock).checks == want
+    assert clock.lower_bound == 4
+    # A stop in the chromatic check reports what the finished exact search proved.
+    monkeypatch.setattr(theorems, "chromatic_number", lambda g, *, clock: clock.expire())
+    with pytest.raises(BudgetExceededError) as err:
+        verify_theorem("wheel", case, exact=True, clock=Clock(3600))
+    assert err.value.lower_bound == 4
+    assert str(err.value) == "time budget 3600s exhausted; sn >= 4"
