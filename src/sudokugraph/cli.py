@@ -114,7 +114,7 @@ def cmd_gen(args) -> int:
 
 def cmd_chroma(args) -> int:
     g = _read_graph(args)
-    chi, witness = chromatic_number(g, budget=args.budget_nodes)
+    chi, witness = chromatic_number(g, budget=args.budget_nodes, clock=Clock(args.budget_seconds))
     _emit_json(args, {"chi": chi, "coloring": coloring_to_object(witness)["colors"]})
     return EXIT_OK
 
@@ -366,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("chroma", help="exact chromatic number with witness")
     _add_io_flags(p)
     p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_chroma)
 
     p = add_parser("extend-count", help="count completions of a partial coloring")

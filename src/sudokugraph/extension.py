@@ -190,7 +190,9 @@ class _Engine:
     The counters add up over the engine's life: nodes (live nodes the search
     branched from or cut), clique_cuts, probes, probe_cuts, sweeps (kept
     hidden-single sweeps), walk_cuts (support-walk prefixes that
-    sn._evaluate_subset cut at a vertex free to change color), search_work
+    sn._evaluate_subset cut at a vertex free to change color, found among
+    the neighbours of the vertices the prefix's last placement and its
+    propagation colored), search_work
     (neighbor visits of every assignment made outside a probe, root and
     placed colors included, plus the clique-member visits of kept sweeps)
     and probe_work (clique-member visits plus neighbor visits of the

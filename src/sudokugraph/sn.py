@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .chromatic import _search, chromatic_number, count_color_partitions
+from .chromatic import _search, chromatic_number
 from .coloring import ExtensionKind, PartialColoring, is_proper
 from .errors import BudgetExceededError, Clock, DisconnectedGraphError
-from .extension import _Engine, _EngineGraph, count_extensions
-from .graph import Graph, build, is_connected
+from .extension import _REMOVE, _Engine, _EngineGraph, count_extensions
+from .graph import Graph, is_connected
 
 PROVENANCE_EXACT = "exact-search"
 
@@ -175,18 +175,97 @@ def _twin_classes(g: Graph) -> list[int]:
     return [c for c in classes.values() if c & (c - 1)]
 
 
+def _colorings_below(pattern, k: int, clock: Clock | None):
+    """The counter below(i, u, colors) of the canonical colorings of a support's tail.
+
+    pattern is _pattern of a support S on a graph with chromatic number k.
+    below(i, u, colors) counts the ways to color positions i..t-1 of G[S]
+    by _evaluate_subset's canonical rules, given colors[j] for the positions
+    j < i and u, the highest color among them: a position reuses one of
+    1..u that no earlier neighbour has or opens u+1, never above k, and a
+    coloring ends with at least need colors. The count depends only on i,
+    u and the colors of the frontier, the positions before i with a
+    neighbour at i or later, so it is memoized on those (the frontier
+    method: K. Sekine, H. Imai and S. Tani, "Computing the Tutte
+    polynomial of a graph of moderate size", ISAAC 1995). States are
+    evaluated depth first on an explicit stack, so a support of any size
+    stays within the recursion limit, and the clock is checked at each
+    memo miss.
+    """
+    t = len(pattern)
+    need = k - 1 if k >= 3 else 1
+    last = list(range(t))  # last[j]: the highest position adjacent to j, or j
+    for i, row in enumerate(pattern):
+        for j in row:
+            last[j] = i
+    # frontier[i] as a tuple of positions; taken[i] indexes i's earlier
+    # neighbours in frontier[i], keep[i] frontier[i+1] in frontier[i] + (i,).
+    frontier, taken, keep = [()], [], []
+    for i, row in enumerate(pattern):
+        at = {j: x for x, j in enumerate(frontier[i] + (i,))}
+        frontier.append(tuple(j for j in at if last[j] > i))
+        taken.append(tuple(at[j] for j in row))
+        keep.append(tuple(at[j] for j in frontier[i + 1]))
+    memo: dict[tuple, int] = {}
+    check = clock.check if clock is not None else lambda: None
+
+    def below(i: int, u: int, colors) -> int:
+        if i == t:
+            return int(u >= need)
+        root = (i, u, tuple(colors[j] for j in frontier[i]))
+        if root in memo:
+            return memo[root]
+        check()
+        stack = [[root, 0, 0]]  # [state, last color tried, count so far]
+        while True:
+            frame = stack[-1]
+            state, c, total = frame
+            i, u, cols = state
+            mask = 0
+            for x in taken[i]:
+                mask |= 1 << cols[x]
+            top = min(k, u + 1)
+            miss = None
+            while c < top:
+                c += 1
+                if mask >> c & 1:
+                    continue
+                high = max(u, c)
+                if high + (t - i - 1) < need:
+                    continue
+                if i + 1 == t:
+                    total += 1
+                    continue
+                ext = cols + (c,)
+                child = (i + 1, high, tuple([ext[x] for x in keep[i]]))
+                got = memo.get(child)
+                if got is None:
+                    miss = child
+                    break
+                total += got
+            if miss is not None:
+                frame[1], frame[2] = c, total
+                check()
+                stack.append([miss, 0, 0])
+                continue
+            memo[state] = total
+            stack.pop()
+            if not stack:
+                return total
+            stack[-1][2] += total
+
+    return below
+
+
 def _loser_count(g: Graph, k: int, subset, memo: dict, clock: Clock | None) -> int:
-    """_evaluate_subset's count for a loser: partitions of G[S] into max(k-1, 1)..k sets."""
+    """_evaluate_subset's count for a loser: every canonical coloring of the support."""
     pattern = _pattern(g.adj, subset)
     if pattern not in memo:
-        sub = build(len(subset), [(j, i) for i, row in enumerate(pattern) for j in row])
-        fewer = search_lower_bound(k) - 1
-        high, low = (count_color_partitions(sub, c, clock=clock) for c in (k, fewer))
-        memo[pattern] = high - low
+        memo[pattern] = _colorings_below(pattern, k, clock)(0, 0, ())
     return memo[pattern]
 
 
-def _evaluate_subset(eng: _Engine, subset):
+def _evaluate_subset(eng: _Engine, subset, counters: dict):
     """Try the canonical colorings of one support, in canonical order.
 
     Canonical form: in ascending vertex order, each support vertex reuses a
@@ -197,28 +276,32 @@ def _evaluate_subset(eng: _Engine, subset):
     next canonical color, is placed on the shared engine and propagated, and
     the walk goes one position deeper. A prefix that propagation rules out
     (it dies, or it has already given the vertex another color or taken the
-    color off its list) has no proper completion, so every coloring below it
-    is counted as tried without engine work. A live leaf runs the completion
-    search capped at 2, and only its count is read, so the engine's tables
-    may be count-only (sn_exact's are). The engine is back at
-    its empty root on return.
+    color off its list) has no proper completion: the walk does not descend
+    but counts the colorings below it as tried, with the counter of
+    _colorings_below, and tries the next color at the same position. A live
+    leaf runs the completion search capped at 2, and only its count is
+    read, so the engine's tables may be count-only (sn_exact's are). The
+    engine is back at its empty root on return.
 
-    A live prefix is cut the same way, with no completion search below it,
-    when a neighbour w of the vertex just placed is uncolored, outside S,
-    and has every neighbour colored. No unique extension lies below it, as
-    outside S the unique extension is color-dominating (Section 2 of the
-    paper). At a propagated fixpoint an uncolored vertex has two or more
-    colors on its list, as a single one would have been placed, and its
-    list loses a color only when a neighbour takes it: lists[w] is exactly
-    the colors missing from w's colored neighbours. No later placement or
-    deduction recolors N(w), so every completion below can move w between
-    two of them. The cut changes neither the count returned nor the
-    winner, and eng.walk_cuts counts it.
+    A live prefix is skipped the same way, with no completion search below
+    it, when an uncolored vertex w outside S has every neighbour colored.
+    No unique extension lies below it, as outside S the unique extension is
+    color-dominating (Section 2 of the paper). At a propagated fixpoint an
+    uncolored vertex has two or more colors on its list, as a single one
+    would have been placed, and its list loses a color only when a
+    neighbour takes it: lists[w] is exactly the colors missing from w's
+    colored neighbours. No later placement or deduction recolors N(w), so
+    every completion below can move w between two of them. Such a w
+    neighbours a vertex colored since the prefix's parent (else it would
+    have cut the parent), so the walk looks only at the neighbours of the
+    vertices journaled as colored since then. The cut changes neither the
+    count returned nor the winner, and eng.walk_cuts counts it.
 
-    A leaf below a cut or dead prefix runs no search, which is where a live
-    leaf reads the clock, so it checks the engine's deadline itself and
-    raises the clock's error once it has passed: a walk whose prefixes are
-    all cut can be long.
+    Each skip checks the engine's deadline and raises the clock's error
+    once it has passed, as a walk that runs no search reads no clock
+    otherwise. counters maps a support's _pattern to its counter, built at
+    the support's first skip and shared by every support with the same
+    pattern.
 
     Returns (colorings_tried, winning_assignments or None).
     """
@@ -227,22 +310,20 @@ def _evaluate_subset(eng: _Engine, subset):
     t = len(verts)
     need = k - 1 if k >= 3 else 1
     earlier = _pattern(eng.adj, verts)
-    adj, color, lists = eng.adj, eng.color, eng.lists
+    adj, color, lists, journal = eng.adj, eng.color, eng.lists, eng.journal
     inside = sum(1 << v for v in verts)
     deadline = eng.deadline
+    below = None
     colors = [0] * t
     used = [0] * (t + 1)  # used[i]: highest color on positions < i
-    marks = [0] * (t + 1)  # marks[i]: journal length with positions < i placed; -1 if dead
-    root = marks[0] = len(eng.journal)
+    marks = [0] * (t + 1)  # marks[i]: journal length with positions < i placed
+    root = marks[0] = len(journal)
     tried = 0
     i = 0
     while i >= 0:
         if i == t:
             tried += 1
-            if marks[t] < 0:
-                if deadline is not None and Clock.now() >= deadline:
-                    eng.clock.expire()
-            elif eng.search(2) == 1:
+            if eng.search(2) == 1:
                 eng.rewind(root)
                 return tried, {verts[j]: colors[j] for j in range(t)}
             i -= 1
@@ -263,24 +344,34 @@ def _evaluate_subset(eng: _Engine, subset):
         if u + (t - i - 1) < need:
             # No canonical coloring below: too few colors left.
             continue
-        used[i + 1] = u
         mark = marks[i]
-        if mark >= 0:
-            eng.rewind(mark)
-            v = verts[i]
-            if color[v]:
-                alive = color[v] == c
-            else:
-                alive = bool(lists[v] >> (c - 1) & 1) and eng.place(v, c)
-            if alive:
-                for w in adj[v]:
-                    if not color[w] and not inside >> w & 1 and all(map(color.__getitem__, adj[w])):
-                        eng.walk_cuts += 1
-                        alive = False
-                        break
-            mark = len(eng.journal) if alive else -1
-        marks[i + 1] = mark
-        i += 1
+        eng.rewind(mark)
+        v = verts[i]
+        if color[v]:
+            alive = color[v] == c
+        else:
+            alive = bool(lists[v] >> (c - 1) & 1) and eng.place(v, c)
+        if alive:
+            for op, x, _ in journal[mark:]:
+                if op != _REMOVE and any(
+                    not color[w] and not inside >> w & 1 and all(map(color.__getitem__, adj[w]))
+                    for w in adj[x]
+                ):
+                    eng.walk_cuts += 1
+                    alive = False
+                    break
+        if alive:
+            used[i + 1] = u
+            marks[i + 1] = len(journal)
+            i += 1
+            continue
+        if deadline is not None and Clock.now() >= deadline:
+            eng.clock.expire()
+        if below is None:
+            below = counters.get(earlier)
+            if below is None:
+                below = counters[earlier] = _colorings_below(earlier, k, eng.clock)
+        tried += below(i + 1, u, colors)
     eng.rewind(root)
     return tried, None
 
@@ -370,7 +461,10 @@ def sn_exact(
     colorings_examined, exactly as if each had been tried and found not
     extendable. So are the colorings below a prefix that leaves a vertex
     outside the support, all of whose neighbours are colored, free to take
-    two colors: none of them extends uniquely (see _evaluate_subset). Only
+    two colors: none of them extends uniquely (see _evaluate_subset). The
+    skipped colorings are counted, not stepped through, by a frontier
+    dynamic program over the support's induced pattern (_colorings_below),
+    one per pattern of the current support size. Only
     the remaining complete colorings run the completion search, capped at
     2. Only whether that count is 1 is read, so the search runs on
     count-only tables: no attractive rule, and hidden singles kept from a
@@ -380,7 +474,8 @@ def sn_exact(
     A support that leaves two closed twins (N[u] == N[v]) uncolored loses
     under every coloring, as swapping their colors in a completion gives
     another. It is settled without the engine, not pruned: it adds to
-    colorings_examined the count its evaluation would add (_loser_count).
+    colorings_examined the count its evaluation would add, every canonical
+    coloring of the support (_loser_count), kept as one int per pattern.
 
     Supports in one orbit of Aut(G) are evaluated once. After a support
     loses, evaluated or settled, its orbit under automorphism generators is
@@ -404,9 +499,9 @@ def sn_exact(
 
     One clock holds the time budget. It starts before the chromatic number
     and is checked inside it, at every support and cut block, inside each
-    support's engine work or count, and at each leaf of a walk that runs no
-    search there, so neither a long chi search, nor one long completion,
-    nor a long walk of skipped colorings can overrun it. The subset budget
+    support's engine work, at each skip of a walk and at each new state of
+    a counter, so neither a long chi search, nor one long completion, nor
+    a long walk of skipped prefixes can overrun it. The subset budget
     is checked at the supports and cut blocks, before the time. Either stop
     reports sn >= the current support size (1 during chi, as every
     connected graph on >= 2 vertices needs a nonempty support) as its
@@ -435,10 +530,12 @@ def sn_exact(
     orbits = _Orbits(g, clock)
     twins = _twin_classes(g)
     settled: dict = {}  # the memo of _loser_count
+    counters: dict = {}  # _evaluate_subset's counters, per pattern of the current size
     deadline = clock.deadline
     for size in range(search_lower_bound(k), g.n):
         clock.proven, clock.lower_bound = f"; sn >= {size}", size
         orbits.counted.clear()
+        counters.clear()
         for subset, pendant_cut, edge_cut in _supports(g.n, size, tables):
             spent = subsets_examined + (1 if subset is not None else pendant_cut + edge_cut)
             if max_subsets is not None and spent > max_subsets:
@@ -459,7 +556,7 @@ def sn_exact(
             if any((c & ~bits).bit_count() > 1 for c in twins):
                 tried, win = _loser_count(g, k, subset, settled, clock), None
             else:
-                tried, win = _evaluate_subset(eng, subset)
+                tried, win = _evaluate_subset(eng, subset, counters)
             colorings_examined += tried
             if win is not None:
                 cert = Certificate(g, PartialColoring(k, win), size, PROVENANCE_EXACT)
@@ -589,11 +686,13 @@ def connected_graphs_up_to_iso(n: int):
     canonical has no canonical descendant, and one that is disconnected has
     no connected descendant (each is a spanning subgraph of it), so either
     is dropped with its subtree; connectivity is tested first (cheaper).
+    The edges are pairs listed sorted and distinct, so each class is made
+    as a Graph directly, without build's checks.
     """
     if n < 1:
         return
     if n == 1:
-        yield build(1, [])
+        yield Graph(1, ())
         return
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     full_vertex_mask = (1 << n) - 1
@@ -620,7 +719,7 @@ def connected_graphs_up_to_iso(n: int):
         mask, b, nbr = frame
         if b == 0:
             stack.pop()
-            yield build(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            yield Graph(n, tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
             continue
         b -= 1
         frame[1] = b

@@ -243,6 +243,9 @@ def test_sn_reports_certificate(capsys, tmp_path):
             ["--family", "cycle-of-cliques", "--n", "3", "--m", "4"],
             "tests/data/sn_cycle_of_cliques_3_4.json",
         ),
+        # Written before the walk counted skipped colorings without stepping
+        # through them: 5,380,841 of them, about 8 s of walking.
+        (["--family", "cycle", "--n", "35"], "tests/data/sn_cycle35.json"),
     ],
 )
 def test_sn_output_matches_golden_file(capsys, tmp_path, gen_argv, golden):
@@ -299,6 +302,16 @@ def test_sn_time_budget_covers_the_chromatic_number(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["error"] == "budget-exceeded"
     assert obj["lower_bound"] == 1
+
+
+def test_chroma_stops_on_its_time_budget(capsys, tmp_path):
+    # chi(C_9999) alone takes several seconds without a budget.
+    gpath = write_graph(capsys, tmp_path, "c9999.txt", ["--family", "cycle", "--n", "9999"])
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["chroma", "--in", gpath, "--budget-seconds", "0.5"])
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert json.loads(out) == {"error": "budget-exceeded", "detail": "time budget 0.5s exhausted"}
 
 
 def _sparse_clique_cycle_input(capsys, tmp_path):
@@ -366,6 +379,7 @@ def test_time_budget_keeps_the_output_of_a_finished_run(capsys, tmp_path):
     support = write_coloring(tmp_path, "sup.json", 3, {0: 1, 4: 1, 8: 1, 2: 2, 6: 2, 10: 2, 12: 3})
     empty = write_coloring(tmp_path, "empty.json", 3, {})
     for argv in (
+        ["chroma", "--in", c13],
         ["verify", "--family", "odd-cycle", "--n", "99"],
         ["verify", "--family", "wheel", "--n", "7", "--exact"],
         ["verify", "--cert", _cycle13_certificate(tmp_path), "--exact"],

@@ -30,9 +30,11 @@ from sudokugraph import (
     build,
     chromatic_number,
     conjecture_scan,
+    count_color_partitions,
     count_extensions,
     expected_sn,
     generate,
+    induced_subgraph,
     is_proper,
     relabel,
     sn_exact,
@@ -45,6 +47,7 @@ from sudokugraph.sn import (
     PRUNE_PENDANT,
     PRUNE_UNCOLORED_EDGE,
     _evaluate_subset,
+    _loser_count,
     _suffix_tables,
     _supports,
     connected_graphs_up_to_iso,
@@ -261,9 +264,10 @@ def _walk_every_support(g):
     eng = _support_engine(g, k)
     tables = _suffix_tables(g, k, k >= 3)
     for size in range(search_lower_bound(k), g.n):
+        counters = {}  # shared by the supports of one size, as in sn_exact
         for subset, _, _ in _supports(g.n, size, tables):
             if subset is not None:
-                assert _evaluate_subset(eng, subset) == _canonical_loop(g, k, subset)
+                assert _evaluate_subset(eng, subset, counters) == _canonical_loop(g, k, subset)
     assert not eng.journal and not any(eng.color)
     assert eng.lists == [(1 << k) - 1] * g.n
     return k, eng.walk_cuts
@@ -314,6 +318,49 @@ def test_sn_exact_cuts_the_winning_walk_of_c19(monkeypatch):
     assert report.subsets_examined == 277_646
     assert report.colorings_examined == 821
     assert report.pruned_by == {PRUNE_PENDANT: 0, PRUNE_UNCOLORED_EDGE: 277_645}
+
+
+def test_sn_exact_cuts_at_a_vertex_freed_by_propagation(monkeypatch):
+    # Placing a support vertex can leave a rim vertex that is not its
+    # neighbour free to change color, once propagation has colored the rest
+    # of that vertex's neighbourhood. Checking only the neighbours of the
+    # placed vertex, the walk ran 11 completion searches.
+    searches = _count_searches(monkeypatch)
+    report = sn_exact(make(Family.WHEEL, n=13))
+    assert len(searches) == 1
+    assert (report.sn, report.colorings_examined) == (7, 30)
+
+
+def test_sn_exact_counts_long_cycle_walks_without_stepping():
+    # Below each skipped prefix the walk counts the colorings instead of
+    # stepping through them: C_101 has about 3 * 10**22 below its winner.
+    report = sn_exact(make(Family.CYCLE, n=101), max_seconds=2)
+    assert report.sn == 51
+    assert verify_certificate(report.certificate).ok
+
+
+@pytest.mark.slow
+def test_sn_exact_counts_a_thousand_position_walk_iteratively():
+    # The winning support has 1,001 positions, as deep as the recursion
+    # limit, so the counter keeps its own stack.
+    assert sys.getrecursionlimit() <= 1000
+    assert sn_exact(make(Family.CYCLE, n=2001), max_seconds=30).sn == 1001
+
+
+def test_loser_count_matches_the_partition_counts():
+    # Every canonical coloring of a support is a partition of G[S] into
+    # need..k classes, need = max(k - 1, 1), counted as count_color_partitions
+    # counts at most k classes.
+    rng = random.Random(2113)
+    for _ in range(150):
+        g = random_connected_graph(rng, rng.randint(2, 9), extra=rng.choice([0.0, 0.2, 0.5, 0.8]))
+        for _ in range(4):
+            subset = tuple(sorted(rng.sample(range(g.n), rng.randint(1, g.n))))
+            sub, _ = induced_subgraph(g, subset)
+            for k in (2, 3, 4, 5):
+                fewer = search_lower_bound(k) - 1
+                want = count_color_partitions(sub, k) - count_color_partitions(sub, fewer)
+                assert _loser_count(g, k, subset, {}, None) == want, (g.edges, subset, k)
 
 
 def test_support_walk_checks_the_clock_at_cut_leaves(monkeypatch):
@@ -387,7 +434,7 @@ def test_sn_exact_keeps_no_state_between_searches(monkeypatch):
     for subset in itertools.combinations(range(7), 4):
         for g in (a, b):
             k = engines[g].eg.k
-            assert _evaluate_subset(engines[g], subset) == _canonical_loop(g, k, subset)
+            assert _evaluate_subset(engines[g], subset, {}) == _canonical_loop(g, k, subset)
 
 
 def test_sn_exact_rejects_bad_inputs():
@@ -839,9 +886,9 @@ def test_orbit_skip_evaluates_fewer_supports(monkeypatch):
         calls = [0]
         inner = sn_module._evaluate_subset
 
-        def spy(eng, subset):
+        def spy(eng, subset, counters):
             calls[0] += 1
-            return inner(eng, subset)
+            return inner(eng, subset, counters)
 
         with monkeypatch.context() as m:
             m.setattr(sn_module, "_evaluate_subset", spy)
@@ -948,7 +995,7 @@ def _check_twin_shortcut_identity(monkeypatch, g, prune, budgets=True):
 
     def spy(graph, k, subset, memo, clock):
         tried = inner(graph, k, subset, memo, clock)
-        assert _evaluate_subset(eng, subset) == (tried, None), (subset, g.edges)
+        assert _evaluate_subset(eng, subset, {}) == (tried, None), (subset, g.edges)
         settled.append(subset)
         return tried
 
@@ -990,13 +1037,13 @@ def test_twin_shortcut_keeps_output_on_benchmark_graphs(monkeypatch):
 def test_twin_shortcut_counts_run_under_the_time_budget(monkeypatch):
     g = make(Family.CYCLE_OF_CLIQUES_MINUS, n=4, m=5)
     clocks = set()
-    inner = sn_module.count_color_partitions
+    inner = sn_module._colorings_below
 
-    def spy(sub, k, *, clock):
+    def spy(pattern, k, clock):
         clocks.add(clock)
-        return inner(sub, k, clock=clock)
+        return inner(pattern, k, clock)
 
-    monkeypatch.setattr(sn_module, "count_color_partitions", spy)
+    monkeypatch.setattr(sn_module, "_colorings_below", spy)
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
         sn_exact(g, max_seconds=1)
