@@ -34,6 +34,7 @@ from .io import (
     parse_certificate,
     parse_coloring,
     parse_graph,
+    parse_puzzle,
     serialize_graph,
 )
 from .sn import conjecture_scan, sn_exact, verify_certificate
@@ -226,27 +227,6 @@ def cmd_solve(args) -> int:
             },
         )
     return EXIT_OK
-
-
-PUZZLE_CELLS = 81
-PUZZLE_EMPTY = {"0", "."}
-
-
-def parse_puzzle(text: str) -> dict[int, int]:
-    """81 row-major cells over 1-9 with 0 or . for blanks."""
-    cells = [ch for ch in text if not ch.isspace()]
-    if len(cells) != PUZZLE_CELLS:
-        raise MalformedPuzzleError(
-            f"puzzle needs exactly {PUZZLE_CELLS} cells, got {len(cells)}"
-        )
-    givens = {}
-    for i, ch in enumerate(cells):
-        if ch in PUZZLE_EMPTY:
-            continue
-        if ch < "1" or ch > "9":
-            raise MalformedPuzzleError(f"bad cell {ch!r} at position {i}")
-        givens[i] = int(ch)
-    return givens
 
 
 @functools.cache

@@ -1,7 +1,9 @@
 """Forced-assignment propagation and completion counting for partial colorings.
 
-Internally colors 1..k live in bitmasks (bit i-1 is color i). The search
-keeps an undo journal so branching never copies state.
+Internally colors 1..k live in bitmasks (bit i-1 is color i). A search's
+one record is its undo journal, so branching never copies state: each entry
+that colors a vertex carries its reason, and a trace is read off the entries
+still in effect.
 
 Two deductions rest on one fact: a proper k-coloring uses all k colors on
 every k-clique.
@@ -56,15 +58,18 @@ DEFAULT_ATTRACTIVE_LIMIT = 20
 # one graph costs it at most CLIQUE_STEPS * (n + 2m) steps.
 CLIQUE_STEPS = 8
 
-_ASSIGN = 0
-_REMOVE = 1
-# An assignment made from outside the engine (a root color or a support vertex
-# placed by a caller): undone like _ASSIGN but never on the deduction path.
-_PLACE = 2
+# Journal ops. An entry (_REMOVE, vertex, color bit) takes a color off a list;
+# an entry (op, vertex, color) of any other op colors a vertex and says why.
+# _PLACE comes from outside the engine (a root color or a vertex a caller
+# places) and is on no trace.
+_REMOVE, _PLACE, _SINGLE, _ATTRACTIVE, _BRANCH, _HIDDEN_SINGLE = range(6)
 
 # Rule of a hidden-single assignment. The probe undoes it before returning,
 # and only count-only tables, which report no trace, keep it.
 _RULE_HIDDEN_SINGLE = "hidden-single"
+# Trace rule by op, None off the trace; a _SINGLE whose color is already in
+# use is near-color-dominating instead (see _Engine._steps).
+_RULES = (None, None, RULE_COLOR_DOMINATING, RULE_ATTRACTIVE, RULE_BRANCH, _RULE_HIDDEN_SINGLE)
 
 
 def _k_cliques(g: Graph, k: int) -> tuple[list[tuple[int, ...]], int]:
@@ -178,14 +183,15 @@ class _EngineGraph:
 class _Engine:
     """The per-search part: colors, lists and the undo journal over one _EngineGraph.
 
-    Root assignments are journaled as _PLACE and then forgotten, so undo never
-    goes above the root. A caller that reuses one engine for many searches
-    starts from an empty root and moves with place() and rewind(). Given a
-    clock, propagation checks it before each attractive step (so only on
-    traced tables), the search at its start and before each branch, and the
-    hidden-single sweep, probe or kept, before it starts; each raises the
-    clock's error once its deadline has passed, and the engine must not be
-    used after that.
+    The journal is the engine's one record. Root assignments stay in it as
+    _PLACE entries, below every mark, so undo never goes above the root and
+    the trace labels (_steps) see the root colors. A caller that reuses one
+    engine for many searches starts from an empty root and moves with place()
+    and rewind(). Given a clock, propagation checks it before each attractive
+    step (so only on traced tables), the search at its start and before each
+    branch, and the hidden-single sweep, probe or kept, before it starts;
+    each raises the clock's error once its deadline has passed, and the
+    engine must not be used after that.
 
     The counters add up over the engine's life: nodes (live nodes the search
     branched from or cut), clique_cuts, probes, probe_cuts, sweeps (kept
@@ -210,13 +216,8 @@ class _Engine:
         self.color = [0] * n
         self.lists = [eg.full] * n
         self.uncolored = n
-        self.class_size = [0] * (eg.k + 1)
-        self.used_mask = 0
         self.dead = False
         self.journal: list[tuple[int, int, int]] = []
-        # (vertex, color, rule) of each deduction. TraceSteps, like witness
-        # dicts, are built only for an outcome that reports them.
-        self.path: list[tuple[int, int, str]] = []
         self.squeue: list[int] = []
         self.nodes = 0
         self.clique_cuts = 0
@@ -228,8 +229,7 @@ class _Engine:
         self.probe_work = 0
         if assignments:
             for v, col in assignments.items():
-                self._assign(v, col, rule=None)
-            self.journal.clear()
+                self._assign(v, col, _PLACE)
         # Seed the singleton queue with vertices forced by the root coloring.
         for v in range(n):
             if self.color[v] == 0 and self.lists[v].bit_count() == 1:
@@ -240,20 +240,14 @@ class _Engine:
         self.witness2: list[int] | None = None
         self.trace: tuple[tuple[int, int, str], ...] = ()
 
-    def _assign(self, v: int, col: int, rule: str | None) -> None:
+    def _assign(self, v: int, col: int, op: int) -> None:
         bit = 1 << (col - 1)
         color, lists, journal = self.color, self.lists, self.journal
         nbrs = self.adj[v]
         self.search_work += len(nbrs)
         color[v] = col
         self.uncolored -= 1
-        self.class_size[col] += 1
-        self.used_mask |= bit
-        if rule is None:
-            journal.append((_PLACE, v, col))
-        else:
-            journal.append((_ASSIGN, v, col))
-            self.path.append((v, col, rule))
+        journal.append((op, v, col))
         for u in nbrs:
             if color[u] == 0 and lists[u] & bit:
                 rest = lists[u] ^ bit
@@ -264,38 +258,50 @@ class _Engine:
                 elif rest & (rest - 1) == 0:
                     self.squeue.append(u)
 
-    def _undo(self, mark: int) -> None:
-        journal, lists = self.journal, self.lists
-        for _ in range(len(journal) - mark):
-            op, v, payload = journal.pop()
-            if op == _REMOVE:
-                lists[v] |= payload
-            else:
-                self.color[v] = 0
-                self.uncolored += 1
-                self.class_size[payload] -= 1
-                if self.class_size[payload] == 0:
-                    self.used_mask &= ~(1 << (payload - 1))
-                if op == _ASSIGN:
-                    self.path.pop()
-        self.dead = False
-
     def place(self, v: int, col: int) -> bool:
         """Give uncolored v the color col and propagate. False means dead end.
 
         col must still be on v's list; the caller rewinds either way.
         """
-        self._assign(v, col, rule=None)
+        self._assign(v, col, _PLACE)
         return self._propagate()
 
     def rewind(self, mark: int) -> None:
-        """Undo back to journal length mark, taken at a propagated fixpoint.
+        """Undo back to journal length mark, at a propagated fixpoint or a search's root.
 
-        At a fixpoint no uncolored vertex has a singleton list, so whatever a
-        dead end left in the singleton queue is dropped with it.
+        At a fixpoint no uncolored vertex has a singleton list, and a search's
+        first propagation takes the root's singletons off the queue, so what a
+        dead end left in the singleton queue is stale and is dropped.
         """
-        self._undo(mark)
+        journal, lists, color = self.journal, self.lists, self.color
+        for _ in range(len(journal) - mark):
+            op, v, payload = journal.pop()
+            if op == _REMOVE:
+                lists[v] |= payload
+            else:
+                color[v] = 0
+                self.uncolored += 1
+        self.dead = False
         self.squeue.clear()
+
+    def _steps(self) -> list[tuple[int, int, str]]:
+        """(vertex, color, rule) of each deduction in effect, in journal order.
+
+        A single is near-color-dominating when its color is already on a
+        vertex colored before it (a root color included), color-dominating
+        when it is new.
+        """
+        used, steps = 0, []
+        for op, v, col in self.journal:
+            if op == _REMOVE:
+                continue
+            rule = _RULES[op]
+            if op == _SINGLE and used >> col & 1:
+                rule = RULE_NEAR_COLOR_DOMINATING
+            if rule is not None:
+                steps.append((v, col, rule))
+            used |= 1 << col
+        return steps
 
     def _attractive_step(self) -> bool:
         """Apply one attractive deduction; may set self.dead on contradiction."""
@@ -313,7 +319,7 @@ class _Engine:
                 # Two colors can only appear at w: no completion exists.
                 self.dead = True
                 return True
-            self._assign(w, cand.bit_length(), RULE_ATTRACTIVE)
+            self._assign(w, cand.bit_length(), _ATTRACTIVE)
             return True
         return False
 
@@ -327,12 +333,7 @@ class _Engine:
                 mask = self.lists[v]
                 if self.color[v] != 0 or mask & (mask - 1):
                     continue
-                col = mask.bit_length()
-                if self.used_mask & mask:
-                    rule = RULE_NEAR_COLOR_DOMINATING
-                else:
-                    rule = RULE_COLOR_DOMINATING
-                self._assign(v, col, rule)
+                self._assign(v, mask.bit_length(), _SINGLE)
                 continue
             if self.attr_eligible and self.uncolored:
                 # One attractive step scans every eligible vertex, and one
@@ -411,7 +412,7 @@ class _Engine:
                     for u in clique:
                         if color[u] == 0 and lists[u] & bit:
                             break
-                    self._assign(u, bit.bit_length(), _RULE_HIDDEN_SINGLE)
+                    self._assign(u, bit.bit_length(), _HIDDEN_SINGLE)
                     alive = self._propagate()
                     break
             else:
@@ -423,14 +424,13 @@ class _Engine:
         """Shadow look-ahead at a live fixpoint: mark, sweep, undo. False means no completion exists.
 
         Everything the sweep (_hidden_singles) deduced is undone, so the
-        state, the path and the singleton queue are as before, and its work is
-        moved from search_work to probe_work.
+        state and the journal are as before, and its work is moved from
+        search_work to probe_work.
         """
         mark, work = len(self.journal), self.search_work
         alive = self._hidden_singles()
         self.probes += 1
-        self._undo(mark)
-        self.squeue.clear()
+        self.rewind(mark)
         self.probe_work += self.search_work - work
         self.search_work = work
         return alive
@@ -440,7 +440,7 @@ class _Engine:
         if self.count == 1:
             self.witness1 = self.color[:]
             if self.eg.traced:
-                self.trace = tuple(self.path)
+                self.trace = tuple(self._steps())
         elif self.count == 2:
             self.witness2 = self.color[:]
 
@@ -523,13 +523,13 @@ class _Engine:
             while stack:
                 frame = stack[-1]
                 w, bits, mark = frame
-                self._undo(mark)
+                self.rewind(mark)
                 if bits and self.count < cap:
                     if deadline is not None and Clock.now() >= deadline:
                         self.clock.expire()
                     bit = bits & (-bits)
                     frame[1] = bits ^ bit
-                    self._assign(w, bit.bit_length(), RULE_BRANCH)
+                    self._assign(w, bit.bit_length(), _BRANCH)
                     alive = self._propagate()
                     if alive and armed and sweep:
                         self.sweeps += 1
@@ -538,7 +538,7 @@ class _Engine:
                 stack.pop()
             else:
                 break
-        self._undo(root)
+        self.rewind(root)
         return self.count
 
 
@@ -559,10 +559,11 @@ def propagate(
     _check_inputs(g, c)
     eng = _Engine(_EngineGraph(g, c.k, traced=True), c.assignments)
     alive = eng._propagate()
+    steps = eng._steps()
     extended = dict(c.assignments)
-    for v, col, _ in eng.path:
+    for v, col, _ in steps:
         extended[v] = col
-    trace = tuple(TraceStep(*step) for step in eng.path)
+    trace = tuple(TraceStep(*step) for step in steps)
     if not alive:
         status = PropagationStatus.DEAD_END
     elif trace:

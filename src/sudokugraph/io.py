@@ -1,4 +1,4 @@
-"""Wire formats: edge lists, JSON graphs, colorings, certificates, DOT."""
+"""Wire formats: edge lists, JSON graphs, colorings, certificates, puzzles, DOT."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import re
 from enum import Enum
 
 from .coloring import PartialColoring, is_proper
-from .errors import ParseError, SelfLoopError, VertexOutOfRangeError
+from .errors import MalformedPuzzleError, ParseError, SelfLoopError, VertexOutOfRangeError
 from .graph import Graph, build
 from .sn import Certificate
 
@@ -198,6 +198,25 @@ def certificate_to_object(cert: Certificate) -> dict:
         "claimed_sn": cert.claimed_sn,
         "provenance": cert.provenance,
     }
+
+
+PUZZLE_CELLS = 81
+PUZZLE_EMPTY = {"0", "."}
+
+
+def parse_puzzle(text: str) -> dict[int, int]:
+    """81 row-major cells over 1-9 with 0 or . for blanks."""
+    cells = [ch for ch in text if not ch.isspace()]
+    if len(cells) != PUZZLE_CELLS:
+        raise MalformedPuzzleError(f"puzzle needs exactly {PUZZLE_CELLS} cells, got {len(cells)}")
+    givens = {}
+    for i, ch in enumerate(cells):
+        if ch in PUZZLE_EMPTY:
+            continue
+        if ch < "1" or ch > "9":
+            raise MalformedPuzzleError(f"bad cell {ch!r} at position {i}")
+        givens[i] = int(ch)
+    return givens
 
 
 def emit_dot(g: Graph, coloring: PartialColoring | None = None) -> bytes:

@@ -193,7 +193,7 @@ def _colorings_below(pattern, k: int, clock: Clock | None):
     memo miss.
     """
     t = len(pattern)
-    need = k - 1 if k >= 3 else 1
+    need = search_lower_bound(k)
     last = list(range(t))  # last[j]: the highest position adjacent to j, or j
     for i, row in enumerate(pattern):
         for j in row:
@@ -308,7 +308,7 @@ def _evaluate_subset(eng: _Engine, subset, counters: dict):
     k = eng.eg.k
     verts = sorted(subset)
     t = len(verts)
-    need = k - 1 if k >= 3 else 1
+    need = search_lower_bound(k)
     earlier = _pattern(eng.adj, verts)
     adj, color, lists, journal = eng.adj, eng.color, eng.lists, eng.journal
     inside = sum(1 << v for v in verts)

@@ -19,7 +19,8 @@ from sudokugraph.coloring import ExtensionKind, PartialColoring
 from sudokugraph.extension import count_extensions
 from sudokugraph.generators import Family, FamilySpec, generate, sudoku_grid
 from sudokugraph.graph import MAX_VERTICES
-from sudokugraph.io import serialize_graph
+from sudokugraph.io import certificate_to_object, serialize_graph
+from sudokugraph.theorems import construct
 
 SOLUTION = "693784512487512936125963874932651487568247391741398625319475268856129743274836159"
 EASY_PUZZLE = "093784512407512936125963874932651487568207391741398625319475268856129743274836150"
@@ -314,11 +315,11 @@ def test_chroma_stops_on_its_time_budget(capsys, tmp_path):
     assert json.loads(out) == {"error": "budget-exceeded", "detail": "time budget 0.5s exhausted"}
 
 
-def _sparse_clique_cycle_input(capsys, tmp_path):
-    # Without a budget, extend-count on this input ran for more than 30 s.
-    argv = ["--family", "cycle-of-cliques-minus", "--n", "300", "--m", "5"]
-    gpath = write_graph(capsys, tmp_path, "cocm300.txt", argv)
-    g = generate(FamilySpec(Family.CYCLE_OF_CLIQUES_MINUS, {"n": 300, "m": 5}))
+def _sparse_clique_cycle_input(capsys, tmp_path, n=300):
+    # Without a budget, extend-count on the n = 300 input ran for more than 30 s.
+    argv = ["--family", "cycle-of-cliques-minus", "--n", str(n), "--m", "5"]
+    gpath = write_graph(capsys, tmp_path, "cocm.txt", argv)
+    g = generate(FamilySpec(Family.CYCLE_OF_CLIQUES_MINUS, {"n": n, "m": 5}))
     c = random_proper_partial(random.Random(4), g, 4, coverage=0.01)
     return gpath, write_coloring(tmp_path, "sparse.json", 4, c.assignments)
 
@@ -332,6 +333,31 @@ def test_count_commands_stop_on_their_time_budget(capsys, tmp_path, command):
     assert time.perf_counter() - start < 15
     assert code == 1
     assert json.loads(out) == {"error": "budget-exceeded", "detail": "time budget 0.5s exhausted"}
+
+
+def _near_max_vertices_argv(capsys, tmp_path, command):
+    if command == "verify":
+        cert = construct("odd-cycle", FamilySpec(Family.CYCLE, {"n": 9999}))
+        path = tmp_path / "c9999.json"
+        path.write_text(json.dumps(certificate_to_object(cert)))
+        return ["verify", "--cert", str(path)]
+    # 9,995 vertices, just under MAX_VERTICES.
+    assert 0 <= MAX_VERTICES - 5 * 1999 < 10
+    gpath, cpath = _sparse_clique_cycle_input(capsys, tmp_path, n=1999)
+    return [command, "--in", gpath, "--coloring", cpath]
+
+
+@pytest.mark.parametrize("command", ["extend-count", "solve", "verify"])
+def test_commands_near_max_vertices_stop_on_their_time_budget(capsys, tmp_path, command):
+    argv = _near_max_vertices_argv(capsys, tmp_path, command) + ["--budget-seconds", "0.5"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 15
+    assert err == ""
+    if code == 1:
+        assert json.loads(out) == {"error": "budget-exceeded", "detail": "time budget 0.5s exhausted"}
+    else:
+        assert code == 0
 
 
 def test_sudoku_stops_on_its_time_budget(capsys):

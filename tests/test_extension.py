@@ -675,3 +675,77 @@ def test_kept_sweep_checks_the_clock(monkeypatch):
     assert eng.search(2) == 1 and eng.nodes == eng.sweeps == 0
     with pytest.raises(BudgetExceededError, match="^time budget 0s exhausted$"):
         extension._Engine(eg, easy.assignments, Clock(0)).search(2)
+
+
+def _labels_from_root(root_colors, trace):
+    # A single is near-color-dominating when a root color or an earlier step
+    # of the trace already has its color.
+    used, rules = set(root_colors), []
+    for _, col, rule in trace:
+        if rule in (RULE_COLOR_DOMINATING, RULE_NEAR_COLOR_DOMINATING):
+            rule = RULE_NEAR_COLOR_DOMINATING if col in used else RULE_COLOR_DOMINATING
+        rules.append(rule)
+        used.add(col)
+    return rules
+
+
+def test_trace_labels_follow_the_root_colors_and_the_trace_order():
+    rng = random.Random(606)
+    seen = set()
+    for _ in range(320):
+        g = random_connected_graph(rng, rng.randint(4, 11), extra=rng.choice([0.2, 0.4, 0.6]))
+        chi, _ = chromatic_number(g)
+        c = random_proper_partial(rng, g, chi + rng.choice([0, 1]), coverage=rng.uniform(0, 0.5))
+        traces = [[(s.vertex, s.color, s.rule) for s in propagate(g, c)[1]]]
+        for cap in (2, 5):
+            traces.append(_engine_search(g, c, cap)[0][3])
+            traces.append([(s.vertex, s.color, s.rule) for s in count_extensions(g, c, cap).trace])
+        for trace in traces:
+            rules = [rule for _, _, rule in trace]
+            assert rules == _labels_from_root(c.assignments.values(), trace)
+            seen.update(rules)
+    assert {RULE_COLOR_DOMINATING, RULE_NEAR_COLOR_DOMINATING, RULE_BRANCH} <= seen
+
+
+def test_a_color_undone_with_its_branch_is_new_again(monkeypatch):
+    # Vertex 0 branches on color 1 first: vertex 3 is forced to 2, and
+    # vertex 1, next to colors 1, 2 and 3, has none left. After the undo,
+    # 0 takes 3 and vertex 2 is forced to 1, which no vertex then holds.
+    g = build(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)])
+    ops = []
+    inner = extension._Engine._assign
+
+    def spy(self, v, col, op):
+        ops.append((op, v, col))
+        inner(self, v, col, op)
+
+    monkeypatch.setattr(extension._Engine, "_assign", spy)
+    out = count_extensions(g, PartialColoring(3, {4: 2, 5: 3}))
+    assert ops.index((extension._BRANCH, 0, 1)) < ops.index((extension._SINGLE, 2, 1))
+    assert out.kind is ExtensionKind.UNIQUE
+    assert [(s.vertex, s.color, s.rule) for s in out.trace] == [
+        (0, 3, RULE_BRANCH),
+        (2, 1, RULE_COLOR_DOMINATING),
+        (3, 2, RULE_NEAR_COLOR_DOMINATING),
+        (1, 1, RULE_NEAR_COLOR_DOMINATING),
+    ]
+
+
+def test_the_journal_holds_one_entry_per_colored_vertex(monkeypatch):
+    g, c = _seventeen_clue()
+    seen = []
+    inner = extension._Engine._record_witness
+
+    def spy(self):
+        seen.append(([(v, col) for op, v, col in self.journal if op != extension._REMOVE], self.color[:]))
+        inner(self)
+
+    monkeypatch.setattr(extension._Engine, "_record_witness", spy)
+    eng = extension._Engine(extension._EngineGraph(g, 9, traced=True), c.assignments)
+    assert eng.search(2) == 1 and eng.nodes > 0
+    [(entries, color)] = seen
+    assert sorted(entries) == list(enumerate(color))
+    assert entries[: len(c.assignments)] == list(c.assignments.items())
+    # The root entries stay when the search returns.
+    colored = [entry for entry in eng.journal if entry[0] != extension._REMOVE]
+    assert colored == [(extension._PLACE, v, col) for v, col in c.assignments.items()]

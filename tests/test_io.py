@@ -8,6 +8,7 @@ from sudokugraph import (
     Family,
     FamilySpec,
     GraphFormat,
+    MalformedPuzzleError,
     ParseError,
     PartialColoring,
     build,
@@ -312,3 +313,10 @@ def test_certificate_round_trip():
     for data in (b"{", b"", "\u00e9".encode("utf-8")):
         with pytest.raises(ParseError):
             parse_certificate(data)
+
+
+def test_parse_puzzle_reads_81_cells_and_rejects_the_rest():
+    assert io_module.parse_puzzle("1." + "0" * 70 + "\n" + "0" * 8 + "9") == {0: 1, 80: 9}
+    for bad in ("1" * 80, "x" + "0" * 80):
+        with pytest.raises(MalformedPuzzleError):
+            io_module.parse_puzzle(bad)
