@@ -146,6 +146,7 @@ class _EngineGraph:
         self._chi_memo: dict[int, bool] = {}
         self.cliques: tuple[tuple[int, ...], ...] = ()
         self._cliques_at: tuple[tuple[int, ...], ...] | None = None
+        self._cliqueless_adj: tuple[tuple[int, ...], ...] | None = None
         if traced and k <= DEFAULT_ATTRACTIVE_LIMIT:
             self.attr_eligible = tuple(
                 w for w in range(g.n) if g.degree(w) + 1 <= DEFAULT_ATTRACTIVE_LIMIT
@@ -170,6 +171,18 @@ class _EngineGraph:
                         at[u].append(i)
             self._cliques_at = tuple(map(tuple, at))
         return self._cliques_at
+
+    def cliqueless_adj(self) -> tuple[tuple[int, ...], ...] | None:
+        """Per vertex, its neighbours in no listed k-clique; None until cliques_at is built.
+
+        It is () when every vertex lies in a listed k-clique. Reading it
+        never builds the clique table.
+        """
+        if self._cliqueless_adj is None and self._cliques_at is not None:
+            at = self._cliques_at
+            table = tuple(tuple(w for w in nbrs if not at[w]) for nbrs in self.adj)
+            self._cliqueless_adj = table if any(table) else ()
+        return self._cliqueless_adj
 
     def chi_closed_neighborhood_is_k(self, w: int) -> bool:
         cached = self._chi_memo.get(w)
@@ -198,7 +211,8 @@ class _Engine:
     hidden-single sweeps), walk_cuts (support-walk prefixes that
     sn._evaluate_subset cut at a vertex free to change color, found among
     the neighbours of the vertices the prefix's last placement and its
-    propagation colored), search_work
+    propagation colored, in no listed k-clique once the cliques are
+    listed), search_work
     (neighbor visits of every assignment made outside a probe, root and
     placed colors included, plus the clique-member visits of kept sweeps)
     and probe_work (clique-member visits plus neighbor visits of the

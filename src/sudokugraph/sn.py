@@ -65,17 +65,19 @@ def search_lower_bound(chi: int) -> int:
 def _suffix_tables(g: Graph, k: int, lemmas: bool):
     """Per-vertex tables of the two prune lemmas, for deciding vertices in order.
 
-    Returns (pendant, below, pendants_from, bound): pendant[v] marks degree-1
-    vertices; below[v] lists the neighbors u < v joined to v by a low-degree
-    edge (both ends of degree <= k-1); pendants_from[x] counts the pendants in
-    [x, n); bound[x] is a lower bound on the picks any surviving support makes
-    in [x, n): those pendants plus a greedy matching of the low-degree edges
-    between non-pendants inside [x, n), whose covers avoid the pendants.
-    With lemmas off the tables rule nothing out.
+    Returns (pendant, below, pendants_from, bound, free): pendant[v] marks
+    degree-1 vertices; below[v] lists the neighbors u < v joined to v by a
+    low-degree edge (both ends of degree <= k-1); pendants_from[x] counts the
+    pendants in [x, n); bound[x] is a lower bound on the picks any surviving
+    support makes in [x, n): those pendants plus a greedy matching of the
+    low-degree edges between non-pendants inside [x, n), whose covers avoid
+    the pendants; free is the least x with no pendant and no low-degree edge
+    ending in [x, n), from where no choice can fail a lemma. With lemmas off,
+    or when every degree is at least k, the tables rule nothing out.
     """
     n = g.n
     if not lemmas:
-        return [False] * n, [()] * n, [0] * (n + 1), [0] * (n + 1)
+        return [False] * n, [()] * n, [0] * (n + 1), [0] * (n + 1), 0
     limit = k - 1
     deg = [g.degree(v) for v in range(n)]
     low = [d <= limit for d in deg]
@@ -96,7 +98,10 @@ def _suffix_tables(g: Graph, k: int, lemmas: bool):
                     matching += 1
                     break
         bound[x] = pendants_from[x] + matching
-    return pendant, below, pendants_from, bound
+    free = n
+    while free and not pendant[free - 1] and not below[free - 1]:
+        free -= 1
+    return pendant, below, pendants_from, bound, free
 
 
 def _supports(n: int, size: int, tables):
@@ -108,10 +113,13 @@ def _supports(n: int, size: int, tables):
     uncolored-edge lemma; prune_subset in tests/oracles.py is the reference
     that checks one support at a time. Vertices 0..n-1 are decided in order,
     include before exclude, on an explicit stack: the stack is the list of
-    included vertices, each with its exclude branch pending.
+    included vertices, each with its exclude branch pending. From the table's
+    `free` vertex on no choice can fail a lemma, so the rest of a prefix's
+    supports come straight from itertools.combinations, in the same order;
+    with lemmas off, or with every degree at least k, that is every support.
     `tables` come from _suffix_tables for a graph on n vertices.
     """
-    pendant, below, pendants_from, bound = tables
+    pendant, below, pendants_from, bound, free = tables
 
     def block(rest: int, r: int, p: int):
         # All choices of r of the rest undecided vertices, p of them pendants;
@@ -126,6 +134,11 @@ def _supports(n: int, size: int, tables):
     while True:
         # Descend from a prefix deciding 0..x-1 that no lemma rules out yet.
         while True:
+            if x >= free:
+                head = tuple(chosen)
+                for tail in combinations(range(x, n), r):
+                    yield head + tail, 0, 0
+                break
             if r < bound[x]:
                 yield block(n - x, r, pendants_from[x])
                 break
@@ -167,12 +180,87 @@ def _pattern(adj, verts) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(position[u] for u in adj[v] if u < v and u in position) for v in verts)
 
 
-def _twin_classes(g: Graph) -> list[int]:
-    """Bitmasks of the classes of two or more closed twins (N[u] == N[v])."""
-    classes: dict[tuple[int, ...], int] = defaultdict(int)
-    for v in range(g.n):
-        classes[tuple(sorted(g.adj[v] + (v,)))] |= 1 << v
-    return [c for c in classes.values() if c & (c - 1)]
+def _twins(g: Graph) -> tuple[list[int], list[int]]:
+    """Bitmasks of the twin classes of two or more vertices: (closed, open).
+
+    Closed twins have N[u] == N[v], open twins N(u) == N(v). Either way
+    N(u) - {v} == N(v) - {u}, so swapping u and v is an automorphism. Each
+    vertex is hashed by its sorted neighbourhood, open and closed, so the
+    classes take O(n + m), with no pass over vertex pairs.
+    """
+    closed: dict[tuple[int, ...], int] = defaultdict(int)
+    opened: dict[tuple[int, ...], int] = defaultdict(int)
+    for v, nbrs in enumerate(g.adj):
+        opened[nbrs] |= 1 << v
+        closed[tuple(sorted(nbrs + (v,)))] |= 1 << v
+    return [c for c in closed.values() if c & (c - 1)], [c for c in opened.values() if c & (c - 1)]
+
+
+def _twin_swaps(twins, inside: int) -> list[tuple[int, int]]:
+    """(b, a), sorted, for each two positions a < b of twins in the support.
+
+    inside is the support's vertex bitmask; positions count its vertices in
+    ascending order. twins lists bitmasks of twin classes.
+    """
+    swaps = []
+    for cls in twins:
+        both = cls & inside
+        if both & (both - 1):
+            at = []
+            while both:
+                low = both & -both
+                at.append((inside & (low - 1)).bit_count())
+                both ^= low
+            swaps += [(b, a) for a, b in combinations(at, 2)]
+    swaps.sort()
+    return swaps
+
+
+def _twin_image_is_smaller(colors, used, swaps, i: int) -> bool:
+    """True when a twin swap maps the prefix colors[:i+1] to a lexicographically smaller one.
+
+    For each (b, a) of swaps with b <= i the prefix is read with positions a
+    and b exchanged and its colors renamed by first use, as a canonical
+    coloring is. Both prefixes agree before a, where colors 1..used[a] are
+    all in use, so only colors above used[a] are renamed.
+    """
+    for b, a in swaps:
+        if b > i:
+            break
+        ca, cb = colors[a], colors[b]
+        if ca == cb:
+            continue  # the swap leaves the prefix as it is
+        top = fresh = used[a]
+        names = {}
+        for j in range(a, i + 1):
+            x = cb if j == a else ca if j == b else colors[j]
+            if x > top:
+                y = names.get(x)
+                if y is None:
+                    fresh += 1
+                    y = names[x] = fresh
+                x = y
+            if x != colors[j]:
+                if x < colors[j]:
+                    return True
+                break
+    return False
+
+
+def _frees_a_vertex(eng: _Engine, mark: int, scan, inside: int) -> bool:
+    """True when a vertex outside S, uncolored, has every neighbour colored.
+
+    Only the neighbours listed in scan (eng.adj, or its neighbours in no
+    k-clique) of the vertices journaled as colored since mark are looked at.
+    """
+    adj, color = eng.adj, eng.color
+    for op, x, _ in eng.journal[mark:]:
+        if op != _REMOVE and any(
+            not color[w] and not inside >> w & 1 and all(map(color.__getitem__, adj[w]))
+            for w in scan[x]
+        ):
+            return True
+    return False
 
 
 def _colorings_below(pattern, k: int, clock: Clock | None):
@@ -265,7 +353,7 @@ def _loser_count(g: Graph, k: int, subset, memo: dict, clock: Clock | None) -> i
     return memo[pattern]
 
 
-def _evaluate_subset(eng: _Engine, subset, counters: dict):
+def _evaluate_subset(eng: _Engine, subset, counters: dict, twins=()):
     """Try the canonical colorings of one support, in canonical order.
 
     Canonical form: in ascending vertex order, each support vertex reuses a
@@ -294,8 +382,24 @@ def _evaluate_subset(eng: _Engine, subset, counters: dict):
     every completion below can move w between two of them. Such a w
     neighbours a vertex colored since the prefix's parent (else it would
     have cut the parent), so the walk looks only at the neighbours of the
-    vertices journaled as colored since then. The cut changes neither the
-    count returned nor the winner, and eng.walk_cuts counts it.
+    vertices journaled as colored since then. A w in a k-clique has at most
+    one color left once its neighbours are colored, so once the engine's
+    clique table is built only the neighbours in no listed k-clique are
+    looked at (_EngineGraph.cliqueless_adj), and none on a graph whose every
+    vertex lies in one. The cut changes neither the count returned nor the
+    winner, and eng.walk_cuts counts it.
+
+    twins lists bitmasks of twin classes (see _twins). Swapping two twins u
+    and v of S is an automorphism that maps S to itself, so it maps each
+    canonical coloring of S, renamed by first use, to another, and one of
+    them extends uniquely exactly when the other does. A prefix in which
+    both are placed and whose swapped, renamed image is lexicographically
+    smaller (_twin_image_is_smaller) is skipped before it is placed, and
+    counted like a dead one: every leaf below it has an earlier image, which
+    the walk has already tried and found losing. The lex-first winner is
+    the image of no smaller coloring, so it is never skipped, and the count
+    returned and the winner are those of the walk without the skip. A
+    support with no twin pair pays nothing for it.
 
     Each skip checks the engine's deadline and raises the clock's error
     once it has passed, as a walk that runs no search reads no clock
@@ -310,8 +414,12 @@ def _evaluate_subset(eng: _Engine, subset, counters: dict):
     t = len(verts)
     need = search_lower_bound(k)
     earlier = _pattern(eng.adj, verts)
-    adj, color, lists, journal = eng.adj, eng.color, eng.lists, eng.journal
-    inside = sum(1 << v for v in verts)
+    color, lists, journal = eng.color, eng.lists, eng.journal
+    inside = sum(map((1).__lshift__, verts))
+    scan = eng.eg.cliqueless_adj()
+    if scan is None:
+        scan = eng.adj
+    swaps = _twin_swaps(twins, inside)
     deadline = eng.deadline
     below = None
     colors = [0] * t
@@ -344,22 +452,19 @@ def _evaluate_subset(eng: _Engine, subset, counters: dict):
         if u + (t - i - 1) < need:
             # No canonical coloring below: too few colors left.
             continue
-        mark = marks[i]
-        eng.rewind(mark)
-        v = verts[i]
-        if color[v]:
-            alive = color[v] == c
+        if swaps and _twin_image_is_smaller(colors, used, swaps, i):
+            alive = False
         else:
-            alive = bool(lists[v] >> (c - 1) & 1) and eng.place(v, c)
-        if alive:
-            for op, x, _ in journal[mark:]:
-                if op != _REMOVE and any(
-                    not color[w] and not inside >> w & 1 and all(map(color.__getitem__, adj[w]))
-                    for w in adj[x]
-                ):
-                    eng.walk_cuts += 1
-                    alive = False
-                    break
+            mark = marks[i]
+            eng.rewind(mark)
+            v = verts[i]
+            if color[v]:
+                alive = color[v] == c
+            else:
+                alive = bool(lists[v] >> (c - 1) & 1) and eng.place(v, c)
+            if alive and scan and _frees_a_vertex(eng, mark, scan, inside):
+                eng.walk_cuts += 1
+                alive = False
         if alive:
             used[i + 1] = u
             marks[i + 1] = len(journal)
@@ -452,7 +557,10 @@ def sn_exact(
     the pendant and uncolored-edge lemmas, so the ones those lemmas rule out
     are never visited: they are cut in whole blocks, and each block is counted
     in subsets_examined and pruned_by as checking its supports one by one
-    would count them. The subset budget applies to those counts.
+    would count them. The subset budget applies to those counts. Where no
+    lemma can fire any more, and everywhere on a graph whose degrees are
+    all at least chi or without prune, the supports come straight from
+    itertools.combinations (see _supports).
 
     One extension engine serves the whole search. Each support's canonical
     colorings are walked vertex by vertex on it, propagating after every
@@ -461,10 +569,12 @@ def sn_exact(
     colorings_examined, exactly as if each had been tried and found not
     extendable. So are the colorings below a prefix that leaves a vertex
     outside the support, all of whose neighbours are colored, free to take
-    two colors: none of them extends uniquely (see _evaluate_subset). The
-    skipped colorings are counted, not stepped through, by a frontier
-    dynamic program over the support's induced pattern (_colorings_below),
-    one per pattern of the current support size. Only
+    two colors: none of them extends uniquely (see _evaluate_subset). So
+    are the colorings below a prefix that a swap of two twins in the
+    support maps to an earlier prefix, as each has an earlier image that
+    lost. The skipped colorings are counted, not stepped through, by a
+    frontier dynamic program over the support's induced pattern
+    (_colorings_below), one per pattern of the current support size. Only
     the remaining complete colorings run the completion search, capped at
     2. Only whether that count is 1 is read, so the search runs on
     count-only tables: no attractive rule, and hidden singles kept from a
@@ -528,7 +638,8 @@ def sn_exact(
     pruned_by = {PRUNE_PENDANT: 0, PRUNE_UNCOLORED_EDGE: 0}
     eng = _Engine(_EngineGraph(g, k, traced=False), clock=clock)
     orbits = _Orbits(g, clock)
-    twins = _twin_classes(g)
+    closed, opened = _twins(g)
+    twins = closed + opened
     settled: dict = {}  # the memo of _loser_count
     counters: dict = {}  # _evaluate_subset's counters, per pattern of the current size
     deadline = clock.deadline
@@ -549,14 +660,14 @@ def sn_exact(
                 pruned_by[PRUNE_PENDANT] += pendant_cut
                 pruned_by[PRUNE_UNCOLORED_EDGE] += edge_cut
                 continue
-            bits = sum(1 << v for v in subset)
+            bits = sum(map((1).__lshift__, subset))
             if bits in orbits.counted:
                 colorings_examined += orbits.counted[bits]
                 continue
-            if any((c & ~bits).bit_count() > 1 for c in twins):
+            if any((c & ~bits).bit_count() > 1 for c in closed):
                 tried, win = _loser_count(g, k, subset, settled, clock), None
             else:
-                tried, win = _evaluate_subset(eng, subset, counters)
+                tried, win = _evaluate_subset(eng, subset, counters, twins)
             colorings_examined += tried
             if win is not None:
                 cert = Certificate(g, PartialColoring(k, win), size, PROVENANCE_EXACT)

@@ -247,6 +247,12 @@ def test_sn_reports_certificate(capsys, tmp_path):
         # Written before the walk counted skipped colorings without stepping
         # through them: 5,380,841 of them, about 8 s of walking.
         (["--family", "cycle", "--n", "35"], "tests/data/sn_cycle35.json"),
+        # Written before a support's walk skipped twin-swap images: the skip
+        # fires at every support size this search walks.
+        (
+            ["--family", "cycle-of-cliques", "--n", "3", "--m", "5"],
+            "tests/data/sn_cycle_of_cliques_3_5.json",
+        ),
     ],
 )
 def test_sn_output_matches_golden_file(capsys, tmp_path, gen_argv, golden):

@@ -129,23 +129,48 @@ def test_prune_never_discards_a_sudoku_subset():
                     assert not brute_is_sudoku(g, rep)
 
 
+def _path_in_front(rng, core):
+    """core relabelled after a path 0..t-1 that joins it from t-1: vertex 0 is a pendant."""
+    tail = rng.randint(1, 3)
+    edges = [(u + tail, v + tail) for u, v in core.edges]
+    edges += [(i, i + 1) for i in range(tail - 1)]
+    edges += [(tail - 1, tail + rng.randrange(core.n))]
+    edges += [(rng.randrange(1, tail), tail + rng.randrange(core.n))] if tail > 1 else []
+    return build(core.n + tail, sorted(set(edges)))
+
+
 def test_support_generator_matches_prune_filter():
     # The generator must yield exactly the supports prune_subset keeps, in
     # combinations order, and its cut blocks must cover the rest in place:
     # each block is the next run of pruned supports, split by lemma as
-    # prune_subset attributes them.
+    # prune_subset attributes them. Besides random graphs: graphs whose
+    # every degree is at least k, where no lemma fires and every support
+    # comes from itertools.combinations, and the same with a path in front,
+    # where the lemmas fire only on the path.
     rng = random.Random(91)
-    checked = 0
-    while checked < 60:
+    graphs = []
+    while len(graphs) < 60:
         g = random_connected_graph(rng, rng.randint(4, 9), extra=rng.choice([0.1, 0.25, 0.45]))
+        if chromatic_number(g)[0] >= 3:
+            graphs.append(g)
+    lemma_free = [
+        make(Family.SUDOKU_GRID, b=2),
+        make(Family.CYCLE_OF_CLIQUES_MINUS, n=2, m=5),
+        make(Family.CYCLE_OF_CLIQUES_MINUS, n=3, m=4),
+        make(Family.COMPLETE_MULTIPARTITE, parts=[2, 3, 3]),
+        make(Family.COMPLETE_MULTIPARTITE, parts=[1, 2, 2, 3]),
+    ]
+    graphs += lemma_free
+    graphs += [_path_in_front(rng, g) for g in lemma_free[3:] for _ in range(6)]
+    frees = []
+    for g in graphs:
         k, _ = chromatic_number(g)
-        if k < 3:
-            continue
-        checked += 1
+        tables = _suffix_tables(g, k, True)
+        frees.append(tables[-1])
         for size in range(search_lower_bound(k), g.n):
             combos = list(itertools.combinations(range(g.n), size))
             reasons = [prune_subset(g, s, k) for s in combos]
-            items = list(_supports(g.n, size, _suffix_tables(g, k, True)))
+            items = list(_supports(g.n, size, tables))
             survivors = [s for s, _, _ in items if s is not None]
             assert survivors == [s for s, why in zip(combos, reasons) if why is None]
             tallies = {PRUNE_PENDANT: 0, PRUNE_UNCOLORED_EDGE: 0}
@@ -169,6 +194,7 @@ def test_support_generator_matches_prune_filter():
             }
             unpruned = [s for s, _, _ in _supports(g.n, size, _suffix_tables(g, k, False))]
             assert unpruned == combos
+    assert frees[60:65] == [0] * 5 and all(0 < x < g.n for x, g in zip(frees[65:], graphs[65:]))
 
 
 def test_sn_exact_subset_budget_boundaries_on_cut_blocks():
@@ -256,29 +282,52 @@ def _support_engine(g, k):
     return _Engine(_EngineGraph(g, k, traced=False))
 
 
-def _walk_every_support(g):
+def _walk_every_support(g, check=True):
     # One count-only engine walks every support the generator yields, in its
     # order, and must agree on each with the loop, whose count_extensions
-    # keeps the attractive rule. Returns (k, the walk's cut prefixes).
+    # keeps the attractive rule, unless check is off. Returns (k, the walk's
+    # cut prefixes).
     k, _ = chromatic_number(g)
     eng = _support_engine(g, k)
     tables = _suffix_tables(g, k, k >= 3)
+    twins = sum(sn_module._twins(g), [])
     for size in range(search_lower_bound(k), g.n):
         counters = {}  # shared by the supports of one size, as in sn_exact
         for subset, _, _ in _supports(g.n, size, tables):
             if subset is not None:
-                assert _evaluate_subset(eng, subset, counters) == _canonical_loop(g, k, subset)
+                got = _evaluate_subset(eng, subset, counters, twins)
+                assert not check or got == _canonical_loop(g, k, subset)
     assert not eng.journal and not any(eng.color)
     assert eng.lists == [(1 << k) - 1] * g.n
     return k, eng.walk_cuts
 
 
-def test_support_walk_matches_canonical_coloring_loop():
+def _cuts_of_other_scans(monkeypatch, g):
+    """The walk cuts when every neighbour is scanned, and when the clique table is built first."""
+    with monkeypatch.context() as m:
+        m.setattr(_EngineGraph, "cliqueless_adj", lambda self: None)
+        every = _walk_every_support(g, check=False)[1]
+    with monkeypatch.context() as m:
+        inner = _EngineGraph.__init__
+
+        def init(self, *args, **kwargs):
+            inner(self, *args, **kwargs)
+            self.cliques_at()
+
+        m.setattr(_EngineGraph, "__init__", init)
+        built = _walk_every_support(g, check=False)[1]
+    return every, built
+
+
+def test_support_walk_matches_canonical_coloring_loop(monkeypatch):
+    # Each walk cuts the same prefixes as when it scanned every neighbour,
+    # whether the clique table is built lazily (as in sn_exact) or first.
     rng = random.Random(94)
     bipartite = cut = 0
     for _ in range(100):
         g = random_connected_graph(rng, rng.randint(3, 9), extra=rng.choice([0.0, 0.15, 0.35, 0.6]))
         k, cuts = _walk_every_support(g)
+        assert _cuts_of_other_scans(monkeypatch, g) == (cuts, cuts)
         bipartite += k == 2
         cut += cuts > 0
     assert bipartite >= 5 and cut >= 20
@@ -289,9 +338,126 @@ def test_support_walk_matches_canonical_coloring_loop():
     families += [make(Family.TADPOLE, n=n, m=m) for n, m in ((3, 3), (5, 2), (5, 4), (7, 3))]
     families += [make(Family.WHEEL, n=n) for n in (5, 7, 9)]
     for g in families:
-        assert _walk_every_support(g)[1] > 0
+        cuts = _walk_every_support(g)[1]
+        assert cuts > 0 and _cuts_of_other_scans(monkeypatch, g) == (cuts, cuts)
     for n in (6, 8):
         assert _walk_every_support(make(Family.WHEEL, n=n))[1] == 0
+
+
+def _twins_oracle(g):
+    # Pairs u < v with N(u) - {v} == N(v) - {u}, split by adjacency.
+    closed, opened = set(), set()
+    for u, v in itertools.combinations(range(g.n), 2):
+        if set(g.adj[u]) - {v} == set(g.adj[v]) - {u}:
+            (closed if v in g.adj[u] else opened).add((u, v))
+    return closed, opened
+
+
+def _pairs(classes):
+    return {
+        (u, v) for c in classes for u, v in itertools.combinations(range(c.bit_length()), 2)
+        if c >> u & 1 and c >> v & 1
+    }
+
+
+def test_twin_classes_match_the_pair_definition():
+    rng = random.Random(95)
+    graphs = [random_connected_graph(rng, rng.randint(2, 9), extra=rng.choice([0.1, 0.4, 0.8]))
+              for _ in range(200)]
+    graphs += [make(Family.COMPLETE_MULTIPARTITE, parts=[1, 2, 3]), make(Family.FRIENDSHIP, m=3),
+               make(Family.CYCLE_OF_CLIQUES, n=3, m=5), make(Family.STAR, n=5)]
+    for g in graphs:
+        closed, opened = sn_module._twins(g)
+        assert (_pairs(closed), _pairs(opened)) == _twins_oracle(g), g.edges
+
+
+# Graphs with twin pairs, and whether the twin-swap skip fires on their
+# supports. In a complete multipartite graph a prefix that splits a part dies
+# before both twins are placed.
+TWIN_GRAPHS = [
+    (Family.COMPLETE_MULTIPARTITE, {"parts": [1, 3, 3]}, False),
+    (Family.COMPLETE_MULTIPARTITE, {"parts": [2, 2, 3]}, False),
+    (Family.FRIENDSHIP, {"m": 3}, True),
+    (Family.FRIENDSHIP, {"m": 4}, True),
+    (Family.CYCLE_OF_CLIQUES, {"n": 2, "m": 4}, True),
+    (Family.CYCLE_OF_CLIQUES, {"n": 2, "m": 5}, True),
+]
+
+
+@pytest.mark.parametrize("family, params, fires", TWIN_GRAPHS)
+def test_twin_swap_skip_keeps_the_walk_of_every_support(monkeypatch, family, params, fires):
+    # Each support holding a twin pair is walked with the skip and must give
+    # the plain loop's count and winner. Reversing the comparison, so that a
+    # prefix is skipped when its image is larger, skips the lex-first winner
+    # of some support: this fails then.
+    g = make(family, **params)
+    k, _ = chromatic_number(g)
+    twins = sum(sn_module._twins(g), [])
+    skips = []
+    inner = sn_module._twin_image_is_smaller
+
+    def spy(colors, used, swaps, i):
+        smaller = inner(colors, used, swaps, i)
+        skips.append(smaller)
+        return smaller
+
+    monkeypatch.setattr(sn_module, "_twin_image_is_smaller", spy)
+    eng = _support_engine(g, k)
+    wins = 0
+    for size in range(search_lower_bound(k), g.n):
+        counters = {}
+        for subset in itertools.combinations(range(g.n), size):
+            inside = sum(1 << v for v in subset)
+            if not any((c & inside).bit_count() > 1 for c in twins):
+                continue
+            want = _canonical_loop(g, k, subset)
+            assert _evaluate_subset(eng, subset, counters, twins) == want, subset
+            wins += want[1] is not None
+    assert any(skips) == fires and wins > 0
+
+
+def test_twin_image_comparison_renames_by_first_use():
+    # Positions 0..3 of a prefix, twins at positions a and b.
+    smaller = sn_module._twin_image_is_smaller
+    used = [0, 1, 2, 2, 3]
+    # 1 2 1 3 with (0, 2) swapped reads 1 2 1 3 again: not smaller.
+    assert not smaller([1, 2, 1, 3], used, [(2, 0)], 3)
+    # 1 2 2 3 with (1, 3) swapped reads 1 3 2 2, renamed 1 2 3 3: larger.
+    assert not smaller([1, 2, 2, 3], used, [(3, 1)], 3)
+    # 1 2 3 2 with (1, 2) swapped reads 1 3 2 2, renamed 1 2 3 3: larger.
+    assert not smaller([1, 2, 3, 2], [0, 1, 2, 3, 3], [(2, 1)], 3)
+    # 1 2 3 3 with (1, 2) swapped reads 1 3 2 3, renamed 1 2 3 2: smaller.
+    assert smaller([1, 2, 3, 3], [0, 1, 2, 3, 3], [(2, 1)], 3)
+    # The same pair on the prefix up to position 2 ties: not smaller yet.
+    assert not smaller([1, 2, 3, 3], [0, 1, 2, 3, 3], [(2, 1)], 2)
+    # A pair not yet placed at position i is not looked at.
+    assert not smaller([1, 2, 3, 3], [0, 1, 2, 3, 3], [(3, 0)], 2)
+    # 1 2 1 with (1, 2) swapped reads 1 1 2: smaller.
+    assert smaller([1, 2, 1], [0, 1, 2, 2], [(2, 1)], 2)
+
+
+def test_walk_scans_no_free_vertex_where_every_vertex_is_in_a_clique(monkeypatch):
+    # Every vertex of the 4x4 grid lies in a 4-clique, so once the clique
+    # table is built the walk runs no scan for a vertex free to change color.
+    scans = []
+    inner = sn_module._frees_a_vertex
+
+    def spy(*args):
+        scans.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(sn_module, "_frees_a_vertex", spy)
+    g = make(Family.SUDOKU_GRID, b=2)
+    eng = _support_engine(g, 4)
+    eng.eg.cliques_at()
+    assert eng.eg.cliqueless_adj() == ()
+    for subset in itertools.combinations(range(g.n), 3):
+        _evaluate_subset(eng, subset, {})
+    assert not scans and eng.walk_cuts == 0
+    # sn_exact scans only until its first search has branched.
+    searches = _count_searches(monkeypatch)
+    sn_exact(g)
+    assert len(scans) < 10 < len(searches)
 
 
 def _count_searches(monkeypatch):
@@ -406,7 +572,7 @@ def test_sn_exact_keeps_no_state_between_searches(monkeypatch):
     # Each search finds the twin classes anew and counts twin-settled
     # supports in a memo of its own that starts empty.
     searches = []
-    twins, count = sn_module._twin_classes, sn_module._loser_count
+    twins, count = sn_module._twins, sn_module._loser_count
 
     def twins_spy(g):
         searches.append((g, []))
@@ -417,7 +583,7 @@ def test_sn_exact_keeps_no_state_between_searches(monkeypatch):
         return count(g, k, subset, memo, clock)
 
     with monkeypatch.context() as m:
-        m.setattr(sn_module, "_twin_classes", twins_spy)
+        m.setattr(sn_module, "_twins", twins_spy)
         m.setattr(sn_module, "_loser_count", count_spy)
         for g in (a, b, a, b, b, a):
             assert _report_key(sn_exact(g)) == alone[g]
@@ -880,15 +1046,15 @@ def test_orbit_skip_evaluates_fewer_supports(monkeypatch):
     # The 4x4 grid has no closed twins, so every support the orbit skip does
     # not settle goes to the engine.
     g = make(Family.SUDOKU_GRID, b=2)
-    assert sn_module._twin_classes(g) == []
+    assert sn_module._twins(g) == ([], [])
     evaluated = []
     for skip in (True, False):
         calls = [0]
         inner = sn_module._evaluate_subset
 
-        def spy(eng, subset, counters):
+        def spy(eng, subset, counters, twins):
             calls[0] += 1
-            return inner(eng, subset, counters)
+            return inner(eng, subset, counters, twins)
 
         with monkeypatch.context() as m:
             m.setattr(sn_module, "_evaluate_subset", spy)
@@ -967,7 +1133,7 @@ def test_no_generator_search_when_no_table_fits(monkeypatch):
 
 
 def _no_twins(m):
-    m.setattr(sn_module, "_twin_classes", lambda g: [])
+    m.setattr(sn_module, "_twins", lambda g: ([], []))
 
 
 def _plant_twins(rng, g):
