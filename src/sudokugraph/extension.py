@@ -134,6 +134,10 @@ class _EngineGraph:
     end on (see _Engine.search). Every deduction of either rule holds in
     every completion, so the capped count and a unique completion are the
     same either way; the witnesses of a MULTIPLE outcome can differ.
+
+    free_scan lists, per vertex, the neighbours _Engine.place scans for a
+    vertex free to change color: every neighbour until cliques_at builds
+    the k-clique tables, and from then on only those in no listed k-clique.
     """
 
     def __init__(self, g: Graph, k: int, *, traced: bool):
@@ -146,7 +150,7 @@ class _EngineGraph:
         self._chi_memo: dict[int, bool] = {}
         self.cliques: tuple[tuple[int, ...], ...] = ()
         self._cliques_at: tuple[tuple[int, ...], ...] | None = None
-        self._cliqueless_adj: tuple[tuple[int, ...], ...] | None = None
+        self.free_scan = g.adj
         if traced and k <= DEFAULT_ATTRACTIVE_LIMIT:
             self.attr_eligible = tuple(
                 w for w in range(g.n) if g.degree(w) + 1 <= DEFAULT_ATTRACTIVE_LIMIT
@@ -160,7 +164,9 @@ class _EngineGraph:
 
         Both are built on first use, as many searches never branch; until then
         self.cliques is empty. None are kept for k <= 2, where the cuts never
-        fire (see _Engine.search).
+        fire (see _Engine.search). The same step narrows free_scan to the
+        neighbours in no listed k-clique, or to () when every vertex lies in
+        one.
         """
         if self._cliques_at is None:
             at: list[list[int]] = [[] for _ in range(self.n)]
@@ -169,20 +175,10 @@ class _EngineGraph:
                 for i, clique in enumerate(self.cliques):
                     for u in clique:
                         at[u].append(i)
+            scan = tuple(tuple(w for w in nbrs if not at[w]) for nbrs in self.adj)
+            self.free_scan = scan if any(scan) else ()
             self._cliques_at = tuple(map(tuple, at))
         return self._cliques_at
-
-    def cliqueless_adj(self) -> tuple[tuple[int, ...], ...] | None:
-        """Per vertex, its neighbours in no listed k-clique; None until cliques_at is built.
-
-        It is () when every vertex lies in a listed k-clique. Reading it
-        never builds the clique table.
-        """
-        if self._cliqueless_adj is None and self._cliques_at is not None:
-            at = self._cliques_at
-            table = tuple(tuple(w for w in nbrs if not at[w]) for nbrs in self.adj)
-            self._cliqueless_adj = table if any(table) else ()
-        return self._cliqueless_adj
 
     def chi_closed_neighborhood_is_k(self, w: int) -> bool:
         cached = self._chi_memo.get(w)
@@ -208,15 +204,12 @@ class _Engine:
 
     The counters add up over the engine's life: nodes (live nodes the search
     branched from or cut), clique_cuts, probes, probe_cuts, sweeps (kept
-    hidden-single sweeps), walk_cuts (support-walk prefixes that
-    sn._evaluate_subset cut at a vertex free to change color, found among
-    the neighbours of the vertices the prefix's last placement and its
-    propagation colored, in no listed k-clique once the cliques are
-    listed), search_work
-    (neighbor visits of every assignment made outside a probe, root and
-    placed colors included, plus the clique-member visits of kept sweeps)
-    and probe_work (clique-member visits plus neighbor visits of the
-    probes' own assignments).
+    hidden-single sweeps), walk_cuts (placements that place() refused
+    because they left a vertex outside the support free to change color),
+    search_work (neighbor visits of every assignment made outside a probe,
+    root and placed colors included, plus the clique-member visits of kept
+    sweeps) and probe_work (clique-member visits plus neighbor visits of
+    the probes' own assignments).
     """
 
     def __init__(self, eg: _EngineGraph, assignments=None, clock: Clock | None = None):
@@ -272,13 +265,37 @@ class _Engine:
                 elif rest & (rest - 1) == 0:
                     self.squeue.append(u)
 
-    def place(self, v: int, col: int) -> bool:
-        """Give uncolored v the color col and propagate. False means dead end.
+    def place(self, v: int, col: int, inside: int) -> bool:
+        """Give v the color col and propagate: one step of a support's coloring walk.
 
-        col must still be on v's list; the caller rewinds either way.
+        inside is the support's vertex bitmask. False means no unique
+        completion lies below: v already has another color, col is off v's
+        list, propagation dies, or an uncolored vertex outside the support
+        has every neighbour colored, so every completion can move it between
+        two colors (walk_cuts counts these; see sn._evaluate_subset). Only
+        the eg.free_scan neighbours of the vertices this call colored are
+        looked at. A v that already has col adds nothing. The caller rewinds
+        either way.
         """
+        color, journal = self.color, self.journal
+        if color[v]:
+            return color[v] == col
+        if not self.lists[v] >> (col - 1) & 1:
+            return False
+        mark = len(journal)
         self._assign(v, col, _PLACE)
-        return self._propagate()
+        if not self._propagate():
+            return False
+        scan, adj = self.eg.free_scan, self.adj
+        if scan:
+            for op, x, _ in journal[mark:]:
+                if op != _REMOVE and any(
+                    not color[w] and not inside >> w & 1 and all(map(color.__getitem__, adj[w]))
+                    for w in scan[x]
+                ):
+                    self.walk_cuts += 1
+                    return False
+        return True
 
     def rewind(self, mark: int) -> None:
         """Undo back to journal length mark, at a propagated fixpoint or a search's root.

@@ -10,7 +10,8 @@ from math import comb
 from .chromatic import _search, chromatic_number
 from .coloring import ExtensionKind, PartialColoring, is_proper
 from .errors import BudgetExceededError, Clock, DisconnectedGraphError
-from .extension import _REMOVE, _Engine, _EngineGraph, count_extensions
+# count_extensions stays importable from sn: perfbench's tracer hooks sn.count_extensions.
+from .extension import _count, _Engine, _EngineGraph, count_extensions  # noqa: F401
 from .graph import Graph, is_connected
 
 PROVENANCE_EXACT = "exact-search"
@@ -18,9 +19,6 @@ PROVENANCE_EXACT = "exact-search"
 PRUNE_PENDANT = "pendant"
 PRUNE_UNCOLORED_EDGE = "uncolored-edge"
 
-# Automorphism generators are computed once this many supports have been
-# evaluated, so searches that end sooner never pay for them.
-ORBIT_START = 16
 # Most bytes that the generator image tables, and the marks of one support
 # size, each take (see _Orbits).
 ORBIT_BYTES = 1 << 24
@@ -247,22 +245,6 @@ def _twin_image_is_smaller(colors, used, swaps, i: int) -> bool:
     return False
 
 
-def _frees_a_vertex(eng: _Engine, mark: int, scan, inside: int) -> bool:
-    """True when a vertex outside S, uncolored, has every neighbour colored.
-
-    Only the neighbours listed in scan (eng.adj, or its neighbours in no
-    k-clique) of the vertices journaled as colored since mark are looked at.
-    """
-    adj, color = eng.adj, eng.color
-    for op, x, _ in eng.journal[mark:]:
-        if op != _REMOVE and any(
-            not color[w] and not inside >> w & 1 and all(map(color.__getitem__, adj[w]))
-            for w in scan[x]
-        ):
-            return True
-    return False
-
-
 def _colorings_below(pattern, k: int, clock: Clock | None):
     """The counter below(i, u, colors) of the canonical colorings of a support's tail.
 
@@ -382,12 +364,13 @@ def _evaluate_subset(eng: _Engine, subset, counters: dict, twins=()):
     every completion below can move w between two of them. Such a w
     neighbours a vertex colored since the prefix's parent (else it would
     have cut the parent), so the walk looks only at the neighbours of the
-    vertices journaled as colored since then. A w in a k-clique has at most
-    one color left once its neighbours are colored, so once the engine's
-    clique table is built only the neighbours in no listed k-clique are
-    looked at (_EngineGraph.cliqueless_adj), and none on a graph whose every
-    vertex lies in one. The cut changes neither the count returned nor the
-    winner, and eng.walk_cuts counts it.
+    vertices colored since then. A w in a k-clique has at most one color
+    left once its neighbours are colored, so once the engine's clique table
+    is built (_EngineGraph.cliques_at) only the neighbours in no listed
+    k-clique are looked at, and none on a graph whose every vertex lies in
+    one. The engine makes the placement, the propagation and this check in
+    one call (_Engine.place), and counts the cut in eng.walk_cuts. The cut
+    changes neither the count returned nor the winner.
 
     twins lists bitmasks of twin classes (see _twins). Swapping two twins u
     and v of S is an automorphism that maps S to itself, so it maps each
@@ -414,18 +397,14 @@ def _evaluate_subset(eng: _Engine, subset, counters: dict, twins=()):
     t = len(verts)
     need = search_lower_bound(k)
     earlier = _pattern(eng.adj, verts)
-    color, lists, journal = eng.color, eng.lists, eng.journal
     inside = sum(map((1).__lshift__, verts))
-    scan = eng.eg.cliqueless_adj()
-    if scan is None:
-        scan = eng.adj
     swaps = _twin_swaps(twins, inside)
     deadline = eng.deadline
     below = None
     colors = [0] * t
     used = [0] * (t + 1)  # used[i]: highest color on positions < i
     marks = [0] * (t + 1)  # marks[i]: journal length with positions < i placed
-    root = marks[0] = len(journal)
+    root = marks[0] = len(eng.journal)
     tried = 0
     i = 0
     while i >= 0:
@@ -455,19 +434,11 @@ def _evaluate_subset(eng: _Engine, subset, counters: dict, twins=()):
         if swaps and _twin_image_is_smaller(colors, used, swaps, i):
             alive = False
         else:
-            mark = marks[i]
-            eng.rewind(mark)
-            v = verts[i]
-            if color[v]:
-                alive = color[v] == c
-            else:
-                alive = bool(lists[v] >> (c - 1) & 1) and eng.place(v, c)
-            if alive and scan and _frees_a_vertex(eng, mark, scan, inside):
-                eng.walk_cuts += 1
-                alive = False
+            eng.rewind(marks[i])
+            alive = eng.place(verts[i], c, inside)
         if alive:
             used[i + 1] = u
-            marks[i + 1] = len(journal)
+            marks[i + 1] = len(eng.journal)
             i += 1
             continue
         if deadline is not None and Clock.now() >= deadline:
@@ -485,31 +456,27 @@ class _Orbits:
     """Supports of one size that are images of a losing support under Aut(G).
 
     counted[s], s a vertex bitmask, is the count of the loser s is an image
-    of (s itself included). Generators come from canon.automorphism_generators
-    once ORBIT_START supports have lost, and canon is imported only then, so
-    short searches skip even loading it. Each becomes a table per byte of a
-    support, from the byte to its image's bitmask. Both stay within
-    ORBIT_BYTES: the generators past it, at about 4n(n + 256) bytes each, are
-    dropped (and none is searched for when not one fits, from n = 1,924 at
-    the default bound), and marking stops at `limit` marks, at about
-    88 + n/7.5 bytes each: a dict entry, its n-bit key and the key's
-    frontier slot.
+    of (s itself included). The first mark, at a search's first losing
+    support, takes the generators from canon.automorphism_generators, and
+    canon is imported only then, so a search whose first support wins never
+    loads it. Each generator becomes a table per byte of a support, from the
+    byte to its image's bitmask. Both stay within ORBIT_BYTES: the
+    generators past it, at about 4n(n + 256) bytes each, are dropped (and
+    none is searched for when not one fits, from n = 1,924 at the default
+    bound), and marking stops at `limit` marks, at about 88 + n/7.5 bytes
+    each: a dict entry, its n-bit key and the key's frontier slot.
     """
 
     def __init__(self, g: Graph, clock: Clock | None):
         self.g = g
         self.clock = clock
         self.tables: list[list[list[int]]] | None = None
-        self.evaluated = 0
         self.counted: dict[int, int] = {}
         self.limit = int(ORBIT_BYTES / (88 + g.n / 7.5))
 
     def mark(self, support: int, tried: int) -> None:
         """Mark support's orbit, breadth first over the generators, up to `limit` marks."""
-        self.evaluated += 1
         if self.tables is None:
-            if self.evaluated < ORBIT_START:
-                return
             self.tables = []
             fit, gens = ORBIT_BYTES // (4 * self.g.n * (self.g.n + 256)), []
             if fit:
@@ -588,10 +555,10 @@ def sn_exact(
     coloring of the support (_loser_count), kept as one int per pattern.
 
     Supports in one orbit of Aut(G) are evaluated once. After a support
-    loses, evaluated or settled, its orbit under automorphism generators is
-    marked, and a marked support is counted in colorings_examined with its
-    representative's count instead of being evaluated. The output stays the
-    same:
+    loses, evaluated or settled, its orbit under automorphism generators,
+    found at the search's first loss (see _Orbits), is marked, and a marked
+    support is counted in colorings_examined with its representative's
+    count instead of being evaluated. The output stays the same:
 
     - Lemma survival and the count of a losing support (see _loser_count)
       are invariant under automorphisms, so a marked support survives and
@@ -684,9 +651,11 @@ def verify_certificate(
 
     Always: connectivity, support size, properness, unique extension, and the
     color-count observation (a unique extension forces >= k-1 support colors).
-    With exact=True, re-run the full search and confirm minimality. Given a
-    clock, the completion count and the search run under its budget and
-    raise its BudgetExceededError once the deadline has passed.
+    Only the kind of the completion count is read, so it runs on count-only
+    tables (see _EngineGraph). With exact=True, re-run the full search and
+    confirm minimality. Given a clock, the completion count and the search
+    run under its budget and raise its BudgetExceededError once the
+    deadline has passed.
     """
     g = cert.graph
     c = cert.partial
@@ -700,7 +669,7 @@ def verify_certificate(
     proper = is_proper(g, c)
     result.add("proper", proper, "no monochromatic edge" if proper else "conflict found")
     if proper:
-        outcome = count_extensions(g, c, 2, clock)
+        outcome = _count(_EngineGraph(g, c.k, traced=False), c, 2, clock)
         result.add(
             "unique-extension",
             outcome.kind is ExtensionKind.UNIQUE,

@@ -473,7 +473,7 @@ def test_engine_clock_stops_search_and_propagation(layer):
         # Placing one color starts attractive steps, which check the clock too.
         coc = generate(FamilySpec(Family.CYCLE_OF_CLIQUES, {"n": 3, "m": 4}))
         eg, roots = extension._EngineGraph(coc, 4, traced=True), None
-        run = lambda eng: eng.place(0, 1)
+        run = lambda eng: eng.place(0, 1, 1)
     assert run(extension._Engine(eg, roots))
     clock = Clock(0)
     clock.proven, clock.lower_bound = "; sn >= 7", 7

@@ -16,6 +16,7 @@ from oracles import (
     canonical_colorings,
     prune_subset,
     random_connected_graph,
+    random_proper_partial,
 )
 
 from sudokugraph import (
@@ -305,7 +306,14 @@ def _walk_every_support(g, check=True):
 def _cuts_of_other_scans(monkeypatch, g):
     """The walk cuts when every neighbour is scanned, and when the clique table is built first."""
     with monkeypatch.context() as m:
-        m.setattr(_EngineGraph, "cliqueless_adj", lambda self: None)
+        cliques_at = _EngineGraph.cliques_at
+
+        def scan_every_neighbour(self):
+            at = cliques_at(self)
+            self.free_scan = self.adj
+            return at
+
+        m.setattr(_EngineGraph, "cliques_at", scan_every_neighbour)
         every = _walk_every_support(g, check=False)[1]
     with monkeypatch.context() as m:
         inner = _EngineGraph.__init__
@@ -439,18 +447,23 @@ def test_twin_image_comparison_renames_by_first_use():
 def test_walk_scans_no_free_vertex_where_every_vertex_is_in_a_clique(monkeypatch):
     # Every vertex of the 4x4 grid lies in a 4-clique, so once the clique
     # table is built the walk runs no scan for a vertex free to change color.
+    # A placement scans when it is live after propagation and the tables
+    # list neighbours to scan: it is then kept or cut.
     scans = []
-    inner = sn_module._frees_a_vertex
+    inner = _Engine.place
 
-    def spy(*args):
-        scans.append(args)
-        return inner(*args)
+    def spy(self, v, col, inside):
+        cuts = self.walk_cuts
+        alive = inner(self, v, col, inside)
+        if self.eg.free_scan and (alive or self.walk_cuts > cuts):
+            scans.append(v)
+        return alive
 
-    monkeypatch.setattr(sn_module, "_frees_a_vertex", spy)
+    monkeypatch.setattr(_Engine, "place", spy)
     g = make(Family.SUDOKU_GRID, b=2)
     eng = _support_engine(g, 4)
     eng.eg.cliques_at()
-    assert eng.eg.cliqueless_adj() == ()
+    assert eng.eg.free_scan == ()
     for subset in itertools.combinations(range(g.n), 3):
         _evaluate_subset(eng, subset, {})
     assert not scans and eng.walk_cuts == 0
@@ -537,10 +550,10 @@ def test_support_walk_checks_the_clock_at_cut_leaves(monkeypatch):
     monkeypatch.setattr(Clock, "now", staticmethod(lambda: now[0]))
     place = _Engine.place
 
-    def place_spy(self, v, col):
+    def place_spy(self, v, col, inside):
         if self.walk_cuts:
             now[0] = 2.0
-        return place(self, v, col)
+        return place(self, v, col, inside)
 
     monkeypatch.setattr(_Engine, "place", place_spy)
     searches = _count_searches(monkeypatch)
@@ -660,6 +673,20 @@ def test_verify_certificate_exact_rejects_oversized_support():
     res = verify_certificate(oversized, exact=True)
     assert not res.ok
     assert any(c["name"] == "minimal" and not c["ok"] for c in res.checks)
+
+
+def test_verify_certificate_answers_sparse_certificates_within_budget():
+    # Only the kind of the completion count is read, so it runs on
+    # count-only tables: a traced count ran out of the 5 s budget on both.
+    g = make(Family.CYCLE_OF_CLIQUES_MINUS, n=300, m=5)
+    for seed, coverage, kind in ((4, 0.01, "multiple"), (0, 0.05, "not-extendable")):
+        c = random_proper_partial(random.Random(seed), g, 4, coverage)
+        cert = Certificate(g, c, len(c.assignments), "hand")
+        start = time.perf_counter()
+        res = verify_certificate(cert, clock=Clock(5))
+        assert time.perf_counter() - start < 5
+        assert not res.ok
+        assert {"name": "unique-extension", "ok": False, "detail": f"kind={kind}"} in res.checks
 
 
 def test_sn_relabeling_invariance():
@@ -931,15 +958,14 @@ def _table_bytes(g):
 
 
 # Module settings under which the orbit skip must not change any output, as
-# functions of the graph and its generators: as shipped; marking from the
-# first evaluated support; room for one generator's tables, so the others are
-# dropped; and room for every generator's tables but only about a hundred
-# marks per table, so marking stops in mid-orbit.
+# functions of the graph and its generators: as shipped; room for one
+# generator's tables, so the others are dropped; and room for every
+# generator's tables but only about a hundred marks per table, so marking
+# stops in mid-orbit.
 ORBIT_SETTINGS = {
     "default": lambda g, gens: {},
-    "eager": lambda g, gens: {"ORBIT_START": 1},
-    "few tables": lambda g, gens: {"ORBIT_START": 1, "ORBIT_BYTES": _table_bytes(g)},
-    "few marks": lambda g, gens: {"ORBIT_START": 1, "ORBIT_BYTES": len(gens) * _table_bytes(g)},
+    "few tables": lambda g, gens: {"ORBIT_BYTES": _table_bytes(g)},
+    "few marks": lambda g, gens: {"ORBIT_BYTES": len(gens) * _table_bytes(g)},
 }
 
 
@@ -960,11 +986,9 @@ def _spy_cuts(m, gens, cuts):
     inner = sn_module._Orbits.mark
 
     def spy(self, support, tried):
-        before = len(self.counted)
+        first, before = self.tables is None, len(self.counted)
         inner(self, support, tried)
-        if self.tables is None:
-            return
-        if self.evaluated == sn_module.ORBIT_START and len(self.tables) < len(gens):
+        if first and len(self.tables) < len(gens):
             cuts["dropped"] += 1
         if before < len(self.counted) == self.limit:
             kept = gens[: len(self.tables)]
@@ -1062,9 +1086,9 @@ def test_orbit_skip_evaluates_fewer_supports(monkeypatch):
                 _no_generators(m)
             sn_exact(g)
         evaluated.append(calls[0])
-    # 625 supports are walked; most are images of earlier losers.
-    assert evaluated[1] == 625
-    assert evaluated[0] * 5 < evaluated[1]
+    # 625 supports are walked; most are images of earlier losers, marked from
+    # the first loss on.
+    assert evaluated == [26, 625]
 
 
 def test_orbit_tables_map_supports_as_the_generators_do(monkeypatch):
@@ -1073,8 +1097,7 @@ def test_orbit_tables_map_supports_as_the_generators_do(monkeypatch):
         g = make(family, **params)
         gens = canon.automorphism_generators(g)[0]
         orbits = sn_module._Orbits(g, None)
-        for _ in range(sn_module.ORBIT_START):
-            orbits.mark(1, 0)
+        orbits.mark(1, 0)
         assert len(orbits.tables) == len(gens)
         for gamma, tables in zip(gens, orbits.tables):
             for _ in range(20):
@@ -1088,8 +1111,7 @@ def test_orbit_tables_map_supports_as_the_generators_do(monkeypatch):
     g = make(Family.CYCLE_OF_CLIQUES_MINUS, n=4, m=4)
     monkeypatch.setattr(sn_module, "ORBIT_BYTES", 2 * _table_bytes(g))
     orbits = sn_module._Orbits(g, None)
-    for _ in range(sn_module.ORBIT_START):
-        orbits.mark(1, 0)
+    orbits.mark(1, 0)
     assert len(orbits.tables) == 2 < len(canon.automorphism_generators(g)[0])
     assert orbits.limit == 386  # 34,816 bytes at 88 + 16/7.5 bytes a mark
     for support in itertools.combinations(range(g.n), 8):
@@ -1115,7 +1137,6 @@ def test_no_generator_search_when_no_table_fits(monkeypatch):
     monkeypatch.setattr(canon, "automorphism_generators", spy)
     g = make(Family.SUDOKU_GRID, b=2)
     want = _report_key(sn_exact(g))
-    monkeypatch.setattr(sn_module, "ORBIT_START", 0)
     for room, searched in ((_table_bytes(g) - 1, 0), (_table_bytes(g), 1)):
         monkeypatch.setattr(sn_module, "ORBIT_BYTES", room)
         calls.clear()
@@ -1127,9 +1148,51 @@ def test_no_generator_search_when_no_table_fits(monkeypatch):
     for n, searched in ((1923, 1), (1924, 0)):
         calls.clear()
         orbits = sn_module._Orbits(make(Family.CYCLE, n=n), None)
-        for _ in range(sn_module.ORBIT_START):
-            orbits.mark(1, 0)
+        orbits.mark(1, 0)
         assert len(calls) == searched and len(orbits.tables) == searched
+
+
+def test_generators_are_found_right_after_the_first_loss(monkeypatch):
+    # The calls of one search in order: "win" or "loss" for each support
+    # evaluated or settled, "gens" for each generator search. A search whose
+    # first support wins, as on every sn-sparse benchmark graph, finds no
+    # generators; any other finds them once, before its second support.
+    events = []
+    evaluate, settle = sn_module._evaluate_subset, sn_module._loser_count
+    generators = canon.automorphism_generators
+
+    def evaluate_spy(*args):
+        tried, win = evaluate(*args)
+        events.append("loss" if win is None else "win")
+        return tried, win
+
+    def settle_spy(*args):
+        events.append("loss")
+        return settle(*args)
+
+    def generators_spy(*args):
+        events.append("gens")
+        return generators(*args)
+
+    monkeypatch.setattr(sn_module, "_evaluate_subset", evaluate_spy)
+    monkeypatch.setattr(sn_module, "_loser_count", settle_spy)
+    monkeypatch.setattr(canon, "automorphism_generators", generators_spy)
+    rng = random.Random(31)
+    graphs = [make(family, **params) for family, params, _ in BENCHMARK_GRAPHS]
+    graphs += [random_connected_graph(rng, rng.randint(3, 8), extra=rng.choice([0.2, 0.5, 0.8]))
+               for _ in range(60)]
+    firsts = []
+    for g in graphs:
+        events.clear()
+        sn_exact(g)
+        assert events[-1] == "win"
+        if events[0] == "win":
+            assert events == ["win"]
+        else:
+            assert events[:2] == ["loss", "gens"] and events.count("gens") == 1
+        firsts.append(events[0])
+    assert firsts[:8] == ["win"] * 8 and firsts[8:13] == ["loss"] * 5
+    assert 10 < firsts.count("loss") < len(firsts) - 10
 
 
 def _no_twins(m):
