@@ -19,11 +19,14 @@ How a search uses hidden singles depends on its tables. On traced tables
 (propagate, count_extensions) they run only in a shadow probe, which drops
 the node if they reach a contradiction and undoes everything they deduced,
 so they are no propagation rule there: propagate() never applies them and
-they add no trace step. On count-only tables (sn_exact, the sudoku command),
-whose callers read no trace, a search keeps them as a propagation rule from
-its first dead end or clique cut on; each is journaled and undone with its
-branch. Either way a deduction holds in every completion, so the capped
-count and a unique completion are those of the search without them.
+they add no trace step. On count-only tables (sn_exact, the sudoku command,
+verify_certificate), whose callers read no trace, a search keeps them as a
+propagation rule from its first dead end or clique cut on; each is journaled
+and undone with its branch. A count of a whole partial coloring on these
+tables (_count) also sweeps once at its root, before the search, which
+decides most 9x9 puzzles without a branch. Either way a deduction holds in
+every completion, so the capped count and a unique completion are those of
+the search without them.
 
 The cliques come from a bitmask enumerator run once per graph under a work
 bound linear in n + m; any subset of them keeps both deductions sound. On
@@ -127,13 +130,14 @@ class _EngineGraph:
     traced says whether the searches on these tables report traces, and so
     which rules they run. Traced tables (propagate, count_extensions) apply
     the attractive rule in propagation and run hidden singles only in the
-    shadow probe. Count-only tables (sn_exact, the sudoku command), whose
-    callers read only the count or a unique completion, never apply the
-    attractive rule, which saves a scan of the eligible vertices at each
-    propagation fixpoint, and keep hidden singles from a search's first dead
-    end on (see _Engine.search). Every deduction of either rule holds in
-    every completion, so the capped count and a unique completion are the
-    same either way; the witnesses of a MULTIPLE outcome can differ.
+    shadow probe. Count-only tables (sn_exact, the sudoku command,
+    verify_certificate), whose callers read only the count or a unique
+    completion, never apply the attractive rule, which saves a scan of the
+    eligible vertices at each propagation fixpoint, and keep hidden singles
+    from a search's first dead end on (see _Engine.search); _count also
+    sweeps once at the root. Every deduction of either rule holds in every
+    completion, so the capped count and a unique completion are the same
+    either way; the witnesses of a MULTIPLE outcome can differ.
 
     free_scan lists, per vertex, the neighbours _Engine.place scans for a
     vertex free to change color: every neighbour until cliques_at builds
@@ -162,7 +166,8 @@ class _EngineGraph:
     def cliques_at(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, the indices into self.cliques of the k-cliques through it.
 
-        Both are built on first use, as many searches never branch; until then
+        Both are built on first use, at a search's first branch or a count's
+        root sweep (see _count), as many searches need neither; until then
         self.cliques is empty. None are kept for k <= 2, where the cuts never
         fire (see _Engine.search). The same step narrows free_scan to the
         neighbours in no listed k-clique, or to () when every vertex lies in
@@ -507,10 +512,10 @@ class _Engine:
           those of the search without them.
 
         Searches that find their completions without a dead end never probe
-        or sweep. With k <= 2 no cliques are kept, as neither could fire: at
-        a live fixpoint every uncolored list has at least two of the k
-        colors, so it is full, and a colored neighbor would have left it a
-        singleton.
+        or sweep here (_count may sweep once before calling this). With
+        k <= 2 no cliques are kept, as neither could fire: at a live
+        fixpoint every uncolored list has at least two of the k colors, so
+        it is full, and a colored neighbor would have left it a singleton.
         """
         self.count = 0
         self.witness1 = self.witness2 = None
@@ -627,19 +632,30 @@ def _count(
     """count_extensions of c on the tables eg of (g, c.k), without its input checks.
 
     The caller has checked that cap >= 2 and that c is proper on eg.g. A
-    search changes eg only by filling its lazy tables (the k-cliques and the
-    chi(N[w]) memo), pure functions of (g, k). Before its first branch,
-    which builds the cliques, it reads them only at a dead end of the root,
-    where it stops either way (see search). So one eg shared by many searches
-    gives each the outcome fresh tables would.
+    count changes eg only by filling its lazy tables (the k-cliques and the
+    chi(N[w]) memo), pure functions of (g, k), so one eg shared by many
+    counts gives each the outcome fresh tables would. On traced tables the
+    search builds the cliques at its first branch and reads them before that
+    only at a dead end of the root, where it stops either way (see search).
 
-    On count-only tables the outcome's trace is always (): the search copies
-    no path into it and no TraceStep is built, so no kept hidden single can
-    reach it.
-    Their MULTIPLE witnesses are two completions, not necessarily the ones
-    traced tables would find.
+    On count-only tables the root is propagated first and, whenever that
+    leaves uncolored vertices, the cliques are built and one hidden-single
+    sweep runs there (counted in sweeps), so many counts end without a
+    branch; a failed sweep leaves the root dead. The sweep lives here, not
+    in search: sn_exact's leaf searches call search directly and sweep only
+    from their first dead end on, as a sweep at each of their roots measured
+    slower on the clique cycles. The outcome's trace is always (): the
+    search copies no path into it and no TraceStep is built, so no kept
+    hidden single can reach it. Their MULTIPLE witnesses are two
+    completions, not necessarily the ones traced tables would find.
     """
     eng = _Engine(eg, c.assignments, clock)
+    if not eg.traced and eng._propagate() and eng.uncolored:
+        eg.cliques_at()
+        if eg.cliques:
+            eng.sweeps += 1
+            if not eng._hidden_singles():
+                eng.dead = True
     found = eng.search(cap)
     if found == 0:
         return ExtensionOutcome(ExtensionKind.NOT_EXTENDABLE, count=0)

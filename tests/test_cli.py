@@ -731,6 +731,36 @@ def test_sudoku_tables_report_no_trace():
     assert "".join(str(out.witness1[v]) for v in range(81)) == SOLUTION
 
 
+def test_sudoku_root_sweep_decides_boards_without_a_branch(monkeypatch):
+    # A count of a whole partial coloring sweeps hidden singles once at its
+    # root: that solves the 17-clue puzzle (6 branch nodes without it) and
+    # finds a row, column or box that can no longer hold every digit in the
+    # unsolvable one.
+    counters = []
+    inner = extension._Engine.search
+
+    def spy(self, cap):
+        found = inner(self, cap)
+        counters.append((self.nodes, self.sweeps))
+        return found
+
+    monkeypatch.setattr(extension._Engine, "search", spy)
+    with open("tests/data/puzzle_17clue.txt", encoding="ascii") as fh:
+        seventeen = fh.read()
+    cases = (
+        (seventeen, ExtensionKind.UNIQUE),
+        (UNSOLVABLE_PUZZLE, ExtensionKind.NOT_EXTENDABLE),
+    )
+    for board, kind in cases:
+        counters.clear()
+        c = PartialColoring(9, cli.parse_puzzle(board))
+        out = extension._count(cli._sudoku_tables(), c, 2)
+        assert out.kind is kind
+        assert counters == [(0, 1)]
+        if kind is ExtensionKind.UNIQUE:
+            assert "".join(str(out.witness1[v]) for v in range(81)) == SOLUTION
+
+
 def test_sudoku_enumerates_the_grid_cliques_once_per_process(capsys, monkeypatch):
     calls = []
     real = extension._k_cliques
@@ -742,7 +772,8 @@ def test_sudoku_enumerates_the_grid_cliques_once_per_process(capsys, monkeypatch
     monkeypatch.setattr(extension, "_k_cliques", spy)
     cli.build_parser.cache_clear()
     cli._sudoku_tables.cache_clear()
-    # Each of these searches branches, so each needs the cliques.
+    # Propagation leaves each of these boards uncolored vertices, so each
+    # count sweeps at its root and needs the cliques.
     boards = [board for _, board in _seeded_boards(random.Random(11), 3)]
     boards += [UNSOLVABLE_PUZZLE, "0" * 81]
     for board in boards:

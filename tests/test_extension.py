@@ -677,6 +677,27 @@ def test_kept_sweep_checks_the_clock(monkeypatch):
         extension._Engine(eg, easy.assignments, Clock(0)).search(2)
 
 
+def test_root_sweep_checks_the_clock(monkeypatch):
+    # A count on count-only tables sweeps at its root, before any branch.
+    inner = extension._Engine._hidden_singles
+    raised = []
+
+    def expire_then_sweep(self):
+        self.deadline = Clock.now() - 1.0
+        try:
+            return inner(self)
+        except BudgetExceededError:
+            raised.append((self.nodes, self.sweeps))
+            raise
+
+    monkeypatch.setattr(extension._Engine, "_hidden_singles", expire_then_sweep)
+    g, c = _seventeen_clue()
+    eg = extension._EngineGraph(g, 9, traced=False)
+    with pytest.raises(BudgetExceededError, match="^time budget 3600.0s exhausted$"):
+        extension._count(eg, c, 2, Clock(3600.0))
+    assert raised == [(0, 1)]
+
+
 def _labels_from_root(root_colors, trace):
     # A single is near-color-dominating when a root color or an earlier step
     # of the trace already has its color.

@@ -485,6 +485,25 @@ def _count_searches(monkeypatch):
     return searches
 
 
+def test_sn_exact_leaf_searches_sweep_only_after_a_dead_end(monkeypatch):
+    # The root sweep belongs to a count of a whole partial coloring
+    # (extension._count). sn_exact searches its shared engine directly, and
+    # a sweep at each leaf search's root slowed these graphs.
+    sweeps = []
+    inner = _Engine._hidden_singles
+
+    def spy(self):
+        sweeps.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(_Engine, "_hidden_singles", spy)
+    searches = _count_searches(monkeypatch)
+    for g in (make(Family.CYCLE_OF_CLIQUES, n=3, m=4), make(Family.SUDOKU_GRID, b=2)):
+        before = len(searches)
+        sn_exact(g)
+        assert len(searches) > before and not sweeps
+
+
 def test_sn_exact_cuts_the_winning_walk_of_c19(monkeypatch):
     # Every support but the winner is cut by the lemmas, and the winner's
     # walk leaves a rim vertex free to change color on all but one live
