@@ -189,8 +189,11 @@ def chromatic_number(
 ) -> tuple[int, PartialColoring]:
     """Exact chromatic number with a witness coloring.
 
-    The node budget applies to each exact k-coloring search; the clock to
-    the greedy bound and those searches alike.
+    DSATUR 2-colors every bipartite graph (Brélaz, 1979): the colored part
+    of a component stays connected, so it follows the bipartition. So a
+    greedy bound of at most 3 is chi, and otherwise the exact k-coloring
+    searches start at the larger of 3 and a clique's size. The node budget
+    applies to each of them; the clock to the greedy bound and them alike.
     """
     _check_budget(budget)
     if g.n == 0:
@@ -199,7 +202,9 @@ def chromatic_number(
         return 1, PartialColoring(1, {v: 1 for v in range(g.n)})
     greedy = greedy_coloring(g, clock=clock)
     ub = max(greedy.values())
-    for k in range(max(len(greedy_clique(g)), 2), ub):
+    if ub <= 3:
+        return ub, PartialColoring(ub, greedy)
+    for k in range(max(len(greedy_clique(g)), 3), ub):
         witness = find_k_coloring(g, k, budget=budget, clock=clock)
         if witness is not None:
             return k, PartialColoring(k, witness)

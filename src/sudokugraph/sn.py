@@ -67,11 +67,22 @@ def _suffix_tables(g: Graph, k: int, lemmas: bool):
     degree-1 vertices; below[v] lists the neighbors u < v joined to v by a
     low-degree edge (both ends of degree <= k-1); pendants_from[x] counts the
     pendants in [x, n); bound[x] is a lower bound on the picks any surviving
-    support makes in [x, n): those pendants plus a greedy matching of the
-    low-degree edges between non-pendants inside [x, n), whose covers avoid
-    the pendants; free is the least x with no pendant and no low-degree edge
-    ending in [x, n), from where no choice can fail a lemma. With lemmas off,
-    or when every degree is at least k, the tables rule nothing out.
+    support makes in [x, n); free is the least x with no pendant and no
+    low-degree edge ending in [x, n), from where no choice can fail a lemma.
+    With lemmas off, or when every degree is at least k, the tables rule
+    nothing out.
+
+    A surviving support holds every pendant and covers every low-degree
+    edge, so its picks in [x, n) are those pendants plus a vertex cover of
+    the low-degree edges between non-pendants inside [x, n), which avoids
+    the pendants. The components of those edges, kept by union-find as x
+    falls, need disjoint covers, so their bounds add. A component with V
+    vertices, E edges and largest inside degree D needs as many cover
+    vertices as the largest of three bounds: a greedy matching's size, as
+    no vertex covers two of its edges; ceil(E / D), as no vertex covers
+    more than D edges; and V - 1 when it is complete. For k = 3 every
+    component is a path or a cycle, where ceil(E / D) is the minimum
+    cover, so bound[x] is exact there.
     """
     n = g.n
     if not lemmas:
@@ -86,16 +97,39 @@ def _suffix_tables(g: Graph, k: int, lemmas: bool):
     pendants_from = [0] * (n + 1)
     bound = [0] * (n + 1)
     matched = bytearray(n)
-    matching = 0
+    inner = [0] * n  # degree in the low-degree edges between non-pendants in [x, n)
+    # Per component, at its root (its least vertex): vertices, edges, largest
+    # inner degree, greedy matching and the cover bound it adds to `cover`.
+    root = list(range(n))
+    verts, edges, top, pairs, part = [1] * n, [0] * n, [0] * n, [0] * n, [0] * n
+    cover = 0
     for x in range(n - 1, -1, -1):
         pendants_from[x] = pendants_from[x + 1] + pendant[x]
         if low[x] and not pendant[x]:
             for y in g.adj[x]:
-                if y > x and low[y] and not pendant[y] and not matched[y]:
-                    matched[x] = matched[y] = 1
-                    matching += 1
-                    break
-        bound[x] = pendants_from[x] + matching
+                if y > x and low[y] and not pendant[y]:
+                    inner[x] += 1
+                    inner[y] += 1
+                    r = y
+                    while root[r] != r:
+                        root[r] = r = root[root[r]]
+                    if r != x:  # merge y's component into x's
+                        root[r] = x
+                        cover -= part[r]
+                        verts[x] += verts[r]
+                        edges[x] += edges[r]
+                        pairs[x] += pairs[r]
+                        top[x] = max(top[x], top[r])
+                    edges[x] += 1
+                    top[x] = max(top[x], inner[x], inner[y])
+                    if not matched[x] and not matched[y]:
+                        matched[x] = matched[y] = 1
+                        pairs[x] += 1
+            if edges[x]:
+                e, v = edges[x], verts[x]
+                part[x] = max(pairs[x], -(-e // top[x]), v - 1 if 2 * e == v * (v - 1) else 0)
+                cover += part[x]
+        bound[x] = pendants_from[x] + cover
     free = n
     while free and not pendant[free - 1] and not below[free - 1]:
         free -= 1
@@ -111,10 +145,13 @@ def _supports(n: int, size: int, tables):
     uncolored-edge lemma; prune_subset in tests/oracles.py is the reference
     that checks one support at a time. Vertices 0..n-1 are decided in order,
     include before exclude, on an explicit stack: the stack is the list of
-    included vertices, each with its exclude branch pending. From the table's
-    `free` vertex on no choice can fail a lemma, so the rest of a prefix's
-    supports come straight from itertools.combinations, in the same order;
-    with lemmas off, or with every degree at least k, that is every support.
+    included vertices, each with its exclude branch pending. A prefix with
+    fewer picks left than the table's `bound` (the pendants plus a cover
+    bound of the low-degree edges) is one cut block, and so is a whole size
+    below bound[0]. From the table's `free` vertex on no choice can fail a
+    lemma, so the rest of a prefix's supports come straight from
+    itertools.combinations, in the same order; with lemmas off, or with
+    every degree at least k, that is every support.
     `tables` come from _suffix_tables for a graph on n vertices.
     """
     pendant, below, pendants_from, bound, free = tables
@@ -524,10 +561,12 @@ def sn_exact(
     the pendant and uncolored-edge lemmas, so the ones those lemmas rule out
     are never visited: they are cut in whole blocks, and each block is counted
     in subsets_examined and pruned_by as checking its supports one by one
-    would count them. The subset budget applies to those counts. Where no
-    lemma can fire any more, and everywhere on a graph whose degrees are
-    all at least chi or without prune, the supports come straight from
-    itertools.combinations (see _supports).
+    would count them. A size too small to hold every pendant and a vertex
+    cover of the low-degree edges, bounded per component (see
+    _suffix_tables), is a single block. The subset budget applies to those
+    counts. Where no lemma can fire any more, and everywhere on a graph
+    whose degrees are all at least chi or without prune, the supports come
+    straight from itertools.combinations (see _supports).
 
     One extension engine serves the whole search. Each support's canonical
     colorings are walked vertex by vertex on it, propagating after every

@@ -120,6 +120,13 @@ def prune_subset(g: Graph, subset, k: int) -> str | None:
     return None
 
 
+def brute_min_vertex_cover(edges) -> int:
+    """Fewest vertices meeting every edge: some end of the first edge is in every cover."""
+    if not edges:
+        return 0
+    return 1 + min(brute_min_vertex_cover([e for e in edges if w not in e]) for w in edges[0])
+
+
 def canonical_colorings(g: Graph, subset, k: int):
     """Proper colorings of g[subset], one per color-permutation orbit.
 

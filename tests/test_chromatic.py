@@ -9,6 +9,7 @@ sys.path.insert(0, "tests")
 from oracles import brute_chromatic, brute_count_extensions, random_connected_graph
 
 import sudokugraph
+import sudokugraph.chromatic as chromatic_module
 from sudokugraph import (
     BudgetExceededError,
     Clock,
@@ -25,6 +26,7 @@ from sudokugraph import (
     greedy_clique,
     greedy_coloring,
     SudokugraphError,
+    is_connected,
     is_proper,
 )
 
@@ -111,6 +113,64 @@ def test_chromatic_matches_brute_force():
     for _ in range(40):
         g = random_connected_graph(rng, rng.randint(2, 7), extra=rng.choice([0.2, 0.5, 0.8]))
         assert chromatic_number(g)[0] == brute_chromatic(g)
+
+
+def test_greedy_coloring_two_colors_bipartite_graphs():
+    # DSATUR is exact on bipartite graphs, connected or not (Brélaz, 1979),
+    # so a greedy bound of 3 is chi and chromatic_number returns it unsearched.
+    rng = random.Random(26)
+    connected = 0
+    for _ in range(1200):
+        n = rng.randint(2, 14)
+        side = [rng.random() < 0.5 for _ in range(n)]
+        p = rng.choice([0.1, 0.25, 0.5, 1.0])
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+        g = build(n, [e for e in pairs if rng.random() < p])
+        assert max(greedy_coloring(g).values()) <= 2
+        connected += is_connected(g)
+    assert 300 < connected < 900
+
+
+GROETZSCH = build(11, [(i, (i + 1) % 5) for i in range(5)]
+                  + [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+                  + [(5 + i, 10) for i in range(5)])
+
+
+def test_chromatic_number_skips_searches_that_can_only_fail(monkeypatch):
+    # A greedy bound of 3 or more rules out 2 colors, so no 2-coloring is
+    # searched, and a bound of at most 3 is chi with no clique or search.
+    calls = []
+    find, clique = chromatic_module.find_k_coloring, chromatic_module.greedy_clique
+
+    def find_spy(g, k, **kw):
+        calls.append(k)
+        return find(g, k, **kw)
+
+    def clique_spy(g):
+        calls.append("clique")
+        return clique(g)
+
+    monkeypatch.setattr(chromatic_module, "find_k_coloring", find_spy)
+    monkeypatch.setattr(chromatic_module, "greedy_clique", clique_spy)
+    rng = random.Random(27)
+    graphs = [make(Family.CYCLE, n=5), make(Family.WHEEL, n=6)]
+    for _ in range(100):
+        extra = rng.choice([0.2, 0.5, 0.8])
+        graphs.append(random_connected_graph(rng, rng.randint(2, 8), extra=extra))
+    searched = 0
+    for g in graphs:
+        calls.clear()
+        assert chromatic_number(g)[0] == brute_chromatic(g)
+        if max(greedy_coloring(g).values()) <= 3:
+            assert calls == []
+        else:
+            assert 2 not in calls
+            searched += 1
+    assert searched > 10
+    # Triangle-free with chi 4: the clique bound alone would start at 2.
+    calls.clear()
+    assert chromatic_number(GROETZSCH)[0] == 4
+    assert calls == ["clique", 3, "clique"]
 
 
 def test_count_labeled_colorings_cycle():

@@ -10,8 +10,10 @@ import pytest
 sys.path.insert(0, "tests")
 from oracles import (
     brute_connected_graphs,
+    brute_has_proper_coloring,
     brute_is_least,
     brute_is_sudoku,
+    brute_min_vertex_cover,
     brute_sn,
     canonical_colorings,
     prune_subset,
@@ -163,15 +165,32 @@ def test_support_generator_matches_prune_filter():
     ]
     graphs += lemma_free
     graphs += [_path_in_front(rng, g) for g in lemma_free[3:] for _ in range(6)]
-    frees = []
+    # Cliques, odd cycles and wheel rims of low-degree vertices, whose
+    # cover a greedy matching undercounts (on all but the tadpole and the
+    # friendship graph): each size below the root bound is one cut block.
+    covered = [
+        make(Family.AMALGAM, m=2, n=4, r=1),
+        make(Family.AMALGAM, m=2, n=5, r=1),
+        make(Family.WHEEL, n=5),
+        make(Family.WHEEL, n=7),
+        make(Family.CYCLE, n=7),
+        make(Family.CYCLE, n=9),
+        make(Family.TADPOLE, n=5, m=3),
+        make(Family.FRIENDSHIP, m=3),
+    ]
+    graphs += covered
+    frees, whole = [], []
     for g in graphs:
         k, _ = chromatic_number(g)
         tables = _suffix_tables(g, k, True)
         frees.append(tables[-1])
+        whole.append(max(0, tables[3][0] - search_lower_bound(k)))
         for size in range(search_lower_bound(k), g.n):
             combos = list(itertools.combinations(range(g.n), size))
             reasons = [prune_subset(g, s, k) for s in combos]
             items = list(_supports(g.n, size, tables))
+            if size < tables[3][0]:
+                assert len(items) == 1
             survivors = [s for s, _, _ in items if s is not None]
             assert survivors == [s for s, why in zip(combos, reasons) if why is None]
             tallies = {PRUNE_PENDANT: 0, PRUNE_UNCOLORED_EDGE: 0}
@@ -195,7 +214,44 @@ def test_support_generator_matches_prune_filter():
             }
             unpruned = [s for s, _, _ in _supports(g.n, size, _suffix_tables(g, k, False))]
             assert unpruned == combos
-    assert frees[60:65] == [0] * 5 and all(0 < x < g.n for x, g in zip(frees[65:], graphs[65:]))
+    assert frees[60:65] == [0] * 5 and all(0 < x < g.n for x, g in zip(frees[65:77], graphs[65:77]))
+    assert whole[77:] == [1, 2, 0, 1, 2, 3, 1, 1]
+
+
+def _planted_low_graph(rng):
+    """Up to 10 vertices: disjoint odd cycles (triangles among them) and a few random edges."""
+    n = rng.randint(3, 10)
+    rest = list(range(n))
+    rng.shuffle(rest)
+    edges = set()
+    while len(rest) >= 3 and rng.random() < 0.7:
+        length = rng.choice([t for t in (3, 5, 7, 9) if t <= len(rest)])
+        cycle, rest = rest[:length], rest[length:]
+        edges |= {tuple(sorted((cycle[i - 1], cycle[i]))) for i in range(length)}
+    edges |= {(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.12}
+    return build(n, sorted(edges))
+
+
+def test_suffix_bound_against_brute_force_vertex_cover():
+    # bound[x] is the pendants in [x, n) plus a lower bound on the minimum
+    # vertex cover of the low-degree edges between non-pendants inside
+    # [x, n); at k = 3 those edges form paths and cycles, and it is exact.
+    rng = random.Random(26)
+    odd = 0
+    for i in range(320):
+        k = 3 + i % 2
+        g = _planted_low_graph(rng)
+        _, _, pendants_from, bound, _ = _suffix_tables(g, k, True)
+        deg = [g.degree(v) for v in range(g.n)]
+        inner = {v for v in range(g.n) if 2 <= deg[v] <= k - 1}
+        for x in range(g.n + 1):
+            assert pendants_from[x] == sum(deg[v] == 1 for v in range(x, g.n))
+            edges = [(u, v) for u, v in g.edges if x <= u and {u, v} <= inner]
+            best = pendants_from[x] + brute_min_vertex_cover(edges)
+            assert bound[x] <= best
+            assert k == 4 or bound[x] == best
+            odd += k == 3 and not brute_has_proper_coloring(build(g.n, edges), 2)
+    assert odd > 40  # suffixes with an odd cycle, whose cover beats every matching
 
 
 def test_sn_exact_subset_budget_boundaries_on_cut_blocks():
@@ -203,10 +259,9 @@ def test_sn_exact_subset_budget_boundaries_on_cut_blocks():
     # (55 + 165 + 330 + 462 = 1012), so the budget is charged in blocks.
     g = make(Family.CYCLE, n=11)
     tables = _suffix_tables(g, 3, True)
+    # Its cover bound is 6, so each of those sizes is one block.
     for size, total in zip(range(2, 6), (55, 165, 330, 462)):
-        items = list(_supports(g.n, size, tables))
-        assert all(s is None for s, _, _ in items)
-        assert sum(p + e for _, p, e in items) == total
+        assert list(_supports(g.n, size, tables)) == [(None, 0, total)]
     report = sn_exact(g)
     assert report.sn == 6
     with pytest.raises(BudgetExceededError) as err:
@@ -1304,6 +1359,17 @@ def test_sn_exact_on_five_block_clique_cycles(family):
     spec = FamilySpec(family, {"n": 3, "m": 5})
     report = sn_exact(generate(spec))
     assert report.sn == expected_sn(family.value, spec)
+    assert verify_certificate(report.certificate).ok
+
+
+@pytest.mark.parametrize("params", [{"m": 30, "n": 4, "r": 1}, {"m": 8, "n": 5, "r": 1}])
+def test_sn_exact_cuts_amalgams_below_their_clique_covers(params):
+    # Each K_n - v of low-degree vertices needs n - 2 cover vertices, where a
+    # greedy matching finds only (n - 1) // 2, so every size below m(n - 2)
+    # is one cut block and no support of those sizes is walked.
+    spec = FamilySpec(Family.AMALGAM, params)
+    report = sn_exact(generate(spec), max_seconds=10)
+    assert report.sn == expected_sn("amalgam", spec) == params["m"] * (params["n"] - 2)
     assert verify_certificate(report.certificate).ok
 
 
