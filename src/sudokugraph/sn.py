@@ -7,12 +7,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .chromatic import _search, chromatic_number
+from .chromatic import _search, chromatic_number, find_k_coloring
 from .coloring import ExtensionKind, PartialColoring, is_proper
 from .errors import BudgetExceededError, Clock, DisconnectedGraphError
 # count_extensions stays importable from sn: perfbench's tracer hooks sn.count_extensions.
 from .extension import _count, _Engine, _EngineGraph, count_extensions  # noqa: F401
-from .graph import Graph, is_connected
+from .graph import Graph, bipartition, is_connected
 
 PROVENANCE_EXACT = "exact-search"
 
@@ -740,26 +740,43 @@ class ScanReport:
 
 
 def _is_least(nbr: list[int]) -> bool:
-    """True when the mask with neighbour bitsets nbr is canonical (see below)."""
+    """True when the mask with neighbour bitsets nbr is canonical.
+
+    The search is described in connected_graphs_up_to_iso. Once a candidate
+    x has been tried for pi(i), every free candidate y with N(x) - y =
+    N(y) - x is skipped: the transposition (x y) is then an automorphism of
+    the mask's graph that fixes every placed vertex, so y's subtree yields
+    the same relabelled masks as x's.
+    """
     n = len(nbr)
     image = [0] * n  # image[j] is pi(j)
 
     def place(i: int, free: int) -> bool:
         cand = free
-        for j in range(n - 1, i, -1):
+        row = nbr[i]
+        j = n - 1
+        while j > i:  # a while loop: a range object per call costs more here
             w = nbr[image[j]]
-            if nbr[i] >> j & 1:
+            if row >> j & 1:
                 if cand & ~w:
                     return False
                 cand &= w
             else:
                 cand &= ~w
+            j -= 1
         while cand:
             low = cand & -cand
             cand ^= low
-            image[i] = low.bit_length() - 1
+            x = low.bit_length() - 1
+            image[i] = x
             if i and not place(i - 1, free ^ low):
                 return False
+            rest, w = cand, nbr[x]
+            while rest:  # drop x's twins from cand
+                y = rest & -rest
+                rest ^= y
+                if not (w ^ nbr[y.bit_length() - 1]) & ~(low | y):
+                    cand ^= y
         return True
 
     return place(n - 1, (1 << n) - 1)
@@ -797,7 +814,10 @@ def connected_graphs_up_to_iso(n: int):
     so M is not canonical; one that first differs by an extra edge makes it
     larger and is cut; the rest, where the bitsets nbr[pi(j)] or their
     complements meet, are branched on. So M is canonical exactly when the
-    branches run out: the verdict of comparing all n! relabellings.
+    branches run out: the verdict of comparing all n! relabellings. Of two
+    free twins x and y (N(x) - y = N(y) - x) only the first is branched on:
+    the transposition (x y) is an automorphism of M that fixes every placed
+    vertex, so both branches give the same relabelled masks.
 
     The tree is walked in post-order on an explicit stack, children by
     descending b: a node is the largest mask of its subtree and a larger b
@@ -806,12 +826,36 @@ def connected_graphs_up_to_iso(n: int):
     no connected descendant (each is a spanning subgraph of it), so either
     is dropped with its subtree; connectivity is tested first (cheaper).
     The edges are pairs listed sorted and distinct, so each class is made
-    as a Graph directly, without build's checks.
+    as a Graph directly, without build's checks. The walk is _orderly_walk,
+    which also carries each class's chromatic number and a coloring with that
+    many colors down the tree (removing an edge lowers chi by at most one);
+    this function drops them.
+    """
+    for g, _, _ in _orderly_walk(n):
+        yield g
+
+
+def _orderly_walk(n: int, clock: Clock | None = None):
+    """Yield (g, chi, color) for each class of connected_graphs_up_to_iso(n).
+
+    chi is g's chromatic number and color a proper coloring of g with colors
+    1..chi, as a list indexed by vertex; a child may share it with its
+    parent, so it must not be changed. Both are carried down the tree. The
+    root K_n has chi = n and colors 1..n. A child M = P - e has
+    chi(M) in {chi(P) - 1, chi(P)}: M is a subgraph of P, and giving one end
+    of e a new color turns any coloring of M into one of P. So:
+    - chi(P) = 2 gives chi(M) = 2, as M is a subgraph of a bipartite graph
+      and still has an edge;
+    - chi(P) = 3: bipartition(M) decides;
+    - chi(P) = k >= 4: one search for a (k - 1)-coloring of M decides, under
+      the clock, which is thus checked inside the walk.
+    Otherwise M keeps P's coloring: it is proper on the subgraph M and uses
+    chi(P) = chi(M) colors.
     """
     if n < 1:
         return
     if n == 1:
-        yield Graph(1, ())
+        yield Graph(1, ()), 1, [1]
         return
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     full_vertex_mask = (1 << n) - 1
@@ -830,15 +874,21 @@ def connected_graphs_up_to_iso(n: int):
             seen |= frontier
         return seen == full_vertex_mask
 
-    # Frames are [mask, untried, nbr]: bits 0..untried-1 of mask's trailing
-    # ones are still to be cleared, the highest first; nbr holds neighbour bitsets.
-    stack = [[(1 << len(pairs)) - 1, len(pairs), [full_vertex_mask ^ 1 << v for v in range(n)]]]
+    def graph(mask: int) -> Graph:
+        return Graph(n, tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+
+    # Frames are [mask, untried, nbr, graph, chi, color]: bits 0..untried-1 of
+    # mask's trailing ones are still to be cleared, the highest first; nbr
+    # holds neighbour bitsets.
+    top = (1 << len(pairs)) - 1
+    nbr = [full_vertex_mask ^ 1 << v for v in range(n)]
+    stack = [[top, len(pairs), nbr, graph(top), n, list(range(1, n + 1))]]
     while stack:
         frame = stack[-1]
-        mask, b, nbr = frame
+        mask, b, nbr, g, chi, color = frame
         if b == 0:
             stack.pop()
-            yield Graph(n, tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+            yield g, chi, color
             continue
         b -= 1
         frame[1] = b
@@ -849,11 +899,23 @@ def connected_graphs_up_to_iso(n: int):
         child_nbr = nbr.copy()
         child_nbr[u] ^= 1 << v
         child_nbr[v] ^= 1 << u
-        if connected(child_nbr) and _is_least(child_nbr):
-            stack.append([child, b, child_nbr])
+        if not (connected(child_nbr) and _is_least(child_nbr)):
+            continue
+        h = graph(child)
+        if chi == 3:
+            sides = bipartition(h)
+            if sides is not None:
+                chi, color = 2, [1 if x in sides[0] else 2 for x in range(n)]
+        elif chi > 3:
+            witness = find_k_coloring(h, chi - 1, clock=clock)
+            if witness is not None:
+                chi, color = chi - 1, list(witness.values())
+        stack.append([child, b, child_nbr, h, chi, color])
 
 
-def _is_extremal(g: Graph, k: int, clock: Clock | None = None) -> bool:
+def _is_extremal(
+    g: Graph, k: int, clock: Clock | None = None, color: list[int] | None = None
+) -> bool:
     """True when sn(G) = n - 1, for connected g with chromatic number k.
 
     Winning is monotone: if S wins with unique completion f, every T ⊇ S wins
@@ -866,7 +928,14 @@ def _is_extremal(g: Graph, k: int, clock: Clock | None = None) -> bool:
     color-dominating (N(x) sees every color but f(x)). The count is the same
     under every renaming of colors, so one coloring per vertex partition is
     tried, and g is extremal when none has a pair with one completion.
+
+    Any k-coloring that settles a pair answers the test, so a known one
+    (color, a list indexed by vertex, such as _orderly_walk's) is tried
+    first, and the partition search runs only when it settles none. The
+    clock is checked on entry, even when that coloring answers.
     """
+    if clock is not None:
+        clock.check()
     n, adj, full = g.n, g.adj, (1 << k) - 1
 
     def settles(color: list[int]) -> bool:
@@ -890,6 +959,8 @@ def _is_extremal(g: Graph, k: int, clock: Clock | None = None) -> bool:
                 return True
         return False
 
+    if color is not None and settles(color):
+        return False
     found, _ = _search(
         g, [full] * n, cap=1, fresh=True, clock=clock, accept=settles,
         what="pair test",
@@ -904,22 +975,24 @@ def conjecture_scan(max_n: int, *, max_seconds: float | None = None) -> ScanRepo
     not complete. Single-vertex graphs fall outside the definition (chi = 1)
     and are skipped; K_2 is reported but marked degenerate (chi < 3). Each
     class is decided by _is_extremal, which looks at one support size only,
-    not by sn_exact. The time budget is checked between classes and inside
-    each class's chromatic number and pair test.
+    not by sn_exact. The chromatic number and a coloring with that many
+    colors come from the orderly walk, which carries them from parent to
+    child (chi drops by at most one with an edge), and the pair test starts
+    from that coloring: any chi-coloring that settles a pair answers it. The
+    time budget is checked at each class's pair test and inside the walk's
+    (k - 1)-coloring searches and the pair test's partition search.
     """
-    if not (2 <= max_n <= 7):
-        raise ValueError(f"scan supports 2 <= max_n <= 7, got {max_n}")
+    if not (2 <= max_n <= 8):
+        raise ValueError(f"scan supports 2 <= max_n <= 8, got {max_n}")
     clock = Clock(max_seconds)
     classes_scanned: dict[int, int] = {}
     extremal: list[dict] = []
     for n in range(2, max_n + 1):
         clock.proven = f" during scan at n={n}"
         count = 0
-        for g in connected_graphs_up_to_iso(n):
+        for g, k, color in _orderly_walk(n, clock):
             count += 1
-            clock.check()
-            k, _ = chromatic_number(g, clock=clock)
-            if not _is_extremal(g, k, clock):
+            if not _is_extremal(g, k, clock, color):
                 continue
             extremal.append(
                 {

@@ -46,6 +46,7 @@ from sudokugraph import (
 import sudokugraph.canon as canon
 import sudokugraph.sn as sn_module
 from sudokugraph.extension import _Engine, _EngineGraph
+from sudokugraph.generators import complete_multipartite
 from sudokugraph.sn import (
     PRUNE_PENDANT,
     PRUNE_UNCOLORED_EDGE,
@@ -788,7 +789,17 @@ def test_conjecture_scan_validates_range():
     with pytest.raises(ValueError):
         conjecture_scan(1)
     with pytest.raises(ValueError):
-        conjecture_scan(8)
+        conjecture_scan(9)
+
+
+def test_conjecture_scan_to_8():
+    # OEIS A001349 counts the classes; K_2 .. K_8 are the only extremal ones.
+    report = conjecture_scan(8, max_seconds=60)
+    assert report.classes_scanned == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+    assert [(row["n"], row["complete"]) for row in report.extremal] == [
+        (n, True) for n in range(2, 9)
+    ]
+    assert report.counterexamples == []
 
 
 def test_conjecture_scan_budget():
@@ -796,49 +807,84 @@ def test_conjecture_scan_budget():
         conjecture_scan(6, max_seconds=0.0)
 
 
-SCAN_STAGES = ["connected_graphs_up_to_iso", "chromatic_number", "_is_extremal"]
+# (stage, which of its steps, n at that step). The clock passes the deadline
+# as the walk yields its first class (K_2), or as a call starts: the first
+# (k - 1)-coloring search runs at n = 4, on K_4 - e; the first pair test is
+# K_2's, which needs the partition search, and the second is P_3's, which the
+# walk's 2-coloring answers without one.
+SCAN_STAGES = [
+    ("_orderly_walk", 0, 2),
+    ("find_k_coloring", 0, 4),
+    ("_is_extremal", 0, 2),
+    ("_is_extremal", 1, 3),
+]
 
 
-@pytest.mark.parametrize("stage", SCAN_STAGES)
-def test_conjecture_scan_budget_stops_inside_a_class(monkeypatch, stage):
-    # The clock passes the deadline as the first class (K_2) reaches this
-    # stage: as the classes of n = 2 are listed, or as its chromatic number
-    # or pair test starts. The check between classes, or the search, must
-    # stop on it, before the next stage starts; a check only between classes
-    # would see it at n = 3.
+@pytest.mark.parametrize(
+    "stage, step, n", SCAN_STAGES,
+    ids=["walk", "k-1-coloring", "pair-test-search", "pair-test-answered"],
+)
+def test_conjecture_scan_budget_stops_inside_a_class(monkeypatch, stage, step, n):
+    # Once the deadline has passed, no stage may complete another step: the
+    # walk yields no further class, and no coloring search or pair test
+    # returns. A check only between classes would let the walk yield the
+    # next class, and a pair test that checks the clock only in its search
+    # would return for P_3.
     now = 0.0
     monkeypatch.setattr(Clock, "now", staticmethod(lambda: now))
-    entered = []
+    done = []  # completed steps, in order
+    steps = Counter()
+    late = None  # len(done) as the deadline passed
 
-    def late(name):
+    def reach(name):
+        nonlocal now, late
+        if name == stage and steps[name] == step:
+            now, late = 100.0, len(done)
+        steps[name] += 1
+
+    real_walk = sn_module._orderly_walk
+
+    def walk(*args, **kwargs):
+        for item in real_walk(*args, **kwargs):
+            done.append("_orderly_walk")
+            reach("_orderly_walk")
+            yield item
+
+    def wrap(name):
         real = getattr(sn_module, name)
 
         def wrapper(*args, **kwargs):
-            nonlocal now
-            entered.append(name)
-            if name == stage:
-                now = 100.0
-            return real(*args, **kwargs)
+            reach(name)
+            result = real(*args, **kwargs)
+            done.append(name)
+            return result
 
         return wrapper
 
-    for name in SCAN_STAGES:
-        monkeypatch.setattr(sn_module, name, late(name))
-    with pytest.raises(BudgetExceededError, match=r"^time budget 1\.0s exhausted during scan at n=2$"):
+    monkeypatch.setattr(sn_module, "_orderly_walk", walk)
+    for name in ("find_k_coloring", "_is_extremal"):
+        monkeypatch.setattr(sn_module, name, wrap(name))
+    with pytest.raises(BudgetExceededError, match=rf"^time budget 1\.0s exhausted during scan at n={n}$"):
         conjecture_scan(4, max_seconds=1.0)
-    assert entered == SCAN_STAGES[: SCAN_STAGES.index(stage) + 1]
+    assert late is not None
+    assert len(done) == late, done[late:]
 
 
-def _pair_test(g):
-    return sn_module._is_extremal(g, chromatic_number(g)[0])
+def _pair_tests(g):
+    """The pair test from scratch, and started from chromatic_number's witness."""
+    k, witness = chromatic_number(g)
+    color = [witness.assignments[v] for v in range(g.n)]
+    return sn_module._is_extremal(g, k), sn_module._is_extremal(g, k, color=color)
 
 
 def test_pair_test_matches_sn_exact_on_every_class_up_to_6():
     classes = extremal = 0
     for n in range(2, 7):
-        for g in connected_graphs_up_to_iso(n):
+        for g, k, color in sn_module._orderly_walk(n):
             expect = sn_exact(g).sn == n - 1
-            assert _pair_test(g) == expect, g.edges
+            assert _pair_tests(g) == (expect, expect), g.edges
+            # Started from the walk's carried coloring, too.
+            assert sn_module._is_extremal(g, k, color=color) == expect, g.edges
             classes += 1
             extremal += expect
     assert (classes, extremal) == (142, 5)  # K_2 .. K_6
@@ -854,9 +900,22 @@ def test_pair_test_matches_sn_exact_on_random_graphs():
         rng.shuffle(perm)
         g = relabel(g, perm)
         expect = sn_exact(g).sn == n - 1
-        assert _pair_test(g) == expect, g.edges
+        assert _pair_tests(g) == (expect, expect), g.edges
         extremal += expect
     assert extremal >= 20
+
+
+def test_walk_carries_chromatic_number_and_a_chi_coloring():
+    # chi(P - e) is chi(P) or chi(P) - 1, and the walk decides which; the
+    # coloring it carries is proper and uses exactly chi colors.
+    for n in range(1, 8):
+        listed = []
+        for g, k, color in sn_module._orderly_walk(n):
+            assert k == chromatic_number(g)[0], g.edges
+            assert len(color) == n and set(color) == set(range(1, k + 1)), (g.edges, color)
+            assert all(color[u] != color[v] for u, v in g.edges), (g.edges, color)
+            listed.append(g.edges)
+        assert listed == [g.edges for g in connected_graphs_up_to_iso(n)]
 
 
 def test_pair_test_counts_adjacent_pairs():
@@ -865,7 +924,7 @@ def test_pair_test_counts_adjacent_pairs():
     # take 1 and 2 in that order.
     paw = build(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
     assert sn_exact(paw).sn == 2
-    assert not _pair_test(paw)
+    assert _pair_tests(paw) == (False, False)
 
 
 def test_conjecture_scan_does_not_run_sn_exact(monkeypatch):
@@ -936,14 +995,68 @@ def test_is_least_matches_permutation_oracle_on_random_n7():
             # Higher degree first pushes edges down the mask, near the least one.
             order = sorted(range(7), key=lambda v: -g.degree(v))
             g = relabel(g, [order.index(v) for v in range(7)])
-        nbr = [0] * 7
-        for u, v in g.edges:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
+        nbr = _nbr(g)
         verdict = brute_is_least(7, _mask(nbr))
         assert sn_module._is_least(nbr) == verdict, g.edges
         verdicts.append(verdict)
     assert 50 < verdicts.count(True) < 1950
+
+
+def _twin_heavy_graphs(max_n):
+    """Complete multipartite graphs (K_n, K_{a,b} and stars among them) on
+    2..max_n vertices, and their complements, disjoint unions of cliques."""
+
+    def partitions(n, most):
+        if n == 0:
+            yield []
+        for p in range(min(n, most), 0, -1):
+            for rest in partitions(n - p, p):
+                yield [p] + rest
+
+    for n in range(2, max_n + 1):
+        for parts in partitions(n, n):
+            g = complete_multipartite(parts)
+            yield g
+            edges = set(g.edges)
+            yield build(n, [e for e in itertools.combinations(range(n), 2) if e not in edges])
+
+
+def _least_relabelling(g):
+    return min(
+        (relabel(g, perm) for perm in itertools.permutations(range(g.n))),
+        key=lambda h: _mask(_nbr(h)),
+    )
+
+
+def _nbr(g):
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
+def test_is_least_twin_skip_matches_permutation_oracle_on_twin_heavy_graphs():
+    # Twin classes give the canonicity search mirror-image subtrees, which
+    # _is_least skips; the oracle tries every permutation. Each graph is
+    # checked at random labellings (mostly not least) and, up to n = 6, at
+    # its least labelling.
+    rng = random.Random(27)
+    verdicts = Counter()
+    for g in _twin_heavy_graphs(7):
+        labellings = []
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            labellings.append(relabel(g, perm))
+        if g.n <= 6:
+            labellings.append(_least_relabelling(g))
+        for h in labellings:
+            nbr = _nbr(h)
+            verdict = brute_is_least(h.n, _mask(nbr))
+            assert sn_module._is_least(nbr) == verdict, h.edges
+            verdicts[verdict] += 1
+    assert verdicts[True] > 60 and verdicts[False] > 60, verdicts
 
 
 def test_orderly_generator_is_lazy(monkeypatch):
@@ -952,7 +1065,7 @@ def test_orderly_generator_is_lazy(monkeypatch):
     assert first.edges == tuple((0, v) for v in range(1, 7))
     # Listing all of n = 7 takes well under the budget, so this part cannot
     # tell a lazy generator from an eager one; the call count below can.
-    # The whole scan to 7 takes about 0.35 s of CPU, so a budget it cannot
+    # The whole scan to 7 takes about 0.1 s of CPU, so a budget it cannot
     # meet must be far smaller.
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
