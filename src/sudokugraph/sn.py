@@ -256,29 +256,45 @@ def _twin_image_is_smaller(colors, used, swaps, i: int) -> bool:
 
     For each (b, a) of swaps with b <= i the prefix is read with positions a
     and b exchanged and its colors renamed by first use, as a canonical
-    coloring is. Both prefixes agree before a, where colors 1..used[a] are
-    all in use, so only colors above used[a] are renamed.
+    coloring is. Both prefixes agree before a, where colors 1..u are all in
+    use, u = used[a], so only colors above u are renamed. With ca =
+    colors[a] != cb = colors[b], the verdict has three cases:
+
+    - cb <= u: position a reads cb against ca, so the image is smaller
+      exactly when cb < ca.
+    - cb > u >= ca: position a reads the fresh name u + 1 against ca: larger.
+    - Otherwise ca = u + 1 is first used at a, and the image reads u + 1 =
+      ca there too, having renamed cb to ca. Past a, until a position j != b
+      holding ca or cb, the images of the other colors keep their names, and
+      b, cb's first use then, reads ca under the next fresh name, which is
+      cb. The first such j decides: ca reads a name above ca (larger), cb
+      reads ca (smaller). So the image is smaller exactly when cb is at a
+      position j <= i, j != b, before ca's second use (or ca has none).
+
+    A table of each color's first two positions in colors[:i+1], built once
+    per call, makes each verdict O(1).
     """
+    end = i + 1  # no position: past the prefix
+    first = [end] * (end + 1)  # a canonical prefix uses colors 1..i+1 at most
+    second = [end] * (end + 1)
+    for j in range(i, -1, -1):
+        c = colors[j]
+        second[c] = first[c]
+        first[c] = j
     for b, a in swaps:
         if b > i:
             break
         ca, cb = colors[a], colors[b]
         if ca == cb:
             continue  # the swap leaves the prefix as it is
-        top = fresh = used[a]
-        names = {}
-        for j in range(a, i + 1):
-            x = cb if j == a else ca if j == b else colors[j]
-            if x > top:
-                y = names.get(x)
-                if y is None:
-                    fresh += 1
-                    y = names[x] = fresh
-                x = y
-            if x != colors[j]:
-                if x < colors[j]:
-                    return True
-                break
+        u = used[a]
+        if cb <= u:
+            if cb < ca:
+                return True
+        elif ca > u:
+            j = first[cb] if first[cb] != b else second[cb]
+            if j < second[ca]:
+                return True
     return False
 
 
@@ -739,17 +755,27 @@ class ScanReport:
     counterexamples: list[dict]
 
 
-def _is_least(nbr: list[int]) -> bool:
-    """True when the mask with neighbour bitsets nbr is canonical.
+def _is_least(nbr: list[int]) -> list[tuple[int, ...]] | None:
+    """Generators of Aut(M) when the mask M with neighbour bitsets nbr is canonical, else None.
 
     The search is described in connected_graphs_up_to_iso. Once a candidate
     x has been tried for pi(i), every free candidate y with N(x) - y =
     N(y) - x is skipped: the transposition (x y) is then an automorphism of
     the mask's graph that fixes every placed vertex, so y's subtree yields
     the same relabelled masks as x's.
+
+    Each automorphism gamma is a tuple, gamma[v] the image of v. The list
+    holds every leaf's relabelling pi, which is one: each row of the
+    relabelled mask equals M's, so pair (i, j) is an edge of M exactly when
+    (pi(i), pi(j)) is. It also holds, once each, the transpositions (x y)
+    of the twins skipped. Together they generate Aut(M). Without the skip the leaves would
+    be all of Aut(M), and the leaves of a skipped subtree of y are (x y)
+    times leaves of x's subtree, which by induction the list generates.
     """
     n = len(nbr)
     image = [0] * n  # image[j] is pi(j)
+    gens: list[tuple[int, ...]] = []
+    swapped: set[int] = set()  # x | y for each twin transposition (x y) used
 
     def place(i: int, free: int) -> bool:
         cand = free
@@ -769,7 +795,9 @@ def _is_least(nbr: list[int]) -> bool:
             cand ^= low
             x = low.bit_length() - 1
             image[i] = x
-            if i and not place(i - 1, free ^ low):
+            if not i:
+                gens.append(tuple(image))
+            elif not place(i - 1, free ^ low):
                 return False
             rest, w = cand, nbr[x]
             while rest:  # drop x's twins from cand
@@ -777,9 +805,17 @@ def _is_least(nbr: list[int]) -> bool:
                 rest ^= y
                 if not (w ^ nbr[y.bit_length() - 1]) & ~(low | y):
                     cand ^= y
+                    swapped.add(low | y)
         return True
 
-    return place(n - 1, (1 << n) - 1)
+    if not place(n - 1, (1 << n) - 1):
+        return None
+    for pair in swapped:
+        x, y = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
+        swap = list(range(n))
+        swap[x], swap[y] = y, x
+        gens.append(tuple(swap))
+    return gens
 
 
 def connected_graphs_up_to_iso(n: int):
@@ -825,8 +861,23 @@ def connected_graphs_up_to_iso(n: int):
     canonical has no canonical descendant, and one that is disconnected has
     no connected descendant (each is a spanning subgraph of it), so either
     is dropped with its subtree; connectivity is tested first (cheaper).
+
+    Most children that are not canonical are known so without a search,
+    from the automorphisms of their parent P (Read; B. D. McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998). For
+    sigma in Aut(P) and e = pair b, sigma(P - 2**b) = sigma(P) - 2**sigma(b)
+    = P - 2**sigma(b), a mask of the same class. If sigma(b) > b it is the
+    smaller one, so P - 2**b is not canonical. The walk holds, for each
+    canonical mask, automorphisms that generate its group: the ones the
+    mask's own canonicity search met (see _is_least), and for the root K_n
+    the adjacent transpositions. A child that one of its parent's holds
+    maps to a later pair is dropped before it is copied, tested for
+    connectivity or searched. Only one image per generator is taken, not
+    the orbit of b, so some non-canonical children are still searched.
+
     The edges are pairs listed sorted and distinct, so each class is made
-    as a Graph directly, without build's checks. The walk is _orderly_walk,
+    as a Graph directly, without build's checks, and its adjacency is read
+    from the neighbour bitsets the walk holds. The walk is _orderly_walk,
     which also carries each class's chromatic number and a coloring with that
     many colors down the tree (removing an edge lowers chi by at most one);
     this function drops them.
@@ -851,6 +902,12 @@ def _orderly_walk(n: int, clock: Clock | None = None):
       the clock, which is thus checked inside the walk.
     Otherwise M keeps P's coloring: it is proper on the subgraph M and uses
     chi(P) = chi(M) colors.
+
+    Each frame also holds generators of its mask's automorphism group, and
+    a child P - 2**b that one of P's maps to a later pair is rejected
+    before anything else is done with it: each sigma in Aut(P) gives
+    sigma(P - 2**b) = P - 2**sigma(b), smaller when sigma(b) > b (see
+    connected_graphs_up_to_iso).
     """
     if n < 1:
         return
@@ -874,18 +931,35 @@ def _orderly_walk(n: int, clock: Clock | None = None):
             seen |= frontier
         return seen == full_vertex_mask
 
-    def graph(mask: int) -> Graph:
-        return Graph(n, tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+    at = [0] * (n * n)  # at[u * n + v]: the index of pair (u, v) or (v, u)
+    for i, (u, v) in enumerate(pairs):
+        at[u * n + v] = at[v * n + u] = i
+    rows: dict[int, tuple[int, ...]] = {}  # a neighbour bitset's vertices, ascending
 
-    # Frames are [mask, untried, nbr, graph, chi, color]: bits 0..untried-1 of
-    # mask's trailing ones are still to be cleared, the highest first; nbr
-    # holds neighbour bitsets.
+    def graph(mask: int, nbr: list[int]) -> Graph:
+        adj = []
+        for bits in nbr:
+            row = rows.get(bits)
+            if row is None:
+                row = rows[bits] = tuple(v for v in range(n) if bits >> v & 1)
+            adj.append(row)
+        return Graph(n, tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1), tuple(adj))
+
+    # Frames are [mask, untried, nbr, graph, chi, color, gens]: bits
+    # 0..untried-1 of mask's trailing ones are still to be cleared, the
+    # highest first; nbr holds neighbour bitsets and gens automorphisms that
+    # generate Aut(mask).
     top = (1 << len(pairs)) - 1
     nbr = [full_vertex_mask ^ 1 << v for v in range(n)]
-    stack = [[top, len(pairs), nbr, graph(top), n, list(range(1, n + 1))]]
+    swaps = []  # K_n's generators: the adjacent transpositions
+    for v in range(n - 1):
+        swap = list(range(n))
+        swap[v], swap[v + 1] = v + 1, v
+        swaps.append(tuple(swap))
+    stack = [[top, len(pairs), nbr, graph(top, nbr), n, list(range(1, n + 1)), swaps]]
     while stack:
         frame = stack[-1]
-        mask, b, nbr, g, chi, color = frame
+        mask, b, nbr, g, chi, color, gens = frame
         if b == 0:
             stack.pop()
             yield g, chi, color
@@ -896,12 +970,17 @@ def _orderly_walk(n: int, clock: Clock | None = None):
         if child.bit_count() < n - 1:
             continue
         u, v = pairs[b]
+        if any(at[s[u] * n + s[v]] > b for s in gens):
+            continue
         child_nbr = nbr.copy()
         child_nbr[u] ^= 1 << v
         child_nbr[v] ^= 1 << u
-        if not (connected(child_nbr) and _is_least(child_nbr)):
+        if not connected(child_nbr):
             continue
-        h = graph(child)
+        child_gens = _is_least(child_nbr)
+        if child_gens is None:
+            continue
+        h = graph(child, child_nbr)
         if chi == 3:
             sides = bipartition(h)
             if sides is not None:
@@ -910,7 +989,7 @@ def _orderly_walk(n: int, clock: Clock | None = None):
             witness = find_k_coloring(h, chi - 1, clock=clock)
             if witness is not None:
                 chi, color = chi - 1, list(witness.values())
-        stack.append([child, b, child_nbr, h, chi, color])
+        stack.append([child, b, child_nbr, h, chi, color, child_gens])
 
 
 def _is_extremal(

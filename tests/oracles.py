@@ -258,6 +258,21 @@ def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:
     }
 
 
+def group_order(n: int, gens) -> int:
+    """Order of the permutation group on range(n) generated by gens (gamma[v]
+    the image of v), by closing the identity under them, breadth first."""
+    ident = tuple(range(n))
+    seen = {ident}
+    frontier = [ident]
+    for p in frontier:
+        for gamma in gens:
+            q = tuple(gamma[v] for v in p)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return len(seen)
+
+
 def random_connected_graph(rng, n: int, extra: float = 0.3) -> Graph:
     """Random spanning tree plus each remaining pair independently with prob extra."""
     edges = set()
@@ -271,6 +286,39 @@ def random_connected_graph(rng, n: int, extra: float = 0.3) -> Graph:
             if (u, v) not in edges and rng.random() < extra:
                 edges.add((u, v))
     return build(n, sorted(edges))
+
+
+def twin_image_is_smaller_by_rescan(colors, used, swaps, i: int) -> bool:
+    """True when a twin swap maps the prefix colors[:i+1] to a lexicographically smaller one.
+
+    The reference for sn._twin_image_is_smaller, which decides each swap in
+    O(1). For each (b, a) of swaps with b <= i the prefix is read with
+    positions a and b exchanged and its colors renamed by first use, as a
+    canonical coloring is, and compared from a. Both prefixes agree before
+    a, where colors 1..used[a] are all in use, so only colors above used[a]
+    are renamed.
+    """
+    for b, a in swaps:
+        if b > i:
+            break
+        ca, cb = colors[a], colors[b]
+        if ca == cb:
+            continue  # the swap leaves the prefix as it is
+        top = fresh = used[a]
+        names = {}
+        for j in range(a, i + 1):
+            x = cb if j == a else ca if j == b else colors[j]
+            if x > top:
+                y = names.get(x)
+                if y is None:
+                    fresh += 1
+                    y = names[x] = fresh
+                x = y
+            if x != colors[j]:
+                if x < colors[j]:
+                    return True
+                break
+    return False
 
 
 def random_proper_partial(rng, g: Graph, k: int, coverage: float = 0.5) -> PartialColoring:

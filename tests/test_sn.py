@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, "tests")
 from oracles import (
+    brute_automorphisms,
     brute_connected_graphs,
     brute_has_proper_coloring,
     brute_is_least,
@@ -16,9 +17,11 @@ from oracles import (
     brute_min_vertex_cover,
     brute_sn,
     canonical_colorings,
+    group_order,
     prune_subset,
     random_connected_graph,
     random_proper_partial,
+    twin_image_is_smaller_by_rescan,
 )
 
 from sudokugraph import (
@@ -38,6 +41,7 @@ from sudokugraph import (
     expected_sn,
     generate,
     induced_subgraph,
+    is_connected,
     is_proper,
     relabel,
     sn_exact,
@@ -498,6 +502,33 @@ def test_twin_image_comparison_renames_by_first_use():
     assert not smaller([1, 2, 3, 3], [0, 1, 2, 3, 3], [(3, 0)], 2)
     # 1 2 1 with (1, 2) swapped reads 1 1 2: smaller.
     assert smaller([1, 2, 1], [0, 1, 2, 2], [(2, 1)], 2)
+
+
+def test_twin_image_verdict_matches_rescan_on_random_prefixes():
+    # The O(1) verdict per swap against the reference that renames and
+    # compares the whole swapped prefix, on random canonical prefixes.
+    rng = random.Random(28)
+    smaller = 0
+    for _ in range(20_000):
+        t, k = rng.randint(2, 9), rng.randint(2, 5)
+        colors, used = [], [0]
+        for _ in range(t):
+            colors.append(rng.randint(1, min(k, used[-1] + 1)))
+            used.append(max(used[-1], colors[-1]))
+        i = rng.randrange(t)
+        swaps = sorted((b, a) for a, b in itertools.combinations(range(t), 2) if rng.random() < 0.3)
+        want = twin_image_is_smaller_by_rescan(colors, used, swaps, i)
+        assert sn_module._twin_image_is_smaller(colors, used, swaps, i) == want, (colors, swaps, i)
+        smaller += want
+    assert 2_000 < smaller < 18_000
+
+
+def test_sn_of_a_large_complete_graph_within_budget():
+    # One support of K_200 is one twin class of 199 vertices: a walk that
+    # rescanned the prefix for each of its 19,701 swaps ran past 5 s.
+    report = sn_exact(make(Family.COMPLETE, n=200), max_seconds=5)
+    assert report.sn == 199
+    assert verify_certificate(report.certificate).ok
 
 
 def test_walk_scans_no_free_vertex_where_every_vertex_is_in_a_clique(monkeypatch):
@@ -968,21 +999,72 @@ def _mask(nbr):
 
 def test_is_least_matches_permutation_oracle_on_orderly_walk(monkeypatch):
     # Every child the walk tests for n <= 6 gets the oracle's verdict, and
-    # the walk follows the oracle, so it tests the oracle's children.
-    tested = []
+    # the walk follows the oracle, so it tests the oracle's children. A
+    # child P - e that an automorphism of P, among those the walk holds for
+    # P, maps to P - f with f a later pair is rejected untested: each such
+    # child must be non-canonical, and every other connected child is tested.
+    tested = {}  # (n, mask) -> the automorphisms _is_least handed back, or None
     real = sn_module._is_least
 
     def spy(nbr):
-        verdict = brute_is_least(len(nbr), _mask(nbr))
-        assert real(nbr) == verdict
-        tested.append(verdict)
-        return verdict
+        gens = real(nbr)
+        assert (gens is not None) == brute_is_least(len(nbr), _mask(nbr))
+        tested[len(nbr), _mask(nbr)] = gens
+        return gens
 
     monkeypatch.setattr(sn_module, "_is_least", spy)
+    rejected = 0
     for n, count in A001349.items():
-        assert len(list(connected_graphs_up_to_iso(n))) == count
-    assert tested.count(True) == sum(A001349.values()) - len(A001349)
-    assert tested.count(False) > 100
+        classes = list(connected_graphs_up_to_iso(n))
+        assert len(classes) == count
+        pairs = list(itertools.combinations(range(n), 2))
+        swaps = [  # the root K_n's: the adjacent transpositions
+            tuple(v + 1 if w == v else v if w == v + 1 else w for w in range(n)) for v in range(n - 1)
+        ]
+        for g in classes[:-1]:
+            # Each class but K_n came from a search that handed back its gens.
+            assert tested[n, _mask(_nbr(g))] is not None
+        for g in classes:
+            mask = _mask(_nbr(g))
+            gens = swaps if g.m == len(pairs) else tested[n, mask]
+            for b in range((~mask & mask + 1).bit_length() - 1):  # mask's trailing ones
+                child = mask ^ 1 << b
+                u, v = pairs[b]
+                if child.bit_count() < n - 1:
+                    continue
+                if any(pairs.index(tuple(sorted((s[u], s[v])))) > b for s in gens):
+                    assert not brute_is_least(n, child), (g.edges, (u, v))
+                    assert (n, child) not in tested
+                    rejected += 1
+                else:
+                    assert ((n, child) in tested) == _connected(n, child)
+    verdicts = Counter(gens is not None for gens in tested.values())
+    assert verdicts[True] == sum(A001349.values()) - len(A001349)
+    assert (verdicts[False], rejected) == (29, 230)
+
+
+def test_is_least_hands_back_generators_of_the_automorphism_group():
+    # Each leaf relabelling and twin transposition _is_least hands back is
+    # an automorphism of the class (n <= 7), and together they generate the
+    # whole group, of the order brute force counts (n <= 6).
+    generated = 0
+    for n in range(1, 8):
+        for g in connected_graphs_up_to_iso(n):
+            gens = sn_module._is_least(_nbr(g))
+            edges = set(g.edges)
+            for gamma in gens:
+                assert sorted(gamma) == list(range(n)), (g.edges, gamma)
+                image = {tuple(sorted((gamma[u], gamma[v]))) for u, v in edges}
+                assert image == edges, (g.edges, gamma)
+            if n <= 6:
+                assert group_order(n, gens) == len(brute_automorphisms(g)), g.edges
+                generated += 1
+    assert generated == sum(A001349.values())
+
+
+def _connected(n, mask):
+    pairs = list(itertools.combinations(range(n), 2))
+    return is_connected(build(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
 
 
 @pytest.mark.slow
@@ -997,7 +1079,7 @@ def test_is_least_matches_permutation_oracle_on_random_n7():
             g = relabel(g, [order.index(v) for v in range(7)])
         nbr = _nbr(g)
         verdict = brute_is_least(7, _mask(nbr))
-        assert sn_module._is_least(nbr) == verdict, g.edges
+        assert (sn_module._is_least(nbr) is not None) == verdict, g.edges
         verdicts.append(verdict)
     assert 50 < verdicts.count(True) < 1950
 
@@ -1054,7 +1136,7 @@ def test_is_least_twin_skip_matches_permutation_oracle_on_twin_heavy_graphs():
         for h in labellings:
             nbr = _nbr(h)
             verdict = brute_is_least(h.n, _mask(nbr))
-            assert sn_module._is_least(nbr) == verdict, h.edges
+            assert (sn_module._is_least(nbr) is not None) == verdict, h.edges
             verdicts[verdict] += 1
     assert verdicts[True] > 60 and verdicts[False] > 60, verdicts
 
@@ -1083,7 +1165,7 @@ def test_orderly_generator_is_lazy(monkeypatch):
     monkeypatch.setattr(sn_module, "_is_least", counting)
     first = next(connected_graphs_up_to_iso(8))
     assert first.edges == tuple((0, v) for v in range(1, 8))
-    assert calls < 100  # of 19,856 for the whole walk
+    assert calls < 100  # of 13,930 for the whole walk
 
 
 def test_nan_time_budget_is_rejected():
