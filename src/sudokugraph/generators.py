@@ -328,4 +328,5 @@ def family_args(spec: FamilySpec) -> tuple:
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph a FamilySpec describes, validating its parameters."""
-    return _BUILDERS[spec.family][0](*family_args(spec))
+    args = family_args(spec)  # before the lookup, so an unknown family raises the package error
+    return _BUILDERS[spec.family][0](*args)

@@ -81,6 +81,23 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
+def twin_classes(g: Graph) -> tuple[list[int], list[int]]:
+    """Bitmasks of the twin classes of two or more vertices: (closed, open).
+
+    Closed twins have N[u] == N[v], open twins N(u) == N(v). Either way
+    N(u) - {v} == N(v) - {u}, so swapping u and v is an automorphism. Each
+    vertex is hashed by its sorted neighbourhood, open and closed, so the
+    classes take O(n + m), with no pass over vertex pairs.
+    """
+    closed: dict[tuple[int, ...], int] = {}
+    opened: dict[tuple[int, ...], int] = {}
+    for v, nbrs in enumerate(g.adj):
+        opened[nbrs] = opened.get(nbrs, 0) | 1 << v
+        key = tuple(sorted(nbrs + (v,)))
+        closed[key] = closed.get(key, 0) | 1 << v
+    return [c for c in closed.values() if c & (c - 1)], [c for c in opened.values() if c & (c - 1)]
+
+
 def bipartition(g: Graph) -> tuple[set[int], set[int]] | None:
     """Return a 2-coloring as a pair of vertex sets, or None if an odd cycle exists."""
     side = [-1] * g.n

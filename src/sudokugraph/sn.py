@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -10,9 +9,8 @@ from math import comb
 from .chromatic import _search, chromatic_number, find_k_coloring
 from .coloring import ExtensionKind, PartialColoring, is_proper
 from .errors import BudgetExceededError, Clock, DisconnectedGraphError
-# count_extensions stays importable from sn: perfbench's tracer hooks sn.count_extensions.
-from .extension import _count, _Engine, _EngineGraph, count_extensions  # noqa: F401
-from .graph import Graph, bipartition, is_connected
+from .extension import _count, _Engine, _EngineGraph
+from .graph import Graph, bipartition, is_connected, twin_classes
 
 PROVENANCE_EXACT = "exact-search"
 
@@ -215,27 +213,14 @@ def _pattern(adj, verts) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(position[u] for u in adj[v] if u < v and u in position) for v in verts)
 
 
-def _twins(g: Graph) -> tuple[list[int], list[int]]:
-    """Bitmasks of the twin classes of two or more vertices: (closed, open).
-
-    Closed twins have N[u] == N[v], open twins N(u) == N(v). Either way
-    N(u) - {v} == N(v) - {u}, so swapping u and v is an automorphism. Each
-    vertex is hashed by its sorted neighbourhood, open and closed, so the
-    classes take O(n + m), with no pass over vertex pairs.
-    """
-    closed: dict[tuple[int, ...], int] = defaultdict(int)
-    opened: dict[tuple[int, ...], int] = defaultdict(int)
-    for v, nbrs in enumerate(g.adj):
-        opened[nbrs] |= 1 << v
-        closed[tuple(sorted(nbrs + (v,)))] |= 1 << v
-    return [c for c in closed.values() if c & (c - 1)], [c for c in opened.values() if c & (c - 1)]
-
-
 def _twin_swaps(twins, inside: int) -> list[tuple[int, int]]:
-    """(b, a), sorted, for each two positions a < b of twins in the support.
+    """(b, a), sorted, for the positions a < b of consecutive twins in the support.
 
     inside is the support's vertex bitmask; positions count its vertices in
-    ascending order. twins lists bitmasks of twin classes.
+    ascending order. twins lists bitmasks of twin classes. A skip is sound
+    for any set of automorphisms, so t twins give t - 1 swaps, not all
+    t(t - 1)/2. Closed twins are colored apart, and on such prefixes the
+    consecutive swaps skip exactly what all pairs would.
     """
     swaps = []
     for cls in twins:
@@ -246,7 +231,7 @@ def _twin_swaps(twins, inside: int) -> list[tuple[int, int]]:
                 low = both & -both
                 at.append((inside & (low - 1)).bit_count())
                 both ^= low
-            swaps += [(b, a) for a, b in combinations(at, 2)]
+            swaps += [(b, a) for a, b in zip(at, at[1:])]
     swaps.sort()
     return swaps
 
@@ -272,7 +257,8 @@ def _twin_image_is_smaller(colors, used, swaps, i: int) -> bool:
       position j <= i, j != b, before ca's second use (or ca has none).
 
     A table of each color's first two positions in colors[:i+1], built once
-    per call, makes each verdict O(1).
+    per call, makes each verdict O(1), and a class of t twins has t - 1
+    swaps (see _twin_swaps).
     """
     end = i + 1  # no position: past the prefix
     first = [end] * (end + 1)  # a canonical prefix uses colors 1..i+1 at most
@@ -425,17 +411,18 @@ def _evaluate_subset(eng: _Engine, subset, counters: dict, twins=()):
     one call (_Engine.place), and counts the cut in eng.walk_cuts. The cut
     changes neither the count returned nor the winner.
 
-    twins lists bitmasks of twin classes (see _twins). Swapping two twins u
-    and v of S is an automorphism that maps S to itself, so it maps each
-    canonical coloring of S, renamed by first use, to another, and one of
-    them extends uniquely exactly when the other does. A prefix in which
+    twins lists bitmasks of twin classes (graph.twin_classes). Swapping two
+    twins u and v of S is an automorphism that maps S to itself, so it maps
+    each canonical coloring of S, renamed by first use, to another, and one
+    of them extends uniquely exactly when the other does. A prefix in which
     both are placed and whose swapped, renamed image is lexicographically
     smaller (_twin_image_is_smaller) is skipped before it is placed, and
     counted like a dead one: every leaf below it has an earlier image, which
-    the walk has already tried and found losing. The lex-first winner is
-    the image of no smaller coloring, so it is never skipped, and the count
-    returned and the winner are those of the walk without the skip. A
-    support with no twin pair pays nothing for it.
+    the walk has already tried and found losing. Only consecutive members of
+    a class are swapped (_twin_swaps). The lex-first winner is the image of
+    no smaller coloring, so it is never skipped, and the count returned and
+    the winner are those of the walk without the skip. A support with no
+    twin pair pays nothing for it.
 
     Each skip checks the engine's deadline and raises the clock's error
     once it has passed, as a walk that runs no search reads no clock
@@ -513,11 +500,11 @@ class _Orbits:
     support, takes the generators from canon.automorphism_generators, and
     canon is imported only then, so a search whose first support wins never
     loads it. Each generator becomes a table per byte of a support, from the
-    byte to its image's bitmask. Both stay within ORBIT_BYTES: the
-    generators past it, at about 4n(n + 256) bytes each, are dropped (and
-    none is searched for when not one fits, from n = 1,924 at the default
-    bound), and marking stops at `limit` marks, at about 88 + n/7.5 bytes
-    each: a dict entry, its n-bit key and the key's frontier slot.
+    byte to its image's bitmask. Both stay within ORBIT_BYTES: the generator
+    search stops once it holds as many as fit, at about 4n(n + 256) bytes
+    each (and none is searched for when not one fits, from n = 1,924 at the
+    default bound), and marking stops at `limit` marks, at about 88 + n/7.5
+    bytes each: a dict entry, its n-bit key and the key's frontier slot.
     """
 
     def __init__(self, g: Graph, clock: Clock | None):
@@ -535,7 +522,7 @@ class _Orbits:
             if fit:
                 from . import canon
 
-                gens = canon.automorphism_generators(self.g, self.clock)[0][:fit]
+                gens = canon.automorphism_generators(self.g, self.clock, fit)[0]
             for gamma in gens:
                 self.tables.append(tables := [])
                 for lo in range(0, len(gamma), 8):
@@ -660,7 +647,7 @@ def sn_exact(
     pruned_by = {PRUNE_PENDANT: 0, PRUNE_UNCOLORED_EDGE: 0}
     eng = _Engine(_EngineGraph(g, k, traced=False), clock=clock)
     orbits = _Orbits(g, clock)
-    closed, opened = _twins(g)
+    closed, opened = twin_classes(g)
     twins = closed + opened
     settled: dict = {}  # the memo of _loser_count
     counters: dict = {}  # _evaluate_subset's counters, per pattern of the current size

@@ -221,8 +221,7 @@ def test_public_searches_stop_on_the_clock_with_a_package_error(search):
 
 def test_only_the_clock_reads_the_time():
     # Every time budget is one errors.Clock: no other module reads the time,
-    # and none defines an exception of its own to stop a search with, except
-    # canon._Stop, the work-bound signal automorphism_generators catches.
+    # and none defines an exception of its own to stop a search with.
     stops = []
     for path in sorted(Path(sudokugraph.__file__).parent.glob("*.py")):
         text = path.read_text()
@@ -230,7 +229,7 @@ def test_only_the_clock_reads_the_time():
             assert not re.search(r"\bimport time\b|\bfrom time\b|perf_counter", text), path.name
             for name in re.findall(r"^class (\w+)\(\w*(?:Exception|Error)\)", text, re.M):
                 stops.append((path.name, name))
-    assert stops == [("canon.py", "_Stop")]
+    assert stops == []
 
 
 def test_is_uniquely_colorable():

@@ -181,6 +181,31 @@ def test_param_validation():
         make(Family.PATH, n="5")
 
 
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        (Family.COMPLETE, {"n": 0}, "complete graph needs n >= 1"),
+        (Family.STAR, {"n": 0}, "star needs n >= 1 leaves"),
+        (Family.TREE, {"n": 0}, "tree needs n >= 1"),
+        (Family.AMALGAM, {"m": 2, "n": 1, "r": 1}, "amalgam needs n >= 2"),
+        (Family.AMALGAM, {"m": 2, "n": 3, "r": 0}, "amalgam needs 1 <= r < n"),
+        (Family.FRIENDSHIP, {"m": 1}, "friendship graph needs m >= 2 triangles"),
+        (Family.LOLLIPOP, {"n": 3, "m": 1}, "lollipop needs path order m >= 2"),
+        (Family.CYCLE_OF_CLIQUES_MINUS, {"n": 1, "m": 4}, "cycle of cliques needs n >= 2 cliques"),
+        (Family.FAN, {"n": 1}, "fan needs path order n >= 2"),
+        (Family.COMPLETE_MULTIPARTITE, {"parts": 3}, "needs a 'parts' list"),
+        (Family.COMPLETE_MULTIPARTITE, {}, "needs a 'parts' list"),
+        (Family.STACKED_TRIANGULATION, {"attachments": "0-1"}, "needs an 'attachments' list"),
+        ("moebius", {}, "unknown family 'moebius'"),
+    ],
+)
+def test_generate_rejects_bad_specs(family, params, message):
+    # family_args checks the spec's shape before generate looks up a
+    # builder; each builder checks the ranges of its own parameters.
+    with pytest.raises(InvalidFamilyParamsError, match=message):
+        generate(FamilySpec(family, params))
+
+
 def test_family_values_are_kebab_case():
     for fam in Family:
         assert fam.value == fam.value.lower()

@@ -230,6 +230,16 @@ def test_dot_rejects_foreign_vertices():
         emit_dot(g, PartialColoring(2, {5: 1}))
 
 
+@pytest.mark.parametrize(
+    "convert",
+    [lambda: parse_graph("2 1\n0 1\n", "dot"), lambda: serialize_graph(build(2, [(0, 1)]), "dot")],
+    ids=["parse_graph", "serialize_graph"],
+)
+def test_graph_formats_outside_the_enum_are_rejected(convert):
+    with pytest.raises(ValueError, match="unknown format 'dot'"):
+        convert()
+
+
 def test_parse_graph_takes_str_and_bytes():
     text = "3 2\n0 1\n1 2\n"
     assert parse_graph(text) == parse_graph(text.encode("ascii")) == build(3, [(0, 1), (1, 2)])

@@ -51,6 +51,7 @@ import sudokugraph.canon as canon
 import sudokugraph.sn as sn_module
 from sudokugraph.extension import _Engine, _EngineGraph
 from sudokugraph.generators import complete_multipartite
+from sudokugraph.graph import twin_classes
 from sudokugraph.sn import (
     PRUNE_PENDANT,
     PRUNE_UNCOLORED_EDGE,
@@ -351,7 +352,7 @@ def _walk_every_support(g, check=True):
     k, _ = chromatic_number(g)
     eng = _support_engine(g, k)
     tables = _suffix_tables(g, k, k >= 3)
-    twins = sum(sn_module._twins(g), [])
+    twins = sum(twin_classes(g), [])
     for size in range(search_lower_bound(k), g.n):
         counters = {}  # shared by the supports of one size, as in sn_exact
         for subset, _, _ in _supports(g.n, size, tables):
@@ -435,7 +436,7 @@ def test_twin_classes_match_the_pair_definition():
     graphs += [make(Family.COMPLETE_MULTIPARTITE, parts=[1, 2, 3]), make(Family.FRIENDSHIP, m=3),
                make(Family.CYCLE_OF_CLIQUES, n=3, m=5), make(Family.STAR, n=5)]
     for g in graphs:
-        closed, opened = sn_module._twins(g)
+        closed, opened = twin_classes(g)
         assert (_pairs(closed), _pairs(opened)) == _twins_oracle(g), g.edges
 
 
@@ -460,7 +461,7 @@ def test_twin_swap_skip_keeps_the_walk_of_every_support(monkeypatch, family, par
     # of some support: this fails then.
     g = make(family, **params)
     k, _ = chromatic_number(g)
-    twins = sum(sn_module._twins(g), [])
+    twins = sum(twin_classes(g), [])
     skips = []
     inner = sn_module._twin_image_is_smaller
 
@@ -523,11 +524,54 @@ def test_twin_image_verdict_matches_rescan_on_random_prefixes():
     assert 2_000 < smaller < 18_000
 
 
+def _closed_twin_prefix(rng):
+    """A random canonical prefix, its twin positions colored apart, and its last position."""
+    while True:
+        t, k = rng.randint(2, 9), rng.randint(2, 6)
+        at = sorted(rng.sample(range(t), rng.randint(2, min(t, k))))
+        colors, used = [], [0]
+        for j in range(t):
+            free = [c for c in range(1, min(k, used[-1] + 1) + 1)
+                    if j not in at or c not in {colors[a] for a in at if a < j}]
+            if not free:
+                break
+            colors.append(rng.choice(free))
+            used.append(max(used[-1], colors[-1]))
+        else:
+            return colors, used, at, rng.randrange(t)
+
+
+def test_consecutive_closed_twin_swaps_give_the_all_pairs_verdict():
+    # Closed twins are adjacent, so a proper prefix colors them apart. On
+    # such prefixes the swaps of consecutive class members skip exactly the
+    # prefixes that the swaps of all member pairs skip.
+    rng = random.Random(29)
+    smaller = 0
+    for _ in range(20_000):
+        colors, used, at, i = _closed_twin_prefix(rng)
+        pairs = sorted((b, a) for a, b in itertools.combinations(at, 2))
+        consecutive = sorted((b, a) for a, b in zip(at, at[1:]))
+        want = sn_module._twin_image_is_smaller(colors, used, pairs, i)
+        assert sn_module._twin_image_is_smaller(colors, used, consecutive, i) == want, (colors, at, i)
+        smaller += want
+    assert 2_000 < smaller < 18_000
+
+
+def test_twin_swaps_pair_consecutive_class_members():
+    # Positions count the support's vertices; a class of t members in the
+    # support gives t - 1 swaps, each (later, earlier).
+    twins = [0b1111000, 0b110]
+    assert sn_module._twin_swaps(twins, 0b1111111) == [(2, 1), (4, 3), (5, 4), (6, 5)]
+    assert sn_module._twin_swaps(twins, 0b1101010) == [(2, 1), (3, 2)]
+    assert sn_module._twin_swaps(twins, 0b0001111) == [(2, 1)]
+
+
 def test_sn_of_a_large_complete_graph_within_budget():
-    # One support of K_200 is one twin class of 199 vertices: a walk that
-    # rescanned the prefix for each of its 19,701 swaps ran past 5 s.
-    report = sn_exact(make(Family.COMPLETE, n=200), max_seconds=5)
-    assert report.sn == 199
+    # One support of K_600 is one twin class of 599 vertices. A walk that
+    # rescanned the prefix for each swap, or that swapped all 179,101 pairs
+    # of the class, ran past 5 s.
+    report = sn_exact(make(Family.COMPLETE, n=600), max_seconds=5)
+    assert report.sn == 599
     assert verify_certificate(report.certificate).ok
 
 
@@ -691,7 +735,7 @@ def test_sn_exact_keeps_no_state_between_searches(monkeypatch):
     # Each search finds the twin classes anew and counts twin-settled
     # supports in a memo of its own that starts empty.
     searches = []
-    twins, count = sn_module._twins, sn_module._loser_count
+    twins, count = sn_module.twin_classes, sn_module._loser_count
 
     def twins_spy(g):
         searches.append((g, []))
@@ -702,7 +746,7 @@ def test_sn_exact_keeps_no_state_between_searches(monkeypatch):
         return count(g, k, subset, memo, clock)
 
     with monkeypatch.context() as m:
-        m.setattr(sn_module, "_twins", twins_spy)
+        m.setattr(sn_module, "twin_classes", twins_spy)
         m.setattr(sn_module, "_loser_count", count_spy)
         for g in (a, b, a, b, b, a):
             assert _report_key(sn_exact(g)) == alone[g]
@@ -1186,7 +1230,7 @@ def _outcome(g, prune, budget):
 
 
 def _no_generators(m):
-    m.setattr(canon, "automorphism_generators", lambda g, clock=None: ([], 0))
+    m.setattr(canon, "automorphism_generators", lambda g, clock=None, most=None: ([], 0))
 
 
 def _reference(monkeypatch, g, prune, off=None):
@@ -1339,7 +1383,7 @@ def test_orbit_skip_evaluates_fewer_supports(monkeypatch):
     # The 4x4 grid has no closed twins, so every support the orbit skip does
     # not settle goes to the engine.
     g = make(Family.SUDOKU_GRID, b=2)
-    assert sn_module._twins(g) == ([], [])
+    assert twin_classes(g) == ([], [])
     evaluated = []
     for skip in (True, False):
         calls = [0]
@@ -1358,6 +1402,44 @@ def test_orbit_skip_evaluates_fewer_supports(monkeypatch):
     # 625 supports are walked; most are images of earlier losers, marked from
     # the first loss on.
     assert evaluated == [26, 625]
+
+
+# Supports evaluated on the engine and supports settled as twin losers, per
+# search, on graphs where the orbit marks and the twin swaps cut most of the
+# work. Both counts depend on the group the generators generate, not on
+# which generators the search returns.
+ENGINE_WORK = [
+    (Family.CYCLE_OF_CLIQUES, {"n": 3, "m": 4}, 16, 0),
+    (Family.CYCLE_OF_CLIQUES_MINUS, {"n": 3, "m": 4}, 2, 64),
+    (Family.CYCLE_OF_CLIQUES_MINUS, {"n": 2, "m": 5}, 2, 38),
+    (Family.CYCLE_OF_CLIQUES_MINUS, {"n": 4, "m": 4}, 2, 336),
+    (Family.SUDOKU_GRID, {"b": 2}, 26, 0),
+    (Family.CYCLE_OF_CLIQUES, {"n": 3, "m": 5}, 16, 0),
+    (Family.COMPLETE_MULTIPARTITE, {"parts": [3] * 5}, 4, 0),
+    (Family.COMPLETE_MULTIPARTITE, {"parts": [3] * 7}, 7, 0),
+    (Family.COMPLETE_MULTIPARTITE, {"parts": [4] * 5}, 5, 0),
+    (Family.AMALGAM, {"m": 4, "n": 4, "r": 2}, 1, 1),
+    (Family.FRIENDSHIP, {"m": 8}, 1, 0),
+]
+
+
+@pytest.mark.parametrize("family, params, evaluated, settled", ENGINE_WORK)
+def test_engine_work_on_symmetric_graphs(monkeypatch, family, params, evaluated, settled):
+    calls = Counter()
+    evaluate, settle = sn_module._evaluate_subset, sn_module._loser_count
+
+    def evaluate_spy(*args):
+        calls["evaluated"] += 1
+        return evaluate(*args)
+
+    def settle_spy(*args):
+        calls["settled"] += 1
+        return settle(*args)
+
+    monkeypatch.setattr(sn_module, "_evaluate_subset", evaluate_spy)
+    monkeypatch.setattr(sn_module, "_loser_count", settle_spy)
+    sn_exact(make(family, **params))
+    assert (calls["evaluated"], calls["settled"]) == (evaluated, settled)
 
 
 def test_orbit_tables_map_supports_as_the_generators_do(monkeypatch):
@@ -1465,7 +1547,7 @@ def test_generators_are_found_right_after_the_first_loss(monkeypatch):
 
 
 def _no_twins(m):
-    m.setattr(sn_module, "_twins", lambda g: ([], []))
+    m.setattr(sn_module, "twin_classes", lambda g: ([], []))
 
 
 def _plant_twins(rng, g):

@@ -14,6 +14,7 @@ from sudokugraph import (
     InvalidFamilyParamsError,
     SuiteScale,
     THEOREM_CASES,
+    build,
     chromatic_number,
     construct,
     count_extensions,
@@ -148,6 +149,31 @@ def test_construct_rejects_family_mismatch():
         construct("lollipop", spec(Family.TADPOLE, n=5, m=2))
     with pytest.raises(InvalidFamilyParamsError):
         expected_sn("wheel", spec(Family.CYCLE, n=5))
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: construct("bipartite", spec(Family.COMPLETE, n=1)), "connected graph on >= 2"),
+        (
+            lambda: theorems._bipartite(build(4, [(0, 1), (2, 3)]), spec(Family.PATH, n=4)),
+            "connected graph on >= 2",
+        ),
+        (lambda: construct("bipartite", spec(Family.CYCLE, n=5)), "bipartite graph with an edge"),
+        (
+            lambda: expected_sn("complete-multipartite", spec(Family.COMPLETE_MULTIPARTITE, parts=[3])),
+            "needs >= 2 parts",
+        ),
+        (
+            lambda: construct("complete-multipartite", spec(Family.COMPLETE_MULTIPARTITE, parts=[3])),
+            "needs >= 2 parts",
+        ),
+    ],
+    ids=["one-vertex", "disconnected", "odd-cycle", "one-part-sn", "one-part-construct"],
+)
+def test_cases_reject_graphs_outside_their_theorem(check, message):
+    with pytest.raises(InvalidFamilyParamsError, match=message):
+        check()
 
 
 def test_construct_rejects_unknown_case():
