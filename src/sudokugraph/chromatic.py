@@ -1,15 +1,16 @@
 """Exact chromatic number, greedy coloring and coloring counts from one search.
 
-Every public function here, greedy_coloring included, configures `_search`,
-a depth-first search over per-vertex color bitmasks (bit i-1 is color i)
-that keeps its state on an explicit stack, so its depth is bounded by memory,
-not by the recursion limit. It branches on the uncolored vertex with the
-fewest free colors (ties: higher degree, then lower index), which is
-Brélaz's DSATUR order (D. Brélaz, "New methods to color the vertices of a
-graph", CACM 22(4), 1979). With `fresh` set, a vertex may take at most one
-color above the highest in use, so colorings that differ only by renaming
-colors are visited once: with nothing preset, exactly one per vertex
-partition. Deterministic by construction.
+Every public function here, greedy_coloring included, reads `_search`, a
+depth-first search over per-vertex color bitmasks (bit i-1 is color i) that
+keeps its state on an explicit stack, so its depth is bounded by memory, not
+by the recursion limit. It yields each coloring it reaches, and each caller
+stops it: next() takes a first coloring, islice a capped count. It branches
+on the uncolored vertex with the fewest free colors (ties: higher degree,
+then lower index), which is Brélaz's DSATUR order (D. Brélaz, "New methods
+to color the vertices of a graph", CACM 22(4), 1979). With `fresh` set, a
+vertex may take at most one color above the highest in use, so colorings
+that differ only by renaming colors are visited once: with nothing preset,
+exactly one per vertex partition. Deterministic by construction.
 
 Two budgets bound a search. The node budget (`budget=`) caps each search
 on its own; more nodes raise BudgetExceededError naming the search. A clock
@@ -19,6 +20,8 @@ BudgetExceededError, which names what the caller has proven so far.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .coloring import ColorListState, PartialColoring
 from .errors import BudgetExceededError, Clock
@@ -51,21 +54,20 @@ def _search(
     lists: list[int],
     *,
     preset: dict[int, int] | None = None,
-    cap: int | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
     fresh: bool = False,
     clock: Clock | None = None,
-    accept=None,
     what: str,
-) -> tuple[int, list[int] | None]:
-    """Count proper colorings with color[v] in lists[v], saturating at cap.
+):
+    """Yield each proper coloring with color[v] in lists[v], as a list indexed by vertex.
 
-    Returns the count (cap None counts all) and the first coloring found,
-    as a list indexed by vertex. With accept set, only the colorings it
-    returns true for are counted (and can be first). Preset vertices keep
-    their colors, which must be proper. Each branching vertex is one node;
-    more than budget nodes raise BudgetExceededError naming `what`, and a
-    node reached past the clock's deadline raises the clock's error.
+    The caller stops the search by no longer asking: next() takes the first
+    coloring, islice a capped count. The list yielded is the search's own
+    state, valid until the next one is asked for, so a caller that keeps it
+    copies it. Preset vertices keep their colors, which must be proper.
+    Each branching vertex is one node; more than budget nodes raise
+    BudgetExceededError naming `what`, and a node reached past the clock's
+    deadline raises the clock's error.
     """
     adj = g.adj
     order = sorted(range(g.n), key=lambda v: -len(adj[v]))  # stable: ties by index
@@ -81,8 +83,7 @@ def _search(
     left = g.n - len(preset)
     journal: list[int] = []  # vertices whose free mask lost the color just assigned
     stack: list[list[int]] = []  # [vertex, untried colors, journal mark, top before]
-    count = nodes = 0
-    first = None
+    nodes = 0
     deadline = None if clock is None else clock.deadline
     while True:
         if left:
@@ -94,12 +95,8 @@ def _search(
             best = _fewest_colors(order, color, free, 0)
             bits = free[best] & ((2 << top) - 1) if fresh else free[best]
             stack.append([best, bits, len(journal), top])
-        elif accept is None or accept(color):
-            count += 1
-            if first is None:
-                first = color[:]
-            if count == cap:
-                break
+        else:
+            yield color
         # Undo the top frame's color and try its next one, popping spent frames.
         while stack:
             frame = stack[-1]
@@ -125,8 +122,7 @@ def _search(
                     journal.append(u)
             break
         else:
-            break
-    return count, first
+            return
 
 
 def _check_budget(budget: int) -> None:
@@ -156,10 +152,10 @@ def greedy_coloring(g: Graph, *, clock: Clock | None = None) -> dict[int, int]:
     and makes exactly one node per vertex.
     """
     width = max(map(len, g.adj), default=0) + 1
-    _, first = _search(
-        g, [(1 << width) - 1] * g.n, cap=1, budget=g.n, fresh=True, clock=clock,
+    first = next(_search(
+        g, [(1 << width) - 1] * g.n, budget=g.n, fresh=True, clock=clock,
         what="greedy coloring",
-    )
+    ))
     return dict(enumerate(first))
 
 
@@ -177,10 +173,10 @@ def find_k_coloring(
         return None
     # The clique is preset to 1..len(clique), which also breaks color symmetry.
     preset = {v: i + 1 for i, v in enumerate(clique)}
-    _, first = _search(
-        g, [(1 << k) - 1] * g.n, preset=preset, cap=1, budget=budget, fresh=True,
+    first = next(_search(
+        g, [(1 << k) - 1] * g.n, preset=preset, budget=budget, fresh=True,
         clock=clock, what="k-coloring search",
-    )
+    ), None)
     return None if first is None else dict(enumerate(first))
 
 
@@ -224,8 +220,8 @@ def count_color_partitions(
     if k < 0 or (cap is not None and cap < 1):
         raise ValueError("need k >= 0 and cap >= 1")
     lists = [(1 << k) - 1] * g.n
-    return _search(g, lists, cap=cap, budget=budget, fresh=True, clock=clock,
-                   what="partition count")[0]
+    found = _search(g, lists, budget=budget, fresh=True, clock=clock, what="partition count")
+    return sum(1 for _ in islice(found, cap))
 
 
 def count_list_colorings(g: Graph, state: ColorListState, cap: int = 2) -> int:
@@ -250,4 +246,4 @@ def count_list_colorings(g: Graph, state: ColorListState, cap: int = 2) -> int:
         if mask == 0:
             raise ValueError(f"vertex {v} has an empty list")
         masks.append(mask)
-    return _search(g, masks, cap=cap, what="list coloring count")[0]
+    return sum(1 for _ in islice(_search(g, masks, what="list coloring count"), cap))

@@ -114,7 +114,7 @@ def graph_from_object(obj) -> Graph:
         nonlocal where
         for i, e in enumerate(edges):
             where = f" (edge {i})"
-            if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, int) for x in e):
+            if not isinstance(e, list) or len(e) != 2 or not all(type(x) is int for x in e):
                 raise ParseError(f"edge {i} must be a pair of integers, got {e!r}")
             yield e
 
@@ -152,7 +152,9 @@ def coloring_from_object(obj) -> PartialColoring:
         try:
             v = int(key)
         except (TypeError, ValueError):
-            raise ParseError(f"vertex key {key!r} is not an integer")
+            v = None
+        if str(v) != key:  # one spelling per vertex: no "01", " 1", "+1", "1_0"
+            raise ParseError(f"vertex key {key!r} is not a plain integer")
         if not isinstance(col, int) or isinstance(col, bool):
             raise ParseError(f"vertex {v} has color {col!r} outside 1..{k}")
         assignments[v] = col

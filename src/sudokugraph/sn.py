@@ -805,8 +805,8 @@ def _is_least(nbr: list[int]) -> list[tuple[int, ...]] | None:
     return gens
 
 
-def connected_graphs_up_to_iso(n: int):
-    """All connected graphs on exactly n vertices, one per isomorphism class.
+def connected_graphs_up_to_iso(n: int, clock: Clock | None = None):
+    """Yield (g, chi, color) for each connected graph g on n vertices, one per isomorphism class.
 
     Bit i of an edge mask stands for the i-th pair (u, v), u < v, in
     lexicographic order. Each class is yielded once, labeled by its canonical
@@ -862,24 +862,10 @@ def connected_graphs_up_to_iso(n: int):
     connectivity or searched. Only one image per generator is taken, not
     the orbit of b, so some non-canonical children are still searched.
 
-    The edges are pairs listed sorted and distinct, so each class is made
-    as a Graph directly, without build's checks, and its adjacency is read
-    from the neighbour bitsets the walk holds. The walk is _orderly_walk,
-    which also carries each class's chromatic number and a coloring with that
-    many colors down the tree (removing an edge lowers chi by at most one);
-    this function drops them.
-    """
-    for g, _, _ in _orderly_walk(n):
-        yield g
-
-
-def _orderly_walk(n: int, clock: Clock | None = None):
-    """Yield (g, chi, color) for each class of connected_graphs_up_to_iso(n).
-
-    chi is g's chromatic number and color a proper coloring of g with colors
-    1..chi, as a list indexed by vertex; a child may share it with its
-    parent, so it must not be changed. Both are carried down the tree. The
-    root K_n has chi = n and colors 1..n. A child M = P - e has
+    Each class comes with its chromatic number chi and a proper coloring
+    with colors 1..chi, as a list indexed by vertex; a child may share it
+    with its parent, so it must not be changed. Both are carried down the
+    tree. The root K_n has chi = n and colors 1..n. A child M = P - e has
     chi(M) in {chi(P) - 1, chi(P)}: M is a subgraph of P, and giving one end
     of e a new color turns any coloring of M into one of P. So:
     - chi(P) = 2 gives chi(M) = 2, as M is a subgraph of a bipartite graph
@@ -890,11 +876,9 @@ def _orderly_walk(n: int, clock: Clock | None = None):
     Otherwise M keeps P's coloring: it is proper on the subgraph M and uses
     chi(P) = chi(M) colors.
 
-    Each frame also holds generators of its mask's automorphism group, and
-    a child P - 2**b that one of P's maps to a later pair is rejected
-    before anything else is done with it: each sigma in Aut(P) gives
-    sigma(P - 2**b) = P - 2**sigma(b), smaller when sigma(b) > b (see
-    connected_graphs_up_to_iso).
+    The edges are pairs listed sorted and distinct, so each class is made
+    as a Graph directly, without build's checks, and its adjacency is read
+    from the neighbour bitsets the walk holds.
     """
     if n < 1:
         return
@@ -996,9 +980,10 @@ def _is_extremal(
     tried, and g is extremal when none has a pair with one completion.
 
     Any k-coloring that settles a pair answers the test, so a known one
-    (color, a list indexed by vertex, such as _orderly_walk's) is tried
-    first, and the partition search runs only when it settles none. The
-    clock is checked on entry, even when that coloring answers.
+    (color, a list indexed by vertex, such as connected_graphs_up_to_iso
+    yields) is tried first, and the partition search runs only when it
+    settles none. The clock is checked on entry, even when that coloring
+    answers.
     """
     if clock is not None:
         clock.check()
@@ -1027,11 +1012,7 @@ def _is_extremal(
 
     if color is not None and settles(color):
         return False
-    found, _ = _search(
-        g, [full] * n, cap=1, fresh=True, clock=clock, accept=settles,
-        what="pair test",
-    )
-    return not found
+    return not any(map(settles, _search(g, [full] * n, fresh=True, clock=clock, what="pair test")))
 
 
 def conjecture_scan(max_n: int, *, max_seconds: float | None = None) -> ScanReport:
@@ -1056,7 +1037,7 @@ def conjecture_scan(max_n: int, *, max_seconds: float | None = None) -> ScanRepo
     for n in range(2, max_n + 1):
         clock.proven = f" during scan at n={n}"
         count = 0
-        for g, k, color in _orderly_walk(n, clock):
+        for g, k, color in connected_graphs_up_to_iso(n, clock):
             count += 1
             if not _is_extremal(g, k, clock, color):
                 continue

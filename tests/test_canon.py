@@ -48,7 +48,7 @@ def bound(g):
 
 
 def test_generators_generate_the_whole_group():
-    graphs = [g for n in range(1, 7) for g in connected_graphs_up_to_iso(n)]
+    graphs = [g for n in range(1, 7) for g, _, _ in connected_graphs_up_to_iso(n)]
     rng = random.Random(2014)
     graphs += [
         random_connected_graph(rng, 7, extra=rng.choice([0.1, 0.3, 0.5, 0.8])) for _ in range(200)

@@ -192,6 +192,19 @@ def test_chroma_malformed_input_exits_2(capsys, monkeypatch):
     assert code == 2
 
 
+def test_json_vertex_names_spelled_two_ways_exit_2(capsys, monkeypatch, tmp_path):
+    # "1" and "01" would both name vertex 1; read as {1: 2, 10: 1}, P_11
+    # would have a unique completion.
+    gpath = write_graph(capsys, tmp_path, "p11.txt", ["--family", "path", "--n", "11"])
+    cpath = tmp_path / "twice.json"
+    cpath.write_text('{"k": 2, "colors": {"1": 1, "01": 2, "1_0": 2, "10": 1}}')
+    code, out, err = run(capsys, ["extend-count", "--in", gpath, "--coloring", str(cpath)])
+    assert (code, out) == (2, "") and "'01'" in err
+    feed_stdin(monkeypatch, b'{"n": 2, "edges": [[true, false]]}')
+    code, out, err = run(capsys, ["chroma", "--format", "json"])
+    assert (code, out) == (2, "") and "pair of integers" in err
+
+
 def test_extend_count_multiple_and_exact_cap(capsys, tmp_path):
     gpath = write_graph(capsys, tmp_path, "c5.txt", ["--family", "cycle", "--n", "5"])
     cpath = write_coloring(tmp_path, "empty.json", 3, {})
@@ -391,13 +404,13 @@ def test_verify_stops_on_its_time_budget(capsys, tmp_path):
     assert code == 1
     assert json.loads(out) == {"error": "budget-exceeded", "detail": "time budget 1.0s exhausted"}
     # The exact search shares the clock and reports the bound it proved
-    # (sn = 12 here takes about a minute).
+    # (sn = 16 here takes about 11 s of CPU, and sn = 12 at m = 5 about 2.1 s).
     start = time.perf_counter()
-    argv = ["verify", "--family", "cycle-of-cliques", "--n", "4", "--m", "5", "--exact"]
+    argv = ["verify", "--family", "cycle-of-cliques", "--n", "4", "--m", "6", "--exact"]
     code, out, err = run(capsys, argv + ["--budget-seconds", "1"])
     assert time.perf_counter() - start < 15
     obj = json.loads(out)
-    assert code == 1 and 4 <= obj["lower_bound"] < 12
+    assert code == 1 and 4 <= obj["lower_bound"] < 16
     assert obj["detail"] == f"time budget 1.0s exhausted; sn >= {obj['lower_bound']}"
     # The completion count, the first search of a certificate check, stops too.
     argv = ["verify", "--cert", _cycle13_certificate(tmp_path), "--exact", "--budget-seconds", "0"]

@@ -535,6 +535,18 @@ def test_probe_keeps_counts_witnesses_traces_and_propagation(monkeypatch):
         assert all(rule in rules for _, _, rule in trace)
 
 
+def test_only_traced_searches_run_the_clique_cut():
+    # On count-only tables the cut almost never fired (28 nodes in 343,759
+    # tries over 320 sn_exact runs), so it is left out there.
+    traced_cuts = 0
+    for g, c, cap in list(_clique_cut_cases()) + list(_grid_cases()):
+        (found, *_), traced = _engine_search(g, c, cap)
+        (kept, *_), count_only = _engine_search(g, c, cap, traced=False)
+        assert kept == found and count_only.clique_cuts == 0
+        traced_cuts += traced.clique_cuts
+    assert traced_cuts > 0
+
+
 def test_probe_cuts_the_seventeen_clue_search():
     g, c = _seventeen_clue()
     (found, *_), eng = _engine_search(g, c, 2)

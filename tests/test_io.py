@@ -150,6 +150,22 @@ def test_graph_object_round_trip():
     assert graph_from_object(graph_to_object(g)) == g
 
 
+@pytest.mark.parametrize(
+    "parse, obj",
+    [
+        (graph_from_object, {"n": 2, "edges": [[True, False]]}),
+        (graph_from_object, {"n": 2, "edges": [[0, True]]}),
+        *((coloring_from_object, {"k": 2, "colors": {key: 1}})
+          for key in ("01", " 1", "1 ", "+1", "1_0", "\u0663", "-0")),
+        # Two spellings of vertex 1 would overwrite each other.
+        (coloring_from_object, {"k": 2, "colors": {"1": 1, "01": 2, "1_0": 2, "10": 1}}),
+    ],
+)
+def test_json_inputs_name_each_vertex_one_way(parse, obj):
+    with pytest.raises(ParseError):
+        parse(obj)
+
+
 def test_coloring_round_trip():
     c = PartialColoring(4, {0: 1, 7: 4, 3: 2})
     data = (json.dumps(coloring_to_object(c)) + "\n").encode("ascii")

@@ -888,7 +888,7 @@ def test_conjecture_scan_budget():
 # K_2's, which needs the partition search, and the second is P_3's, which the
 # walk's 2-coloring answers without one.
 SCAN_STAGES = [
-    ("_orderly_walk", 0, 2),
+    ("connected_graphs_up_to_iso", 0, 2),
     ("find_k_coloring", 0, 4),
     ("_is_extremal", 0, 2),
     ("_is_extremal", 1, 3),
@@ -917,12 +917,12 @@ def test_conjecture_scan_budget_stops_inside_a_class(monkeypatch, stage, step, n
             now, late = 100.0, len(done)
         steps[name] += 1
 
-    real_walk = sn_module._orderly_walk
+    real_walk = sn_module.connected_graphs_up_to_iso
 
     def walk(*args, **kwargs):
         for item in real_walk(*args, **kwargs):
-            done.append("_orderly_walk")
-            reach("_orderly_walk")
+            done.append("connected_graphs_up_to_iso")
+            reach("connected_graphs_up_to_iso")
             yield item
 
     def wrap(name):
@@ -936,7 +936,7 @@ def test_conjecture_scan_budget_stops_inside_a_class(monkeypatch, stage, step, n
 
         return wrapper
 
-    monkeypatch.setattr(sn_module, "_orderly_walk", walk)
+    monkeypatch.setattr(sn_module, "connected_graphs_up_to_iso", walk)
     for name in ("find_k_coloring", "_is_extremal"):
         monkeypatch.setattr(sn_module, name, wrap(name))
     with pytest.raises(BudgetExceededError, match=rf"^time budget 1\.0s exhausted during scan at n={n}$"):
@@ -955,7 +955,7 @@ def _pair_tests(g):
 def test_pair_test_matches_sn_exact_on_every_class_up_to_6():
     classes = extremal = 0
     for n in range(2, 7):
-        for g, k, color in sn_module._orderly_walk(n):
+        for g, k, color in connected_graphs_up_to_iso(n):
             expect = sn_exact(g).sn == n - 1
             assert _pair_tests(g) == (expect, expect), g.edges
             # Started from the walk's carried coloring, too.
@@ -984,13 +984,10 @@ def test_walk_carries_chromatic_number_and_a_chi_coloring():
     # chi(P - e) is chi(P) or chi(P) - 1, and the walk decides which; the
     # coloring it carries is proper and uses exactly chi colors.
     for n in range(1, 8):
-        listed = []
-        for g, k, color in sn_module._orderly_walk(n):
+        for g, k, color in connected_graphs_up_to_iso(n):
             assert k == chromatic_number(g)[0], g.edges
             assert len(color) == n and set(color) == set(range(1, k + 1)), (g.edges, color)
             assert all(color[u] != color[v] for u, v in g.edges), (g.edges, color)
-            listed.append(g.edges)
-        assert listed == [g.edges for g in connected_graphs_up_to_iso(n)]
 
 
 def test_pair_test_counts_adjacent_pairs():
@@ -1019,14 +1016,14 @@ A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 def test_orderly_generator_matches_brute_force_enumerator():
     # Same canonical representatives, same labels, same order.
     for n, count in A001349.items():
-        orderly = list(connected_graphs_up_to_iso(n))
+        orderly = [g for g, _, _ in connected_graphs_up_to_iso(n)]
         assert len(orderly) == count
         assert all(g.n == n for g in orderly)
         assert [g.edges for g in orderly] == [g.edges for g in brute_connected_graphs(n)]
 
 
 def test_orderly_generator_n7():
-    gs = list(connected_graphs_up_to_iso(7))
+    gs = [g for g, _, _ in connected_graphs_up_to_iso(7)]
     pairs = [(u, v) for u in range(7) for v in range(u + 1, 7)]
     assert len(gs) == 853  # OEIS A001349
     assert gs[0].edges == tuple((0, v) for v in range(1, 7))
@@ -1059,7 +1056,7 @@ def test_is_least_matches_permutation_oracle_on_orderly_walk(monkeypatch):
     monkeypatch.setattr(sn_module, "_is_least", spy)
     rejected = 0
     for n, count in A001349.items():
-        classes = list(connected_graphs_up_to_iso(n))
+        classes = [g for g, _, _ in connected_graphs_up_to_iso(n)]
         assert len(classes) == count
         pairs = list(itertools.combinations(range(n), 2))
         swaps = [  # the root K_n's: the adjacent transpositions
@@ -1093,7 +1090,7 @@ def test_is_least_hands_back_generators_of_the_automorphism_group():
     # whole group, of the order brute force counts (n <= 6).
     generated = 0
     for n in range(1, 8):
-        for g in connected_graphs_up_to_iso(n):
+        for g, _, _ in connected_graphs_up_to_iso(n):
             gens = sn_module._is_least(_nbr(g))
             edges = set(g.edges)
             for gamma in gens:
@@ -1186,7 +1183,7 @@ def test_is_least_twin_skip_matches_permutation_oracle_on_twin_heavy_graphs():
 
 
 def test_orderly_generator_is_lazy(monkeypatch):
-    first = next(connected_graphs_up_to_iso(7))
+    first, _, _ = next(connected_graphs_up_to_iso(7))
     assert first.n == 7
     assert first.edges == tuple((0, v) for v in range(1, 7))
     # Listing all of n = 7 takes well under the budget, so this part cannot
@@ -1207,7 +1204,7 @@ def test_orderly_generator_is_lazy(monkeypatch):
         return real(nbr)
 
     monkeypatch.setattr(sn_module, "_is_least", counting)
-    first = next(connected_graphs_up_to_iso(8))
+    first, _, _ = next(connected_graphs_up_to_iso(8))
     assert first.edges == tuple((0, v) for v in range(1, 8))
     assert calls < 100  # of 13,930 for the whole walk
 
@@ -1672,7 +1669,7 @@ def test_sn_exact_never_runs_the_attractive_rule(monkeypatch, case, family, para
 
 def test_no_graph_classes_below_one_vertex():
     assert list(connected_graphs_up_to_iso(0)) == []
-    assert [g.edges for g in connected_graphs_up_to_iso(1)] == [()]
+    assert [g.edges for g, _, _ in connected_graphs_up_to_iso(1)] == [()]
 
 
 def test_negative_subset_budget_is_rejected():
