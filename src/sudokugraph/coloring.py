@@ -48,11 +48,6 @@ class PartialColoring:
     def colors_used(self) -> frozenset[int]:
         return frozenset(self.assignments.values())
 
-    def __eq__(self, other):
-        if not isinstance(other, PartialColoring):
-            return NotImplemented
-        return self.k == other.k and dict(self.assignments) == dict(other.assignments)
-
     def __hash__(self):
         return hash((self.k, tuple(sorted(self.assignments.items()))))
 

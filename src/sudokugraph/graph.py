@@ -35,9 +35,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
 
 def build(n: int, edges) -> Graph:
     """Validate and construct a Graph.

@@ -31,6 +31,8 @@ def _load_json(text):
         return json.loads(_as_text(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", pos=exc.pos)
+    except RecursionError:
+        raise ParseError("bad JSON: nested too deeply")
 
 
 def parse_graph(text, fmt: GraphFormat = GraphFormat.EDGELIST) -> Graph:

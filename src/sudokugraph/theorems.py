@@ -309,86 +309,56 @@ def verify_theorem(
     return result
 
 
-def _fast_cases() -> list[TheoremCase]:
+def _suite_cases(exact: bool) -> list[TheoremCase]:
+    """The suite's one parameter grid; the exact scale runs only its marked instances."""
     cases: list[TheoremCase] = []
 
-    def add(name: str, family: Family, **params):
-        cases.append(TheoremCase(name, FamilySpec(family, params)))
+    def add(name: str, family: Family, marked: bool, **params):
+        if marked or not exact:
+            cases.append(TheoremCase(name, FamilySpec(family, params)))
 
     for n in range(2, 9):
-        add("bipartite", Family.PATH, n=n)
+        add("bipartite", Family.PATH, n == 4, n=n)
     for n in (4, 6, 8):
-        add("bipartite", Family.CYCLE, n=n)
+        add("bipartite", Family.CYCLE, n == 6, n=n)
     for n in range(2, 6):
-        add("bipartite", Family.STAR, n=n)
+        add("bipartite", Family.STAR, False, n=n)
     for seed in range(3):
-        add("bipartite", Family.TREE, n=7, seed=seed)
+        add("bipartite", Family.TREE, False, n=7, seed=seed)
     for parts in ([1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1, 1], [2, 2, 2], [1, 2, 3], [2, 3, 4], [3, 3]):
-        add("complete-multipartite", Family.COMPLETE_MULTIPARTITE, parts=parts)
+        marked = parts in ([1, 1, 1], [2, 2, 2])
+        add("complete-multipartite", Family.COMPLETE_MULTIPARTITE, marked, parts=parts)
     for n in range(5, 102, 2):
-        add("odd-cycle", Family.CYCLE, n=n)
+        add("odd-cycle", Family.CYCLE, n <= 7, n=n)
     for m in range(2, 5):
         for n in range(3, 6):
             for r in range(1, n):
-                add("amalgam", Family.AMALGAM, m=m, n=n, r=r)
+                marked = (m, n, r) in ((2, 3, 1), (2, 3, 2), (2, 4, 2))
+                add("amalgam", Family.AMALGAM, marked, m=m, n=n, r=r)
     for m in range(2, 7):
-        add("friendship", Family.FRIENDSHIP, m=m)
+        add("friendship", Family.FRIENDSHIP, m == 2, m=m)
     for n in (3, 5, 7, 9):
         for m in range(2, 7):
-            add("tadpole", Family.TADPOLE, n=n, m=m)
+            add("tadpole", Family.TADPOLE, (n, m) in ((3, 2), (5, 2), (5, 3)), n=n, m=m)
     for n in (4, 6):
         for m in (2, 3):
-            add("tadpole", Family.TADPOLE, n=n, m=m)
+            add("tadpole", Family.TADPOLE, False, n=n, m=m)
     for n in range(4, 8):
         for m in range(2, 6):
-            add("lollipop", Family.LOLLIPOP, n=n, m=m)
+            add("lollipop", Family.LOLLIPOP, n == 4 and m <= 3, n=n, m=m)
     for n in range(2, 7):
         for m in range(3, 7):
-            add("cycle-of-cliques", Family.CYCLE_OF_CLIQUES, n=n, m=m)
+            add("cycle-of-cliques", Family.CYCLE_OF_CLIQUES, n == 2 and m <= 4, n=n, m=m)
     for n in range(2, 7):
         for m in range(4, 7):
-            add("cycle-of-cliques-minus", Family.CYCLE_OF_CLIQUES_MINUS, n=n, m=m)
+            add("cycle-of-cliques-minus", Family.CYCLE_OF_CLIQUES_MINUS, (n, m) == (2, 4), n=n, m=m)
     for att in ([], [(1, 2)], [(1, 2), (1, 3)], [(1, 2), (2, 3), (3, 4)], [(0, 1), (1, 3), (3, 4), (4, 5)]):
-        add("stacked-triangulation", Family.STACKED_TRIANGULATION, attachments=att)
+        marked = att in ([], [(1, 2), (2, 3), (3, 4)])
+        add("stacked-triangulation", Family.STACKED_TRIANGULATION, marked, attachments=att)
     for n in range(2, 9):
-        add("fan", Family.FAN, n=n)
+        add("fan", Family.FAN, n in (2, 4), n=n)
     for n in range(3, 13):
-        add("wheel", Family.WHEEL, n=n)
-    return cases
-
-
-def _exact_cases() -> list[TheoremCase]:
-    cases: list[TheoremCase] = []
-
-    def add(name: str, family: Family, **params):
-        cases.append(TheoremCase(name, FamilySpec(family, params)))
-
-    add("bipartite", Family.PATH, n=4)
-    add("bipartite", Family.CYCLE, n=6)
-    add("complete-multipartite", Family.COMPLETE_MULTIPARTITE, parts=[1, 1, 1])
-    add("complete-multipartite", Family.COMPLETE_MULTIPARTITE, parts=[2, 2, 2])
-    add("odd-cycle", Family.CYCLE, n=5)
-    add("odd-cycle", Family.CYCLE, n=7)
-    add("amalgam", Family.AMALGAM, m=2, n=3, r=1)
-    add("amalgam", Family.AMALGAM, m=2, n=3, r=2)
-    add("amalgam", Family.AMALGAM, m=2, n=4, r=2)
-    add("friendship", Family.FRIENDSHIP, m=2)
-    add("tadpole", Family.TADPOLE, n=3, m=2)
-    add("tadpole", Family.TADPOLE, n=5, m=2)
-    add("tadpole", Family.TADPOLE, n=5, m=3)
-    add("lollipop", Family.LOLLIPOP, n=4, m=2)
-    add("lollipop", Family.LOLLIPOP, n=4, m=3)
-    add("cycle-of-cliques", Family.CYCLE_OF_CLIQUES, n=2, m=3)
-    add("cycle-of-cliques", Family.CYCLE_OF_CLIQUES, n=2, m=4)
-    add("cycle-of-cliques-minus", Family.CYCLE_OF_CLIQUES_MINUS, n=2, m=4)
-    add("stacked-triangulation", Family.STACKED_TRIANGULATION, attachments=[])
-    add("stacked-triangulation", Family.STACKED_TRIANGULATION, attachments=[(1, 2), (2, 3), (3, 4)])
-    add("fan", Family.FAN, n=2)
-    add("fan", Family.FAN, n=4)
-    add("wheel", Family.WHEEL, n=3)
-    add("wheel", Family.WHEEL, n=4)
-    add("wheel", Family.WHEEL, n=5)
-    add("wheel", Family.WHEEL, n=6)
+        add("wheel", Family.WHEEL, n <= 6, n=n)
     return cases
 
 
@@ -406,11 +376,10 @@ def theorem_suite(scale: SuiteScale = SuiteScale.FAST) -> SuiteReport:
     """Verify a grid of instances for every theorem case.
 
     FAST re-proves uniqueness and formulas across wide parameter ranges;
-    EXACT runs the full search on minimum legal parameters as well.
+    EXACT runs the full search as well, on the grid's small marked instances.
     """
-    cases = _fast_cases() if scale is SuiteScale.FAST else _exact_cases()
     rows = []
-    for case in cases:
+    for case in _suite_cases(scale is SuiteScale.EXACT):
         clock = Clock()
         result = verify_theorem(case.name, case.spec, exact=scale is SuiteScale.EXACT)
         rows.append(

@@ -566,6 +566,20 @@ def test_verify_malformed_certificate_exits_2(capsys, tmp_path):
         assert err.startswith("error: ")
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    gpath = write_graph(capsys, tmp_path, "c5.txt", ["--family", "cycle", "--n", "5"])
+    for argv in (
+        ["chroma", "--format", "json", "--in", str(deep)],
+        ["extend-count", "--in", gpath, "--coloring", str(deep)],
+        ["verify", "--cert", str(deep)],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_solve_json_trace(capsys, tmp_path):
     gpath = write_graph(capsys, tmp_path, "c13.txt", ["--family", "cycle", "--n", "13"])
     cpath = write_coloring(

@@ -140,6 +140,13 @@ def test_json_graph_errors():
             parse_graph(f'{{"n": 2, "edges": {edges}}}'.encode("ascii"), GraphFormat.JSON)
 
 
+def test_deeply_nested_json_is_a_parse_error():
+    deep = b"[" * 100_000
+    for parse in (lambda t: parse_graph(t, GraphFormat.JSON), parse_coloring, parse_certificate):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(deep)
+
+
 def test_non_ascii_rejected():
     with pytest.raises(ParseError):
         parse_graph("3 1\n0 é\n".encode("utf-8"), GraphFormat.EDGELIST)

@@ -230,6 +230,18 @@ def test_exact_suite_is_green():
     assert seen == set(THEOREM_CASES)
 
 
+def test_exact_suite_runs_a_sub_list_of_the_fast_grid():
+    fast, exact = (
+        [(row["case"], row["params"]) for row in theorem_suite(scale).rows]
+        for scale in (SuiteScale.FAST, SuiteScale.EXACT)
+    )
+    assert (len(fast), len(exact)) == (202, 26)
+    rest = iter(fast)
+    assert all(key in rest for key in exact)
+    for rows in (fast, exact):
+        assert {case for case, _ in rows} == set(THEOREM_CASES)
+
+
 def test_suite_report_ok_tracks_rows():
     report = theorem_suite(SuiteScale.EXACT)
     report.rows[0]["ok"] = False
